@@ -10,7 +10,8 @@ exhaustive enumeration of obstructed candidate families (two-step with twist
 from dataclasses import dataclass
 from enum import Enum
 
-from .params import ConsistencyError, ModuliParams, ParameterError, expected_dimension, solve_dioph
+from .params import (ConsistencyError, ModuliParams, ParameterError, derive_params,
+                     expected_dimension, solve_dioph)
 from .families import (
     ExtensionChain,
     MixedDatum,
@@ -21,8 +22,6 @@ from .families import (
     torsion_degree,
     torsion_dimension,
     two_step_chain,
-    two_step_degree,
-    two_step_dimension,
 )
 
 
@@ -48,29 +47,59 @@ class Status(Enum):
 
 _KIND_ORDER = {k: i for i, k in enumerate(Kind)}
 
+_UNOBSTRUCTED = (Kind.UNOBSTRUCTED_EXT, Kind.UNOBSTRUCTED_TORSION)
+_EXPECTED_DIM = _UNOBSTRUCTED + (Kind.OBSTRUCTED_EXPECTED,)
+
+# (generic image, status) of each kind; `status` makes one exception
+_LABELS = {
+    Kind.UNOBSTRUCTED_EXT: (GenericImage.GENERIC, Status.PROVED_COMPONENT),
+    Kind.UNOBSTRUCTED_TORSION: (GenericImage.GENERIC, Status.PROVED_COMPONENT),
+    Kind.OBSTRUCTED_EXPECTED: (GenericImage.GENERIC, Status.PROVED_COMPONENT),
+    Kind.OBSTRUCTED_CANDIDATE: (GenericImage.NON_GENERIC, Status.CANDIDATE),
+    Kind.NOT_COMPONENT: (GenericImage.UNKNOWN, Status.PROVED_NOT_COMPONENT),
+}
+
 
 @dataclass(frozen=True)
 class ComponentDescriptor:
+    """One family at degree k; its labels are computed from kind and datum."""
+
     kind: Kind
     datum: object  # ExtensionChain | TorsionDatum | MixedDatum
     k: int
     dimension: int
     expected_dim: int
-    obstructed: bool
-    generic_image: GenericImage
-    status: Status
 
     def __post_init__(self):
         ok = True
-        if self.kind in (Kind.UNOBSTRUCTED_EXT, Kind.UNOBSTRUCTED_TORSION):
-            ok = self.dimension == self.expected_dim and not self.obstructed
-        elif self.kind is Kind.OBSTRUCTED_EXPECTED:
-            ok = self.dimension == self.expected_dim and self.obstructed
+        if self.kind in _EXPECTED_DIM:
+            ok = self.dimension == self.expected_dim
         elif self.kind is Kind.NOT_COMPONENT:
             ok = self.dimension < self.expected_dim
         if not ok:
             raise ConsistencyError(
                 f"descriptor invariant violated for kind {self.kind.value}")
+
+    @property
+    def obstructed(self):
+        return not (self.kind in _UNOBSTRUCTED or isinstance(self.datum, MixedDatum))
+
+    @property
+    def generic_image(self):
+        return _LABELS[self.kind][0]
+
+    @property
+    def status(self):
+        # a candidate has dim >= expected and special image bundles;
+        # componenthood is proved only at rank 2 (every chain is two-step
+        # there) and only when d - 2*d1 < g - 1
+        datum = self.datum
+        if (self.kind is Kind.OBSTRUCTED_CANDIDATE
+                and isinstance(datum, ExtensionChain) and datum.params.r == 2):
+            p = datum.params
+            if p.d - 2 * datum.steps[0][1] < p.g - 1:
+                return Status.PROVED_COMPONENT
+        return _LABELS[self.kind][1]
 
     def to_dict(self):
         return {
@@ -133,7 +162,10 @@ class ThmBRow:
     divisor: int            # r1*(r-r1)*(g-1)
     divides_k: bool         # literal reading: divisor | k
     constructive: bool      # integer d1 with r1*d - r*d1 = divisor and a >= 2 with hk = a*divisor
-    agree: bool
+
+    @property
+    def agree(self):
+        return self.divides_k == self.constructive
 
     def to_dict(self):
         return {
@@ -152,12 +184,11 @@ def enumerate_unobstructed(p, k):
     out = []
     for r1, d1 in solve_dioph(p, k):
         if r1 > 0:
-            chain = two_step_chain(p, r1, d1, 1)
-            if two_step_degree(p, r1, d1, 1) != k:
+            datum = two_step_chain(p, r1, d1, 1)
+            if multi_step_degree(datum) != k:
                 raise ConsistencyError("two-step degree disagrees with solver")
-            dim = two_step_dimension(p, r1, d1, 1)
+            dim = multi_step_dimension(datum)
             kind = Kind.UNOBSTRUCTED_EXT
-            datum = chain
         else:
             # k = r_bar * t with t = -d1 * ... : d_bar*0 - r_bar*d1 = k
             t = k // p.r_bar
@@ -167,9 +198,7 @@ def enumerate_unobstructed(p, k):
             dim = torsion_dimension(p, datum)
             kind = Kind.UNOBSTRUCTED_TORSION
         out.append(ComponentDescriptor(
-            kind=kind, datum=datum, k=k, dimension=dim, expected_dim=exp,
-            obstructed=False, generic_image=GenericImage.GENERIC,
-            status=Status.PROVED_COMPONENT))
+            kind=kind, datum=datum, k=k, dimension=dim, expected_dim=exp))
     out.sort(key=_sort_key)
     return out
 
@@ -201,16 +230,14 @@ def enumerate_obstructed_expected(p, k):
         if hit is None:
             continue
         d1, a = hit
-        dim = two_step_dimension(p, r1, d1, a)
+        chain = two_step_chain(p, r1, d1, a)
+        dim = multi_step_dimension(chain)
         if dim != exp:
             raise ConsistencyError(
                 "equality-case family does not have expected dimension")
         out.append(ComponentDescriptor(
-            kind=Kind.OBSTRUCTED_EXPECTED,
-            datum=two_step_chain(p, r1, d1, a),
-            k=k, dimension=dim, expected_dim=exp, obstructed=True,
-            generic_image=GenericImage.GENERIC,
-            status=Status.PROVED_COMPONENT))
+            kind=Kind.OBSTRUCTED_EXPECTED, datum=chain, k=k, dimension=dim,
+            expected_dim=exp))
     out.sort(key=_sort_key)
     return out
 
@@ -224,8 +251,7 @@ def thm_b_table(p, k):
         divides = k % divisor == 0
         constructive = _constructive_obstructed_expected(p, k, r1) is not None
         rows.append(ThmBRow(r1=r1, divisor=divisor, divides_k=divides,
-                            constructive=constructive,
-                            agree=divides == constructive))
+                            constructive=constructive))
     return rows
 
 
@@ -298,24 +324,11 @@ def _twist_vectors(coeffs, hk):
     return out
 
 
-def _label_candidate(p, k, datum, dim, exp):
-    if dim < exp:
-        return ComponentDescriptor(
-            kind=Kind.NOT_COMPONENT, datum=datum, k=k, dimension=dim,
-            expected_dim=exp, obstructed=True,
-            generic_image=GenericImage.UNKNOWN,
-            status=Status.PROVED_NOT_COMPONENT)
-    # dim >= expected: image bundles are special, componenthood proved only
-    # for rank 2 two-step families
-    status = Status.CANDIDATE
-    if (isinstance(datum, ExtensionChain) and datum.length == 2 and p.r == 2):
-        d1 = datum.steps[0][1]
-        if p.d - 2 * d1 < p.g - 1:
-            status = Status.PROVED_COMPONENT
-    return ComponentDescriptor(
-        kind=Kind.OBSTRUCTED_CANDIDATE, datum=datum, k=k, dimension=dim,
-        expected_dim=exp, obstructed=True,
-        generic_image=GenericImage.NON_GENERIC, status=status)
+def _label_candidate(k, chain, exp):
+    dim = multi_step_dimension(chain)
+    kind = Kind.NOT_COMPONENT if dim < exp else Kind.OBSTRUCTED_CANDIDATE
+    return ComponentDescriptor(kind=kind, datum=chain, k=k, dimension=dim,
+                               expected_dim=exp)
 
 
 @dataclass(frozen=True)
@@ -352,9 +365,7 @@ def enumerate_candidates(p, k, max_l=3, deg_bound=None, include_mixed=False):
             d1 = (r1 * p.d - c0) // p.r
             if c0 == r1 * (p.r - r1) * (p.g - 1):
                 continue
-            datum = two_step_chain(p, r1, d1, a)
-            dim = two_step_dimension(p, r1, d1, a)
-            out.append(_label_candidate(p, k, datum, dim, exp))
+            out.append(_label_candidate(k, two_step_chain(p, r1, d1, a), exp))
 
     # chains of length >= 3
     for l in range(3, max_l + 1):
@@ -373,8 +384,7 @@ def enumerate_candidates(p, k, max_l=3, deg_bound=None, include_mixed=False):
                                            twists=twists)
                     if multi_step_degree(chain) != k:
                         raise ConsistencyError("chain degree disagrees with target")
-                    dim = multi_step_dimension(chain)
-                    out.append(_label_candidate(p, k, chain, dim, exp))
+                    out.append(_label_candidate(k, chain, exp))
 
     if include_mixed:
         for r1 in range(1, p.r):
@@ -388,9 +398,7 @@ def enumerate_candidates(p, k, max_l=3, deg_bound=None, include_mixed=False):
                         raise ConsistencyError("mixed degree disagrees with target")
                     out.append(ComponentDescriptor(
                         kind=Kind.NOT_COMPONENT, datum=datum, k=k,
-                        dimension=dim, expected_dim=exp, obstructed=False,
-                        generic_image=GenericImage.UNKNOWN,
-                        status=Status.PROVED_NOT_COMPONENT))
+                        dimension=dim, expected_dim=exp))
                 t += 1
 
     out.sort(key=_sort_key)
@@ -447,8 +455,9 @@ class ClassificationReport:
 
     @classmethod
     def from_dict(cls, data):
-        from .params import derive_params
-
+        """Inverse of to_dict.  Derived fields (`obstructed`, `genericImage`,
+        `status`, `agree`) are recomputed; a value that contradicts them
+        raises ParameterError."""
         p = derive_params(data["params"]["g"], data["params"]["r"],
                           data["params"]["d"])
         descriptors = [
@@ -456,15 +465,19 @@ class ClassificationReport:
                 kind=Kind(d["kind"]),
                 datum=_datum_from_dict(p, d["datum"]),
                 k=d["k"], dimension=d["dimension"],
-                expected_dim=d["expectedDim"], obstructed=d["obstructed"],
-                generic_image=GenericImage(d["genericImage"]),
-                status=Status(d["status"]))
+                expected_dim=d["expectedDim"])
             for d in data["descriptors"]
         ]
         rows = [ThmBRow(r1=row["r1"], divisor=row["divisor"],
                         divides_k=row["dividesK"],
-                        constructive=row["constructive"], agree=row["agree"])
+                        constructive=row["constructive"])
                 for row in data["thmB"]]
+        for built, given in zip(descriptors + rows,
+                                data["descriptors"] + data["thmB"]):
+            for key, value in built.to_dict().items():
+                if given[key] != value:
+                    raise ParameterError(
+                        f"{key}={given[key]!r} contradicts the derived value {value!r}")
         search = None
         if "candidateSearch" in data:
             cs = data["candidateSearch"]
@@ -507,7 +520,8 @@ def classify(p, k, include_candidates=False, include_mixed=False,
             warnings.append(
                 f"candidate-search-incomplete: deg_bound={search.deg_bound} "
                 f"below analytic bound {search.analytic_bound}")
-    descriptors.sort(key=_sort_key)
+    # already in _sort_key order: each enumerator sorts its own list, and
+    # their kinds occupy disjoint, increasing ranges of _KIND_ORDER
     return ClassificationReport(params=p, k=k, descriptors=descriptors,
                                 thm_b=rows, warnings=warnings,
                                 candidate_search=search)

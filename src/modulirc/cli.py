@@ -14,7 +14,7 @@ import os
 import sys
 
 from .params import ConsistencyError, ParameterError, derive_params, expected_dimension
-from .classifier import Kind, classify
+from .classifier import classify
 from .oracle import (
     verify_chain_dimension_equivalence,
     verify_claim_inequality,
@@ -67,21 +67,6 @@ def _check_bounds(g, r, d, k=None):
         raise ParameterError(f"|d| must be at most {MAX_DEGREE}")
     if k is not None and not 1 <= k <= MAX_K:
         raise ParameterError(f"k must lie in [1, {MAX_K}]")
-
-
-def _worker_cap():
-    """Honor MODULI_RC_THREADS (dispatch is single-threaded; the cap is
-    validated so misconfiguration fails loudly)."""
-    raw = os.environ.get("MODULI_RC_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ParameterError(f"MODULI_RC_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise ParameterError("MODULI_RC_THREADS must be >= 1")
-    return cap
 
 
 def _classify_table(report):
@@ -197,7 +182,14 @@ def _cmd_sweep(args, out):
 
 
 def _cmd_verify(args, out):
-    _worker_cap()
+    # below these a suite that reads the flag runs 0 trials and passes
+    # vacuously (a negative degree bound fails inside numpy instead)
+    for name, low in (("trials", 1), ("max_l", 3), ("rank_bound", 1),
+                      ("deg_bound", 0), ("g_bound", 2), ("twist_bound", 1)):
+        value = getattr(args, name)
+        if value < low:
+            flag = name.replace("_", "-")
+            raise ParameterError(f"--{flag} must be >= {low}, got {value}")
     reports = []
     warnings = []
     expected_fail_ok = True

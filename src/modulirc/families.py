@@ -11,9 +11,9 @@ All returns are plain integers; any non-integrality raises ConsistencyError
 instead of rounding.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .params import ConsistencyError, ModuliParams, ParameterError, expected_dimension
+from .params import ConsistencyError, ModuliParams, ParameterError
 
 
 def _check_slope_increasing(r_lo, d_lo, r_hi, d_hi):
@@ -55,10 +55,6 @@ class ExtensionChain:
     @property
     def length(self):
         return len(self.steps)
-
-    def twist_sum(self, i, j):
-        """a_i + ... + a_{j-1} for 0-based step indices i < j."""
-        return sum(self.twists[i:j])
 
 
 @dataclass(frozen=True)
@@ -103,21 +99,9 @@ class MixedDatum:
         return self.params.d - self.d1 - self.t
 
 
-def _check_two_step(p, r1, d1, a):
-    if not 1 <= r1 <= p.r - 1:
-        raise ParameterError(f"r1 must lie in [1, r-1], got {r1}")
-    if a < 1:
-        raise ParameterError(f"twist must be >= 1, got {a}")
-    if r1 * p.d - p.r * d1 <= 0:
-        raise ParameterError(
-            f"slope violation: need d1/r1 < (d-d1)/(r-r1), got r1*d - r*d1 = "
-            f"{r1 * p.d - p.r * d1}")
-
-
 def two_step_degree(p, r1, d1, a):
     """Degree k = a*(d_bar*r1 - r_bar*d1) of the twisted two-step family."""
-    _check_two_step(p, r1, d1, a)
-    return a * (p.d_bar * r1 - p.r_bar * d1)
+    return multi_step_degree(two_step_chain(p, r1, d1, a))
 
 
 def two_step_dimension(p, r1, d1, a):
@@ -126,10 +110,7 @@ def two_step_dimension(p, r1, d1, a):
     Equals dim M + hk + (a-1)*r1*r2*(g-1) + (r1*d2 - r2*d1); for a = 1 this
     is exactly the expected dimension.
     """
-    _check_two_step(p, r1, d1, a)
-    r2, d2 = p.r - r1, p.d - d1
-    hk = p.h * two_step_degree(p, r1, d1, a)
-    return p.dim_m + hk + (a - 1) * r1 * r2 * (p.g - 1) + (r1 * d2 - r2 * d1)
+    return multi_step_dimension(two_step_chain(p, r1, d1, a))
 
 
 def torsion_degree(p, td):
@@ -163,11 +144,11 @@ def multi_step_degree(c):
     """Degree of a chain: h*k = sum over i<j of (r_i d_j - r_j d_i)(a_i+...+a_{j-1})."""
     p = c.params
     hk = 0
-    for i in range(c.length):
-        ri, di = c.steps[i]
-        for j in range(i + 1, c.length):
-            rj, dj = c.steps[j]
-            hk += (ri * dj - rj * di) * c.twist_sum(i, j)
+    for i, (ri, di) in enumerate(c.steps):
+        w = 0
+        for j, (rj, dj) in enumerate(c.steps[i + 1:], i + 1):
+            w += c.twists[j - 1]
+            hk += (ri * dj - rj * di) * w
     if hk % p.h != 0:
         raise ConsistencyError("h does not divide the chain degree sum")
     return hk // p.h
@@ -177,17 +158,16 @@ def multi_step_dimension(c):
     """Dimension of the chain family.
 
     dim M + sum (r_i d_j - r_j d_i)(w_ij + 1) + (g-1) * sum r_i r_j (w_ij - 1)
-    with w_ij = a_i + ... + a_{j-1}.  For l = 2 this coincides with
-    two_step_dimension.
+    with w_ij = a_i + ... + a_{j-1}.  For l = 2 this is the two-step
+    dimension.
     """
     p = c.params
     lin = 0
     quad = 0
-    for i in range(c.length):
-        ri, di = c.steps[i]
-        for j in range(i + 1, c.length):
-            rj, dj = c.steps[j]
-            w = c.twist_sum(i, j)
+    for i, (ri, di) in enumerate(c.steps):
+        w = 0
+        for j, (rj, dj) in enumerate(c.steps[i + 1:], i + 1):
+            w += c.twists[j - 1]
             lin += (ri * dj - rj * di) * (w + 1)
             quad += ri * rj * (w - 1)
     return p.dim_m + lin + quad * (p.g - 1)
@@ -214,19 +194,14 @@ def chain_dimension_excess_certificate(c):
     """
     gm = c.params.g - 1
     total = 0
-    for i in range(c.length):
-        ri, di = c.steps[i]
-        for j in range(i + 1, c.length):
-            rj, dj = c.steps[j]
-            total += (ri * dj - rj * di - ri * rj * gm) * (c.twist_sum(i, j) - 1)
+    for i, (ri, di) in enumerate(c.steps):
+        w = 0
+        for j, (rj, dj) in enumerate(c.steps[i + 1:], i + 1):
+            w += c.twists[j - 1]
+            total += (ri * dj - rj * di - ri * rj * gm) * (w - 1)
     return total
 
 
 def two_step_chain(p, r1, d1, a):
     """Convenience constructor for a length-2 chain (validates the slope)."""
     return ExtensionChain(params=p, steps=((r1, d1), (p.r - r1, p.d - d1)), twists=(a,))
-
-
-def expected_dim(p, k):
-    """Expected dimension for source genus 0 (the only case used downstream)."""
-    return expected_dimension(p, k, 0)

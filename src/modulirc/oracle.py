@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import derive_params, expected_dimension
+from .params import ParameterError, derive_params, expected_dimension
 from .families import (
     ExtensionChain,
     MixedDatum,
@@ -20,8 +20,7 @@ from .families import (
     multi_step_degree,
     multi_step_dimension,
     torsion_dimension,
-    two_step_degree,
-    two_step_dimension,
+    two_step_chain,
 )
 from .params import solve_dioph
 from .rng import SplitMix64
@@ -35,8 +34,11 @@ class VerificationReport:
     trials: int
     failures: int
     counterexamples: list = field(default_factory=list)
-    passed: bool = True
     notes: str = ""
+
+    @property
+    def passed(self):
+        return self.failures == 0
 
     def to_dict(self):
         return {
@@ -50,17 +52,22 @@ class VerificationReport:
 
     @classmethod
     def from_dict(cls, data):
-        return cls(suite=data["suiteName"], trials=data["trials"],
-                   failures=data["failures"],
-                   counterexamples=[tuple(c) for c in data["counterexamples"]],
-                   passed=data["pass"], notes=data["notes"])
+        """Inverse of to_dict; a `pass` that contradicts `failures` raises
+        ParameterError."""
+        report = cls(suite=data["suiteName"], trials=data["trials"],
+                     failures=data["failures"],
+                     counterexamples=[tuple(c) for c in data["counterexamples"]],
+                     notes=data["notes"])
+        if data["pass"] != report.passed:
+            raise ParameterError(
+                f"pass={data['pass']!r} contradicts failures={report.failures}")
+        return report
 
 
 def _report(suite, trials, failures, counterexamples, notes=""):
     return VerificationReport(
         suite=suite, trials=trials, failures=failures,
-        counterexamples=counterexamples[:COUNTEREXAMPLE_CAP],
-        passed=failures == 0, notes=notes)
+        counterexamples=counterexamples[:COUNTEREXAMPLE_CAP], notes=notes)
 
 
 def _a_term(r, d, g, i, k):
@@ -293,8 +300,9 @@ def verify_dimension_laws(g_bound=4, r_bound=4, d_bound=4, a_bound=3,
                             continue
                         for a in range(1, a_bound + 1):
                             trials += 1
-                            k = two_step_degree(p, r1, d1, a)
-                            dim = two_step_dimension(p, r1, d1, a)
+                            chain = two_step_chain(p, r1, d1, a)
+                            k = multi_step_degree(chain)
+                            dim = multi_step_dimension(chain)
                             want = expected_dimension(p, k)
                             if a == 1:
                                 if dim != want:

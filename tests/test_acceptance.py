@@ -29,6 +29,7 @@ from modulirc import (
     two_step_degree,
     two_step_dimension,
 )
+from modulirc.classifier import _sort_key
 from modulirc.cli import main
 from modulirc.oracle import (
     VerificationReport,
@@ -254,3 +255,18 @@ def test_criterion_9_determinism_and_serialization():
         oracle = verify_degree_telescoping(trials=200, seed=1)
         blob = json.loads(json.dumps(oracle.to_dict()))
         assert VerificationReport.from_dict(blob).to_dict() == blob
+
+
+def test_classify_output_already_sorted():
+    # classify concatenates the enumerators' lists without re-sorting; that
+    # is only correct while each list is sorted and their kinds are disjoint,
+    # increasing ranges of the kind order.  deg_bound=1 keeps the chain
+    # search cheap while still producing chains of length 3.
+    for g in GRID_G:
+        for r in GRID_R:
+            for d in GRID_D:
+                p = derive_params(g, r, d)
+                for k in GRID_K:
+                    descs = classify(p, k, include_candidates=True,
+                                     include_mixed=True, deg_bound=1).descriptors
+                    assert descs == sorted(descs, key=_sort_key)

@@ -1,11 +1,13 @@
 import json
 
+import pytest
 from hypothesis import given, strategies as st
 
 from modulirc import (
     ClassificationReport,
     GenericImage,
     Kind,
+    ParameterError,
     Status,
     classify,
     derive_params,
@@ -169,3 +171,21 @@ class TestClassify:
         data = json.loads(json.dumps(report.to_dict()))
         rebuilt = ClassificationReport.from_dict(data)
         assert rebuilt.to_dict() == report.to_dict()
+
+    def test_from_dict_rejects_labels_contradicting_kind(self):
+        p = derive_params(2, 2, 1)
+        data = json.loads(json.dumps(classify(p, 1).to_dict()))
+        desc = data["descriptors"][0]
+        assert desc["kind"] == "UNOBSTRUCTED_EXT"
+        desc["genericImage"], desc["status"] = "UNKNOWN", "CANDIDATE"
+        with pytest.raises(ParameterError, match="contradicts"):
+            ClassificationReport.from_dict(data)
+
+    def test_from_dict_rejects_agree_contradicting_readings(self):
+        p = derive_params(3, 2, 1)
+        data = json.loads(json.dumps(classify(p, 4).to_dict()))
+        row = data["thmB"][0]
+        assert row["dividesK"] != row["constructive"] and not row["agree"]
+        row["agree"] = True
+        with pytest.raises(ParameterError, match="contradicts"):
+            ClassificationReport.from_dict(data)

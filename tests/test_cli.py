@@ -145,13 +145,19 @@ class TestVerify:
         _, b = _run(argv)
         assert a == b
 
-    def test_thread_cap_validation(self, monkeypatch):
-        monkeypatch.setenv("MODULI_RC_THREADS", "abc")
-        code, _ = _run(["verify", "--suite", "telescoping", "--trials", "10"])
+    @pytest.mark.parametrize("argv", [
+        ["--trials", "0"],
+        ["--suite", "claim", "--max-l", "2"],
+        ["--suite", "dimensions", "--rank-bound", "0"],
+        ["--suite", "claim", "--deg-bound", "-1"],
+        ["--suite", "claim", "--g-bound", "1"],
+        ["--suite", "dimensions", "--twist-bound", "0"],
+    ])
+    def test_degenerate_bounds_rejected(self, argv, capsys):
+        code, text = _run(["verify"] + argv)
         assert code == 1
-        monkeypatch.setenv("MODULI_RC_THREADS", "2")
-        code, _ = _run(["verify", "--suite", "telescoping", "--trials", "10"])
-        assert code == 0
+        assert text == ""
+        assert "must be >=" in capsys.readouterr().err
 
 
 class TestSegre:

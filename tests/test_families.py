@@ -19,6 +19,19 @@ from modulirc import (
     two_step_dimension,
 )
 
+
+def _ref_two_step_degree(p, r1, d1, a):
+    """The two-step degree in closed form, as the chain formula's reference."""
+    return a * (p.d_bar * r1 - p.r_bar * d1)
+
+
+def _ref_two_step_dimension(p, r1, d1, a):
+    """dim M + hk + (a-1)*r1*r2*(g-1) + (r1*d2 - r2*d1) in closed form."""
+    r2, d2 = p.r - r1, p.d - d1
+    hk = p.h * _ref_two_step_degree(p, r1, d1, a)
+    return p.dim_m + hk + (a - 1) * r1 * r2 * (p.g - 1) + (r1 * d2 - r2 * d1)
+
+
 P221 = derive_params(2, 2, 1)
 P321 = derive_params(3, 2, 1)
 P231 = derive_params(2, 3, 1)
@@ -116,8 +129,10 @@ class TestChains:
         if r1 * d - r * d1 <= 0:
             return
         c = ExtensionChain(params=p, steps=((r1, d1), (r - r1, d - d1)), twists=(a,))
-        assert multi_step_degree(c) == two_step_degree(p, r1, d1, a)
-        assert multi_step_dimension(c) == two_step_dimension(p, r1, d1, a)
+        assert multi_step_degree(c) == _ref_two_step_degree(p, r1, d1, a)
+        assert multi_step_dimension(c) == _ref_two_step_dimension(p, r1, d1, a)
+        assert two_step_degree(p, r1, d1, a) == _ref_two_step_degree(p, r1, d1, a)
+        assert two_step_dimension(p, r1, d1, a) == _ref_two_step_dimension(p, r1, d1, a)
 
     def test_invariant_violations_rejected(self):
         with pytest.raises(ParameterError):  # slope not increasing

@@ -10,7 +10,7 @@ After a deliberate output change, rewrite the files with
 import io
 import json
 import pathlib
-import sys
+import tempfile
 
 import pytest
 
@@ -39,8 +39,6 @@ def test_golden(case, tmp_path):
 
 
 def _rewrite():
-    import tempfile
-
     with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:
             code, text = _replay(case, pathlib.Path(tmp))
@@ -51,4 +49,4 @@ def _rewrite():
 
 
 if __name__ == "__main__":
-    sys.exit(_rewrite())
+    _rewrite()

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from modulirc import ParameterError
 from modulirc.oracle import (
     VerificationReport,
     verify_chain_dimension_equivalence,
@@ -102,3 +105,11 @@ def test_report_round_trip():
     report = verify_degree_telescoping(trials=100, seed=0)
     data = json.loads(json.dumps(report.to_dict()))
     assert VerificationReport.from_dict(data).to_dict() == report.to_dict()
+
+
+def test_report_from_dict_rejects_pass_contradicting_failures():
+    data = verify_degree_telescoping(trials=10, seed=0).to_dict()
+    data["failures"] = 3
+    assert data["pass"] is True
+    with pytest.raises(ParameterError, match="contradicts"):
+        VerificationReport.from_dict(data)
