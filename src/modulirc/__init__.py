@@ -21,8 +21,6 @@ from .families import (
     torsion_degree,
     torsion_dimension,
     two_step_chain,
-    two_step_degree,
-    two_step_dimension,
 )
 from .classifier import (
     ClassificationReport,
@@ -34,7 +32,6 @@ from .classifier import (
     enumerate_candidates,
     enumerate_obstructed_expected,
     enumerate_unobstructed,
-    thm_b_table,
 )
 from .segre import (
     ConnectivityResult,

@@ -16,6 +16,7 @@ from .families import (
     ExtensionChain,
     MixedDatum,
     TorsionDatum,
+    is_unobstructed_splitting,
     mixed_dimension,
     multi_step_degree,
     multi_step_dimension,
@@ -177,6 +178,33 @@ class ThmBRow:
         }
 
 
+def _describe(p, k, datum, exp):
+    """The descriptor of a family of degree k.  Its kind follows from the
+    datum's shape and from its dimension against the expected one, exp."""
+    if isinstance(datum, MixedDatum):
+        degree, dim = mixed_dimension(p, datum)
+        kind = Kind.NOT_COMPONENT
+    else:
+        if isinstance(datum, TorsionDatum):
+            degree, dim = torsion_degree(p, datum), torsion_dimension(p, datum)
+        else:
+            degree, dim = multi_step_degree(datum), multi_step_dimension(datum)
+        if is_unobstructed_splitting(datum):
+            kind = (Kind.UNOBSTRUCTED_TORSION if isinstance(datum, TorsionDatum)
+                    else Kind.UNOBSTRUCTED_EXT)
+        elif dim < exp:
+            kind = Kind.NOT_COMPONENT
+        elif dim == exp and isinstance(datum, ExtensionChain) and datum.length == 2:
+            kind = Kind.OBSTRUCTED_EXPECTED
+        else:
+            kind = Kind.OBSTRUCTED_CANDIDATE
+    if degree != k:
+        raise ConsistencyError(
+            f"{type(datum).__name__} has degree {degree}, not k = {k}")
+    return ComponentDescriptor(kind=kind, datum=datum, k=k, dimension=dim,
+                               expected_dim=exp)
+
+
 def enumerate_unobstructed(p, k):
     """The h unobstructed components of degree k (one per Diophantine
     solution); all have exactly the expected dimension."""
@@ -185,74 +213,41 @@ def enumerate_unobstructed(p, k):
     for r1, d1 in solve_dioph(p, k):
         if r1 > 0:
             datum = two_step_chain(p, r1, d1, 1)
-            if multi_step_degree(datum) != k:
-                raise ConsistencyError("two-step degree disagrees with solver")
-            dim = multi_step_dimension(datum)
-            kind = Kind.UNOBSTRUCTED_EXT
         else:
             # k = r_bar * t with t = -d1 * ... : d_bar*0 - r_bar*d1 = k
-            t = k // p.r_bar
-            datum = TorsionDatum(params=p, t=t, a=1)
-            if torsion_degree(p, datum) != k:
-                raise ConsistencyError("torsion degree disagrees with solver")
-            dim = torsion_dimension(p, datum)
-            kind = Kind.UNOBSTRUCTED_TORSION
-        out.append(ComponentDescriptor(
-            kind=kind, datum=datum, k=k, dimension=dim, expected_dim=exp))
+            datum = TorsionDatum(params=p, t=k // p.r_bar, a=1)
+        out.append(_describe(p, k, datum, exp))
     out.sort(key=_sort_key)
     return out
-
-
-def _constructive_obstructed_expected(p, k, r1):
-    """The (d1, a) of the obstructed expected-dimension component at r1, if
-    the construction goes through: integer d1 with r1*d - r*d1 equal to the
-    equality-case value r1*(r-r1)*(g-1), and integer a >= 2 with hk = a times
-    that value."""
-    bound = r1 * (p.r - r1) * (p.g - 1)
-    hk = p.h * k
-    if (r1 * p.d - bound) % p.r != 0:
-        return None
-    if hk % bound != 0:
-        return None
-    a = hk // bound
-    if a < 2:
-        return None
-    return (r1 * p.d - bound) // p.r, a
 
 
 def enumerate_obstructed_expected(p, k):
-    """Obstructed components of exactly the expected dimension: one per r1
-    where the equality-case construction applies with twist a >= 2."""
+    """Obstructed components of exactly the expected dimension, and the
+    per-r1 cross-check of the two readings of the divisibility criterion.
+
+    At each r1 the constructive test asks for an integer d1 with r1*d - r*d1
+    equal to the equality-case value r1*(r-r1)*(g-1), and an integer a >= 2
+    with hk = a times that value; when it passes, the two-step family
+    (r1, d1, a) is a component.  The literal reading is that value | k.
+    """
     exp = expected_dimension(p, k)
-    out = []
-    for r1 in range(1, p.r):
-        hit = _constructive_obstructed_expected(p, k, r1)
-        if hit is None:
-            continue
-        d1, a = hit
-        chain = two_step_chain(p, r1, d1, a)
-        dim = multi_step_dimension(chain)
-        if dim != exp:
-            raise ConsistencyError(
-                "equality-case family does not have expected dimension")
-        out.append(ComponentDescriptor(
-            kind=Kind.OBSTRUCTED_EXPECTED, datum=chain, k=k, dimension=dim,
-            expected_dim=exp))
-    out.sort(key=_sort_key)
-    return out
-
-
-def thm_b_table(p, k):
-    """Per-r1 comparison of the literal divisibility reading with the
-    constructive test.  The constructive test is what drives output."""
-    rows = []
+    hk = p.h * k
+    out, rows = [], []
     for r1 in range(1, p.r):
         divisor = r1 * (p.r - r1) * (p.g - 1)
-        divides = k % divisor == 0
-        constructive = _constructive_obstructed_expected(p, k, r1) is not None
-        rows.append(ThmBRow(r1=r1, divisor=divisor, divides_k=divides,
+        r_d1 = r1 * p.d - divisor
+        a, rest = divmod(hk, divisor)
+        constructive = r_d1 % p.r == 0 and rest == 0 and a >= 2
+        if constructive:
+            desc = _describe(p, k, two_step_chain(p, r1, r_d1 // p.r, a), exp)
+            if desc.kind is not Kind.OBSTRUCTED_EXPECTED:
+                raise ConsistencyError(
+                    "equality-case family does not have expected dimension")
+            out.append(desc)
+        rows.append(ThmBRow(r1=r1, divisor=divisor, divides_k=k % divisor == 0,
                             constructive=constructive))
-    return rows
+    # no sort needed: ascending r1 is already _sort_key order
+    return out, rows
 
 
 def _compositions(total, parts):
@@ -324,11 +319,10 @@ def _twist_vectors(coeffs, hk):
     return out
 
 
-def _label_candidate(k, chain, exp):
-    dim = multi_step_dimension(chain)
-    kind = Kind.NOT_COMPONENT if dim < exp else Kind.OBSTRUCTED_CANDIDATE
-    return ComponentDescriptor(kind=kind, datum=chain, k=k, dimension=dim,
-                               expected_dim=exp)
+def _analytic_bound(p, k):
+    # chains are exhaustive when deg_bound covers every degree entry that any
+    # valid chain of degree k can have
+    return p.r * abs(p.d) + p.h * k + 1
 
 
 @dataclass(frozen=True)
@@ -337,7 +331,10 @@ class CandidateSearch:
     max_l: int
     deg_bound: int
     analytic_bound: int
-    incomplete: bool
+
+    @property
+    def incomplete(self):
+        return self.max_l >= 3 and self.deg_bound < self.analytic_bound
 
 
 def enumerate_candidates(p, k, max_l=3, deg_bound=None, include_mixed=False):
@@ -365,7 +362,7 @@ def enumerate_candidates(p, k, max_l=3, deg_bound=None, include_mixed=False):
             d1 = (r1 * p.d - c0) // p.r
             if c0 == r1 * (p.r - r1) * (p.g - 1):
                 continue
-            out.append(_label_candidate(k, two_step_chain(p, r1, d1, a), exp))
+            out.append(_describe(p, k, two_step_chain(p, r1, d1, a), exp))
 
     # chains of length >= 3
     for l in range(3, max_l + 1):
@@ -382,9 +379,7 @@ def enumerate_candidates(p, k, max_l=3, deg_bound=None, include_mixed=False):
                 for twists in _twist_vectors(coeffs, hk):
                     chain = ExtensionChain(params=p, steps=tuple(zip(ranks, degs)),
                                            twists=twists)
-                    if multi_step_degree(chain) != k:
-                        raise ConsistencyError("chain degree disagrees with target")
-                    out.append(_label_candidate(k, chain, exp))
+                    out.append(_describe(p, k, chain, exp))
 
     if include_mixed:
         for r1 in range(1, p.r):
@@ -393,22 +388,13 @@ def enumerate_candidates(p, k, max_l=3, deg_bound=None, include_mixed=False):
                 if (r1 * p.d + p.r * t - hk) % p.r == 0:
                     d1 = (r1 * p.d + p.r * t - hk) // p.r
                     datum = MixedDatum(params=p, r1=r1, d1=d1, t=t)
-                    km, dim = mixed_dimension(p, datum)
-                    if km != k:
-                        raise ConsistencyError("mixed degree disagrees with target")
-                    out.append(ComponentDescriptor(
-                        kind=Kind.NOT_COMPONENT, datum=datum, k=k,
-                        dimension=dim, expected_dim=exp))
+                    out.append(_describe(p, k, datum, exp))
                 t += 1
 
     out.sort(key=_sort_key)
-    # chains are exhaustive when deg_bound covers every degree entry that any
-    # valid chain of degree k can have
-    analytic_bound = p.r * abs(p.d) + hk + 1
-    return CandidateSearch(
-        descriptors=tuple(out), max_l=max_l, deg_bound=deg_bound,
-        analytic_bound=analytic_bound,
-        incomplete=max_l >= 3 and deg_bound < analytic_bound)
+    return CandidateSearch(descriptors=tuple(out), max_l=max_l,
+                           deg_bound=deg_bound,
+                           analytic_bound=_analytic_bound(p, k))
 
 
 @dataclass
@@ -417,7 +403,6 @@ class ClassificationReport:
     k: int
     descriptors: list
     thm_b: list
-    warnings: list
     candidate_search: CandidateSearch | None = None
 
     @property
@@ -429,6 +414,19 @@ class ClassificationReport:
             counts["UNOBSTRUCTED_EXT"] + counts["UNOBSTRUCTED_TORSION"]
             + counts["OBSTRUCTED_EXPECTED"])
         return counts
+
+    @property
+    def warnings(self):
+        out = [f"divisibility-reading-disagreement: r1={row.r1} literal test "
+               f"{'passes' if row.divides_k else 'fails'} but constructive "
+               f"test {'passes' if row.constructive else 'fails'}; "
+               "constructive test is authoritative"
+               for row in self.thm_b if not row.agree]
+        search = self.candidate_search
+        if search is not None and search.incomplete:
+            out.append(f"candidate-search-incomplete: deg_bound={search.deg_bound} "
+                       f"below analytic bound {search.analytic_bound}")
+        return out
 
     def to_dict(self):
         data = {
@@ -442,7 +440,7 @@ class ClassificationReport:
             "totals": self.totals,
             "descriptors": [d.to_dict() for d in self.descriptors],
             "thmB": [row.to_dict() for row in self.thm_b],
-            "warnings": list(self.warnings),
+            "warnings": self.warnings,
         }
         if self.candidate_search is not None:
             data["candidateSearch"] = {
@@ -455,29 +453,19 @@ class ClassificationReport:
 
     @classmethod
     def from_dict(cls, data):
-        """Inverse of to_dict.  Derived fields (`obstructed`, `genericImage`,
-        `status`, `agree`) are recomputed; a value that contradicts them
-        raises ParameterError."""
+        """Inverse of to_dict.  Reads only g, r, d, k, each descriptor's
+        datum, and the search's maxL and degBound; rebuilds every other
+        field from them and raises ParameterError at the first top-level
+        key where `data` differs from the rebuilt report."""
+        k = data["k"]
         p = derive_params(data["params"]["g"], data["params"]["r"],
                           data["params"]["d"])
-        descriptors = [
-            ComponentDescriptor(
-                kind=Kind(d["kind"]),
-                datum=_datum_from_dict(p, d["datum"]),
-                k=d["k"], dimension=d["dimension"],
-                expected_dim=d["expectedDim"])
-            for d in data["descriptors"]
-        ]
-        rows = [ThmBRow(r1=row["r1"], divisor=row["divisor"],
-                        divides_k=row["dividesK"],
-                        constructive=row["constructive"])
-                for row in data["thmB"]]
-        for built, given in zip(descriptors + rows,
-                                data["descriptors"] + data["thmB"]):
-            for key, value in built.to_dict().items():
-                if given[key] != value:
-                    raise ParameterError(
-                        f"{key}={given[key]!r} contradicts the derived value {value!r}")
+        exp = expected_dimension(p, k)
+        try:
+            descriptors = [_describe(p, k, _datum_from_dict(p, d["datum"]), exp)
+                           for d in data["descriptors"]]
+        except ConsistencyError as exc:
+            raise ParameterError(f"inconsistent datum: {exc}") from exc
         search = None
         if "candidateSearch" in data:
             cs = data["candidateSearch"]
@@ -486,11 +474,16 @@ class ClassificationReport:
                                   if d.kind in (Kind.OBSTRUCTED_CANDIDATE,
                                                 Kind.NOT_COMPONENT)),
                 max_l=cs["maxL"], deg_bound=cs["degBound"],
-                analytic_bound=cs["analyticBound"],
-                incomplete=cs["incomplete"])
-        return cls(params=p, k=data["k"], descriptors=descriptors,
-                   thm_b=rows, warnings=list(data["warnings"]),
-                   candidate_search=search)
+                analytic_bound=_analytic_bound(p, k))
+        report = cls(params=p, k=k, descriptors=descriptors,
+                     thm_b=enumerate_obstructed_expected(p, k)[1],
+                     candidate_search=search)
+        rebuilt, missing = report.to_dict(), object()
+        for key in dict.fromkeys([*data, *rebuilt]):
+            if data.get(key, missing) != rebuilt.get(key, missing):
+                raise ParameterError(
+                    f"{key!r} contradicts the value rebuilt from the inputs")
+        return report
 
 
 def classify(p, k, include_candidates=False, include_mixed=False,
@@ -500,28 +493,15 @@ def classify(p, k, include_candidates=False, include_mixed=False,
     reports the divisibility cross-check with any discrepancies flagged."""
     if k < 1:
         raise ParameterError(f"degree must be >= 1, got {k}")
-    descriptors = list(enumerate_unobstructed(p, k))
-    descriptors += enumerate_obstructed_expected(p, k)
-    rows = thm_b_table(p, k)
-    warnings = []
-    for row in rows:
-        if not row.agree:
-            warnings.append(
-                f"divisibility-reading-disagreement: r1={row.r1} literal test "
-                f"{'passes' if row.divides_k else 'fails'} but constructive "
-                f"test {'passes' if row.constructive else 'fails'}; "
-                "constructive test is authoritative")
+    descriptors = enumerate_unobstructed(p, k)
+    expected, rows = enumerate_obstructed_expected(p, k)
+    descriptors += expected
     search = None
     if include_candidates:
         search = enumerate_candidates(p, k, max_l=max_l, deg_bound=deg_bound,
                                       include_mixed=include_mixed)
-        descriptors += list(search.descriptors)
-        if search.incomplete:
-            warnings.append(
-                f"candidate-search-incomplete: deg_bound={search.deg_bound} "
-                f"below analytic bound {search.analytic_bound}")
+        descriptors += search.descriptors
     # already in _sort_key order: each enumerator sorts its own list, and
     # their kinds occupy disjoint, increasing ranges of _KIND_ORDER
     return ClassificationReport(params=p, k=k, descriptors=descriptors,
-                                thm_b=rows, warnings=warnings,
-                                candidate_search=search)
+                                thm_b=rows, candidate_search=search)

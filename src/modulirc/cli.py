@@ -172,9 +172,11 @@ def _cmd_sweep(args, out):
             with open(tmp, "w", encoding="utf-8") as fh:
                 fh.write(text)
             os.replace(tmp, args.out)
-        except BaseException:
-            if os.path.exists(tmp):
+        except BaseException as exc:
+            if os.path.isfile(tmp):
                 os.remove(tmp)
+            if isinstance(exc, OSError):
+                raise ParameterError(f"cannot write {args.out}: {exc.strerror}") from exc
             raise
     else:
         out.write(text)

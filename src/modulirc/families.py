@@ -99,20 +99,6 @@ class MixedDatum:
         return self.params.d - self.d1 - self.t
 
 
-def two_step_degree(p, r1, d1, a):
-    """Degree k = a*(d_bar*r1 - r_bar*d1) of the twisted two-step family."""
-    return multi_step_degree(two_step_chain(p, r1, d1, a))
-
-
-def two_step_dimension(p, r1, d1, a):
-    """Dimension of the twisted two-step family.
-
-    Equals dim M + hk + (a-1)*r1*r2*(g-1) + (r1*d2 - r2*d1); for a = 1 this
-    is exactly the expected dimension.
-    """
-    return multi_step_dimension(two_step_chain(p, r1, d1, a))
-
-
 def torsion_degree(p, td):
     """Degree k = a * r_bar * t of the torsion-extension family."""
     return td.a * p.r_bar * td.t

@@ -24,10 +24,11 @@ from modulirc import (
     expected_dimension,
     min_connecting_degree,
     mixed_dimension,
+    multi_step_degree,
+    multi_step_dimension,
     torsion_degree,
     torsion_dimension,
-    two_step_degree,
-    two_step_dimension,
+    two_step_chain,
 )
 from modulirc.classifier import _sort_key
 from modulirc.cli import main
@@ -84,9 +85,9 @@ def test_criterion_2_expected_dimension_laws():
                         for d1 in GRID_D:
                             if r1 * d - r * d1 <= 0:
                                 continue
-                            k = two_step_degree(p, r1, d1, 1)
-                            assert two_step_dimension(p, r1, d1, 1) == \
-                                expected_dimension(p, k)
+                            chain = two_step_chain(p, r1, d1, 1)
+                            assert multi_step_dimension(chain) == \
+                                expected_dimension(p, multi_step_degree(chain))
                             # mixed families are strictly below expected
                             for t in range(1, 4):
                                 md = MixedDatum(params=p, r1=r1,
@@ -132,14 +133,14 @@ def test_criterion_3_obstructed_expected_characterization():
                     for k in GRID_K:
                         exp = expected_dimension(p, k)
                         for r1, d1, a in _two_step_a_ge_2(p, k):
-                            dim = two_step_dimension(p, r1, d1, a)
+                            dim = multi_step_dimension(two_step_chain(p, r1, d1, a))
                             lhs = r1 * d - r * d1
                             eq_val = r1 * (r - r1) * (g - 1)
                             assert (dim == exp) == (lhs == eq_val)
                             assert (dim > exp) == (lhs < eq_val)
         # anchor: (g=2, r=2, d=1, k=2) has exactly one such component, dim 7
         p = derive_params(2, 2, 1)
-        out = enumerate_obstructed_expected(p, 2)
+        out, _ = enumerate_obstructed_expected(p, 2)
         assert len(out) == 1 and out[0].dimension == 7
 
 
@@ -150,7 +151,7 @@ def test_criterion_4_rank_two_labels():
                 p = derive_params(g, 2, d)
                 for k in GRID_K:
                     cands = enumerate_candidates(p, k, max_l=2).descriptors
-                    expected = enumerate_obstructed_expected(p, k)
+                    expected, _ = enumerate_obstructed_expected(p, k)
                     by_datum = {}
                     for desc in list(cands) + list(expected):
                         dd = desc.to_dict()["datum"]
@@ -175,7 +176,7 @@ def test_criterion_4_rank_two_labels():
                     assert not by_datum
         # for d = 1 the equality case occurs only when g is even
         for g in range(2, 7):
-            seen = any(enumerate_obstructed_expected(derive_params(g, 2, 1), k)
+            seen = any(enumerate_obstructed_expected(derive_params(g, 2, 1), k)[0]
                        for k in GRID_K)
             assert seen == (g % 2 == 0)
 

@@ -15,12 +15,33 @@ from modulirc import (
     enumerate_obstructed_expected,
     enumerate_unobstructed,
     expected_dimension,
-    thm_b_table,
 )
 
 
 def _datum(desc):
     return desc.to_dict()["datum"]
+
+
+# (path, value) edits of the (g, r, d, k) = (2, 3, 1, 9) report searched at
+# deg_bound 2, each of which contradicts what the report's inputs determine
+_CONTRADICTIONS = {
+    "not-component-relabelled": [(("descriptors", 2, "kind"), "OBSTRUCTED_CANDIDATE"),
+                                 (("descriptors", 2, "dimension"), 99),
+                                 (("descriptors", 2, "genericImage"), "NON_GENERIC"),
+                                 (("descriptors", 2, "status"), "CANDIDATE")],
+    "dimension-lowered": [(("descriptors", 2, "dimension"), 23)],
+    "descriptor-k": [(("descriptors", 1, "k"), 10)],
+    "torsion-wrong-degree": [(("descriptors", 0, "datum", "t"), 4)],
+    "totals": [(("totals", "NOT_COMPONENT"), 2)],
+    "warnings-emptied": [(("warnings",), [])],
+    "thmb-divisor": [(("thmB", 0, "divisor"), 99)],
+    "thmb-both-readings": [(("thmB", 0, "dividesK"), True),
+                           (("thmB", 0, "constructive"), True)],
+    "search-complete": [(("candidateSearch", "incomplete"), False)],
+    "analytic-bound": [(("candidateSearch", "analyticBound"), 3)],
+    "params-h": [(("params", "h"), 3)],
+    "unknown-key": [(("extra",), None)],
+}
 
 
 class TestUnobstructed:
@@ -61,7 +82,7 @@ class TestUnobstructed:
 class TestObstructedExpected:
     def test_anchor(self):
         p = derive_params(2, 2, 1)
-        out = enumerate_obstructed_expected(p, 2)
+        out, _ = enumerate_obstructed_expected(p, 2)
         assert len(out) == 1
         assert _datum(out[0]) == {"type": "chain", "steps": [[1, 0], [1, 1]],
                                   "twists": [2]}
@@ -69,15 +90,15 @@ class TestObstructedExpected:
 
     def test_twist_one_not_counted(self):
         p = derive_params(2, 2, 1)
-        assert enumerate_obstructed_expected(p, 1) == []
+        assert enumerate_obstructed_expected(p, 1)[0] == []
 
     def test_parity_obstruction(self):
         p = derive_params(3, 2, 1)
-        assert enumerate_obstructed_expected(p, 4) == []
+        assert enumerate_obstructed_expected(p, 4)[0] == []
 
     def test_divisibility_table_reports_both_readings(self):
         p = derive_params(2, 2, 1)
-        rows = thm_b_table(p, 1)
+        _, rows = enumerate_obstructed_expected(p, 1)
         assert len(rows) == 1
         assert rows[0].divides_k and not rows[0].constructive
         assert not rows[0].agree
@@ -115,7 +136,7 @@ class TestCandidates:
         search = enumerate_candidates(p, 2, max_l=2)
         assert all(_datum(d)["twists"] != [2] or _datum(d)["steps"] != [[1, 0], [1, 1]]
                    for d in search.descriptors)
-        assert len(enumerate_obstructed_expected(p, 2)) == 1
+        assert len(enumerate_obstructed_expected(p, 2)[0]) == 1
 
     def test_incomplete_flag(self):
         p = derive_params(2, 3, 1)
@@ -179,6 +200,26 @@ class TestClassify:
         assert desc["kind"] == "UNOBSTRUCTED_EXT"
         desc["genericImage"], desc["status"] = "UNKNOWN", "CANDIDATE"
         with pytest.raises(ParameterError, match="contradicts"):
+            ClassificationReport.from_dict(data)
+
+    @pytest.mark.parametrize("edits", _CONTRADICTIONS.values(),
+                             ids=_CONTRADICTIONS)
+    def test_from_dict_rejects_contradicting_json(self, edits):
+        p = derive_params(2, 3, 1)
+        report = classify(p, 9, include_candidates=True, deg_bound=2)
+        data = json.loads(json.dumps(report.to_dict()))
+        assert [d["kind"] for d in data["descriptors"]] == [
+            "UNOBSTRUCTED_TORSION", "OBSTRUCTED_CANDIDATE", "NOT_COMPONENT"]
+        assert data["descriptors"][0]["datum"]["t"] == 3
+        assert data["descriptors"][2]["dimension"] == 24
+        assert not data["thmB"][0]["dividesK"] and not data["thmB"][0]["constructive"]
+        assert data["candidateSearch"]["incomplete"] and data["params"]["h"] == 1
+        for path, value in edits:
+            node = data
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        with pytest.raises(ParameterError):
             ClassificationReport.from_dict(data)
 
     def test_from_dict_rejects_agree_contradicting_readings(self):

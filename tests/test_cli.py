@@ -110,6 +110,20 @@ class TestSweep:
         assert target.read_text().startswith("k,unobstructedExt")
         assert not (tmp_path / "sweep.csv.tmp").exists()
 
+    @pytest.mark.parametrize("target, reason", [
+        ("missing/sweep.csv", "No such file or directory"),
+        ("existing-dir", "Is a directory"),
+    ])
+    def test_unwritable_out_exit_one(self, tmp_path, capsys, target, reason):
+        (tmp_path / "existing-dir").mkdir()
+        out = tmp_path / target
+        code, text = _run(["sweep", "--g", "2", "--r", "2", "--d", "1",
+                           "--k-min", "1", "--k-max", "3", "--out", str(out)])
+        assert code == 1 and text == ""
+        err = capsys.readouterr().err
+        assert err == f"modulirc: error: cannot write {out}: {reason}\n"
+        assert not list(tmp_path.rglob("*.tmp"))
+
     def test_bad_range_exit_one(self):
         code, _ = _run(["sweep", "--g", "2", "--r", "2", "--d", "1",
                         "--k-min", "5", "--k-max", "2"])

@@ -15,8 +15,7 @@ from modulirc import (
     multi_step_dimension,
     torsion_degree,
     torsion_dimension,
-    two_step_degree,
-    two_step_dimension,
+    two_step_chain,
 )
 
 
@@ -39,26 +38,27 @@ P231 = derive_params(2, 3, 1)
 
 class TestTwoStep:
     def test_degree_examples(self):
-        assert two_step_degree(P221, 1, 0, 1) == 1
-        assert two_step_degree(P221, 1, 0, 3) == 3
-        assert two_step_degree(derive_params(2, 4, 2), 1, -1, 1) == 3
+        assert multi_step_degree(two_step_chain(P221, 1, 0, 1)) == 1
+        assert multi_step_degree(two_step_chain(P221, 1, 0, 3)) == 3
+        assert multi_step_degree(two_step_chain(derive_params(2, 4, 2), 1, -1, 1)) == 3
 
     def test_dimension_examples(self):
-        assert two_step_dimension(P221, 1, 0, 1) == 5 == expected_dimension(P221, 1)
-        assert two_step_dimension(P221, 1, 0, 2) == 7 == expected_dimension(P221, 2)
-        assert two_step_dimension(P321, 1, 0, 2) == 11 > expected_dimension(P321, 2)
+        dim = lambda p, a: multi_step_dimension(two_step_chain(p, 1, 0, a))
+        assert dim(P221, 1) == 5 == expected_dimension(P221, 1)
+        assert dim(P221, 2) == 7 == expected_dimension(P221, 2)
+        assert dim(P321, 2) == 11 > expected_dimension(P321, 2)
 
     def test_slope_violation_rejected(self):
         with pytest.raises(ParameterError, match="slope"):
-            two_step_degree(P221, 1, 1, 1)
+            multi_step_degree(two_step_chain(P221, 1, 1, 1))
         with pytest.raises(ParameterError):
-            two_step_dimension(P221, 1, 2, 1)
+            multi_step_dimension(two_step_chain(P221, 1, 2, 1))
 
     def test_bad_r1_rejected(self):
         with pytest.raises(ParameterError):
-            two_step_degree(P221, 0, 0, 1)
+            multi_step_degree(two_step_chain(P221, 0, 0, 1))
         with pytest.raises(ParameterError):
-            two_step_degree(P221, 2, 0, 1)
+            multi_step_degree(two_step_chain(P221, 2, 0, 1))
 
 
 class TestTorsion:
@@ -116,9 +116,9 @@ class TestChains:
 
     def test_two_step_consistency_examples(self):
         c = ExtensionChain(params=P221, steps=((1, 0), (1, 1)), twists=(1,))
-        assert multi_step_degree(c) == 1 == two_step_degree(P221, 1, 0, 1)
+        assert multi_step_degree(c) == 1 == _ref_two_step_degree(P221, 1, 0, 1)
         c = ExtensionChain(params=P321, steps=((1, 0), (1, 1)), twists=(2,))
-        assert multi_step_dimension(c) == 11 == two_step_dimension(P321, 1, 0, 2)
+        assert multi_step_dimension(c) == 11 == _ref_two_step_dimension(P321, 1, 0, 2)
 
     @given(g=st.integers(2, 5), r=st.integers(2, 6), r1=st.integers(1, 5),
            d1=st.integers(-6, 6), d=st.integers(-6, 6), a=st.integers(1, 4))
@@ -131,8 +131,7 @@ class TestChains:
         c = ExtensionChain(params=p, steps=((r1, d1), (r - r1, d - d1)), twists=(a,))
         assert multi_step_degree(c) == _ref_two_step_degree(p, r1, d1, a)
         assert multi_step_dimension(c) == _ref_two_step_dimension(p, r1, d1, a)
-        assert two_step_degree(p, r1, d1, a) == _ref_two_step_degree(p, r1, d1, a)
-        assert two_step_dimension(p, r1, d1, a) == _ref_two_step_dimension(p, r1, d1, a)
+        assert two_step_chain(p, r1, d1, a) == c
 
     def test_invariant_violations_rejected(self):
         with pytest.raises(ParameterError):  # slope not increasing
@@ -177,8 +176,8 @@ def test_twist_one_families_have_expected_dimension(g, r, d, r1, d1):
     p = derive_params(g, r, d)
     if r1 * d - r * d1 <= 0:
         return
-    k = two_step_degree(p, r1, d1, 1)
-    assert two_step_dimension(p, r1, d1, 1) == expected_dimension(p, k)
+    chain = two_step_chain(p, r1, d1, 1)
+    assert multi_step_dimension(chain) == expected_dimension(p, multi_step_degree(chain))
 
 
 @given(g=st.integers(2, 4), r=st.integers(2, 5), d=st.integers(-5, 5),
