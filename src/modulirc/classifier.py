@@ -129,19 +129,6 @@ def _datum_to_dict(datum):
     raise ParameterError(f"unsupported datum type {type(datum).__name__}")
 
 
-def _datum_from_dict(p, data):
-    if data["type"] == "chain":
-        return ExtensionChain(
-            params=p,
-            steps=tuple((ri, di) for ri, di in data["steps"]),
-            twists=tuple(data["twists"]))
-    if data["type"] == "torsion":
-        return TorsionDatum(params=p, t=data["t"], a=data["a"])
-    if data["type"] == "mixed":
-        return MixedDatum(params=p, r1=data["r1"], d1=data["d1"], t=data["t"])
-    raise ParameterError(f"unknown datum type {data['type']!r}")
-
-
 def _datum_sort_key(datum):
     if isinstance(datum, TorsionDatum):
         return (0, (datum.t, datum.a))
@@ -319,12 +306,6 @@ def _twist_vectors(coeffs, hk):
     return out
 
 
-def _analytic_bound(p, k):
-    # chains are exhaustive when deg_bound covers every degree entry that any
-    # valid chain of degree k can have
-    return p.r * abs(p.d) + p.h * k + 1
-
-
 @dataclass(frozen=True)
 class CandidateSearch:
     descriptors: tuple
@@ -392,9 +373,11 @@ def enumerate_candidates(p, k, max_l=3, deg_bound=None, include_mixed=False):
                 t += 1
 
     out.sort(key=_sort_key)
+    # chains are exhaustive when deg_bound covers every degree entry that any
+    # valid chain of degree k can have
     return CandidateSearch(descriptors=tuple(out), max_l=max_l,
                            deg_bound=deg_bound,
-                           analytic_bound=_analytic_bound(p, k))
+                           analytic_bound=p.r * abs(p.d) + hk + 1)
 
 
 @dataclass
@@ -453,31 +436,22 @@ class ClassificationReport:
 
     @classmethod
     def from_dict(cls, data):
-        """Inverse of to_dict.  Reads only g, r, d, k, each descriptor's
-        datum, and the search's maxL and degBound; rebuilds every other
-        field from them and raises ParameterError at the first top-level
-        key where `data` differs from the rebuilt report."""
-        k = data["k"]
-        p = derive_params(data["params"]["g"], data["params"]["r"],
-                          data["params"]["d"])
-        exp = expected_dimension(p, k)
-        try:
-            descriptors = [_describe(p, k, _datum_from_dict(p, d["datum"]), exp)
-                           for d in data["descriptors"]]
-        except ConsistencyError as exc:
-            raise ParameterError(f"inconsistent datum: {exc}") from exc
-        search = None
-        if "candidateSearch" in data:
-            cs = data["candidateSearch"]
-            search = CandidateSearch(
-                descriptors=tuple(d for d in descriptors
-                                  if d.kind in (Kind.OBSTRUCTED_CANDIDATE,
-                                                Kind.NOT_COMPONENT)),
-                max_l=cs["maxL"], deg_bound=cs["degBound"],
-                analytic_bound=_analytic_bound(p, k))
-        report = cls(params=p, k=k, descriptors=descriptors,
-                     thm_b=enumerate_obstructed_expected(p, k)[1],
-                     candidate_search=search)
+        """Inverse of to_dict: replays `classify` on g, r, d and k, with the
+        candidate search at maxL and degBound when `candidateSearch` is
+        present, and with mixed families only when some descriptor is mixed
+        (so a report stripped of every mixed descriptor, totals edited to
+        match, loads as the include_mixed=False report it then equals).
+        Raises ParameterError at the first top-level key where `data`
+        differs from the replayed report.  Loading costs as much as the run
+        that produced the report."""
+        params, search = data["params"], data.get("candidateSearch")
+        options = {} if search is None else {
+            "include_candidates": True, "max_l": search["maxL"],
+            "deg_bound": search["degBound"],
+            "include_mixed": any(d["datum"]["type"] == "mixed"
+                                 for d in data["descriptors"])}
+        report = classify(derive_params(params["g"], params["r"], params["d"]),
+                          data["k"], **options)
         rebuilt, missing = report.to_dict(), object()
         for key in dict.fromkeys([*data, *rebuilt]):
             if data.get(key, missing) != rebuilt.get(key, missing):

@@ -74,10 +74,9 @@ def _a_term(r, d, g, i, k):
     return r[i] * d[k] - r[k] * d[i] - r[i] * r[k] * (g - 1)
 
 
-def verify_three_term_identities(trials=10000, seed=0, rank_bound=6,
-                                 deg_bound=10, g_bound=5):
+def verify_three_term_identities(trials=10000, seed=0):
     """Evaluate both displayed three-term relations between the A-terms on
-    seeded random triples.
+    seeded random triples: ranks in 1..6, degrees in -10..10, genus 2..5.
 
     Returns (printed, corrected): the relation with the minus sign on the
     left, exactly as displayed, fails in general and the report records its
@@ -88,9 +87,9 @@ def verify_three_term_identities(trials=10000, seed=0, rank_bound=6,
     printed_fail, corrected_fail = 0, 0
     printed_cex, corrected_cex = [], []
     for _ in range(trials):
-        r = tuple(rng.randint(1, rank_bound) for _ in range(3))
-        d = tuple(rng.randint(-deg_bound, deg_bound) for _ in range(3))
-        g = rng.randint(2, g_bound)
+        r = tuple(rng.randint(1, 6) for _ in range(3))
+        d = tuple(rng.randint(-10, 10) for _ in range(3))
+        g = rng.randint(2, 5)
         a12 = _a_term(r, d, g, 0, 1)
         a23 = _a_term(r, d, g, 1, 2)
         a13 = _a_term(r, d, g, 0, 2)
@@ -112,18 +111,18 @@ def verify_three_term_identities(trials=10000, seed=0, rank_bound=6,
     return printed, corrected
 
 
-def verify_degree_telescoping(trials=10000, seed=0, max_l=6, rank_bound=4,
-                              deg_bound=10, twist_bound=4):
+def verify_degree_telescoping(trials=10000, seed=0):
     """Compare the partial-sum and pairwise forms of the chain degree on
-    seeded random data.  No slope condition: this is a polynomial identity."""
+    seeded random chains: length 2..6, ranks in 1..4, degrees in -10..10,
+    twists in 1..4.  No slope condition: this is a polynomial identity."""
     rng = SplitMix64(seed)
     failures = 0
     cex = []
     for _ in range(trials):
-        l = rng.randint(2, max_l)
-        ranks = [rng.randint(1, rank_bound) for _ in range(l)]
-        degs = [rng.randint(-deg_bound, deg_bound) for _ in range(l)]
-        twists = [rng.randint(1, twist_bound) for _ in range(l - 1)]
+        l = rng.randint(2, 6)
+        ranks = [rng.randint(1, 4) for _ in range(l)]
+        degs = [rng.randint(-10, 10) for _ in range(l)]
+        twists = [rng.randint(1, 4) for _ in range(l - 1)]
         r_tot, d_tot = sum(ranks), sum(degs)
         partial = 0
         pr = pd = 0
@@ -198,13 +197,13 @@ def verify_claim_inequality(max_l=4, rank_bound=3, deg_bound=6, g_bound=4):
 
 
 def verify_chain_dimension_equivalence(max_l=4, rank_bound=3, deg_bound=6,
-                                       twist_bound=3, g_bound=4,
-                                       spot_checks=50):
+                                       twist_bound=3, g_bound=4):
     """For every valid chain in range, the dimension meets or exceeds the
     expected dimension exactly when the signed certificate sum is <= 0.
 
-    The bulk sweep is vectorized; a deterministic sample of chains is pushed
-    through the scalar formulas as well to tie the library functions in.
+    The bulk sweep is vectorized; a deterministic sample of 50 chains is
+    pushed through the scalar formulas as well to tie the library functions
+    in.
     """
     trials = 0
     failures = 0
@@ -248,7 +247,7 @@ def verify_chain_dimension_equivalence(max_l=4, rank_bound=3, deg_bound=6,
                             cex.append(ranks + tuple(int(x) for x in row)
                                        + twists + (g,))
                     # spot-check a few rows through the scalar formulas
-                    if spot_done < spot_checks:
+                    if spot_done < 50:
                         for row in sub[:2]:
                             p = derive_params(g, r_tot, int(row.sum()))
                             chain = ExtensionChain(
@@ -269,9 +268,9 @@ def verify_chain_dimension_equivalence(max_l=4, rank_bound=3, deg_bound=6,
                    notes="dimension-vs-expected sign matches certificate sum")
 
 
-def verify_dimension_laws(g_bound=4, r_bound=4, d_bound=4, a_bound=3,
-                          t_bound=3):
-    """Grid check of the dimension laws.
+def verify_dimension_laws():
+    """Grid check of the dimension laws over g 2..4, r 2..4, degrees d and
+    d1 in -4..4, and twists a and t in 1..3.
 
     (a) twist-1 two-step and torsion families have exactly the expected
     dimension; (b) mixed families fall strictly below it; (c) for twist >= 2
@@ -289,16 +288,16 @@ def verify_dimension_laws(g_bound=4, r_bound=4, d_bound=4, a_bound=3,
         if len(cex) < COUNTEREXAMPLE_CAP:
             cex.append((tag,) + vals)
 
-    for g in range(2, g_bound + 1):
-        for r in range(2, r_bound + 1):
-            for d in range(-d_bound, d_bound + 1):
+    for g in range(2, 5):
+        for r in range(2, 5):
+            for d in range(-4, 5):
                 p = derive_params(g, r, d)
                 for r1 in range(1, r):
                     bound = r1 * (r - r1) * (g - 1)
-                    for d1 in range(-d_bound, d_bound + 1):
+                    for d1 in range(-4, 5):
                         if r1 * d - r * d1 <= 0:
                             continue
-                        for a in range(1, a_bound + 1):
+                        for a in range(1, 4):
                             trials += 1
                             chain = two_step_chain(p, r1, d1, a)
                             k = multi_step_degree(chain)
@@ -313,8 +312,8 @@ def verify_dimension_laws(g_bound=4, r_bound=4, d_bound=4, a_bound=3,
                                     fail("almost-nice", g, r, d, r1, d1, a)
                                 if (dim == want) != (c0 == bound):
                                     fail("almost-nice-eq", g, r, d, r1, d1, a)
-                for t in range(1, t_bound + 1):
-                    for a in range(1, a_bound + 1):
+                for t in range(1, 4):
+                    for a in range(1, 4):
                         trials += 1
                         td = TorsionDatum(params=p, t=t, a=a)
                         dim = torsion_dimension(p, td)
@@ -324,8 +323,8 @@ def verify_dimension_laws(g_bound=4, r_bound=4, d_bound=4, a_bound=3,
                         if a >= 2 and not dim < want:
                             fail("torsion-a2", g, r, d, t, a)
                 for r1 in range(1, r):
-                    for d1 in range(-d_bound, d_bound + 1):
-                        for t in range(1, t_bound + 1):
+                    for d1 in range(-4, 5):
+                        for t in range(1, 4):
                             if r1 * (d - d1 - t) - (r - r1) * d1 <= 0:
                                 continue
                             trials += 1
@@ -337,8 +336,9 @@ def verify_dimension_laws(g_bound=4, r_bound=4, d_bound=4, a_bound=3,
                    notes="expected-dimension equalities and strict bounds")
 
 
-def verify_component_counts(g_bound=5, r_bound=6, d_bound=6, k_bound=20):
-    """Brute-force oracle for the unobstructed component count.
+def verify_component_counts():
+    """Brute-force oracle for the unobstructed component count over g 2..5,
+    r 2..6, d in -6..6 and k 1..20.
 
     Independently scans every residue x in [0, r) for solvability of the
     degree equation and compares the resulting solution list with the
@@ -347,11 +347,11 @@ def verify_component_counts(g_bound=5, r_bound=6, d_bound=6, k_bound=20):
     trials = 0
     failures = 0
     cex = []
-    for g in range(2, g_bound + 1):
-        for r in range(2, r_bound + 1):
-            for d in range(-d_bound, d_bound + 1):
+    for g in range(2, 6):
+        for r in range(2, 7):
+            for d in range(-6, 7):
                 p = derive_params(g, r, d)
-                for k in range(1, k_bound + 1):
+                for k in range(1, 21):
                     trials += 1
                     brute = []
                     for x in range(r):

@@ -52,14 +52,12 @@ def derive_params(g, r, d):
     )
 
 
-def expected_dimension(p, k, g_source=0):
+def expected_dimension(p, k):
     """Minimum possible dimension of a component of the space of degree-k
-    maps from a genus-g_source curve: 2hk + (r^2 - 1)(g - 1)(1 - g_source)."""
+    rational curves: 2hk + (r^2 - 1)(g - 1)."""
     if k < 0:
         raise ParameterError(f"degree must be >= 0, got {k}")
-    if g_source < 0:
-        raise ParameterError(f"source genus must be >= 0, got {g_source}")
-    return 2 * p.h * k + p.dim_m * (1 - g_source)
+    return 2 * p.h * k + p.dim_m
 
 
 def solve_dioph(p, k):

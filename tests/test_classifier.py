@@ -41,6 +41,10 @@ _CONTRADICTIONS = {
     "analytic-bound": [(("candidateSearch", "analyticBound"), 3)],
     "params-h": [(("params", "h"), 3)],
     "unknown-key": [(("extra",), None)],
+    "descriptors-deleted": [(("descriptors",), [])] + [
+        (("totals", key), 0)
+        for key in ("UNOBSTRUCTED_EXT", "UNOBSTRUCTED_TORSION", "OBSTRUCTED_EXPECTED",
+                    "OBSTRUCTED_CANDIDATE", "NOT_COMPONENT", "EXPECTED_DIM_COMPONENTS")],
 }
 
 

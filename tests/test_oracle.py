@@ -90,14 +90,13 @@ def test_chain_dimension_equivalence_small_range():
 
 
 def test_dimension_laws():
-    report = verify_dimension_laws(g_bound=3, r_bound=3, d_bound=3)
+    report = verify_dimension_laws()
     assert report.passed
     assert report.trials > 0
 
 
 def test_component_counts():
-    report = verify_component_counts(g_bound=3, r_bound=4, d_bound=4,
-                                     k_bound=8)
+    report = verify_component_counts()
     assert report.passed
 
 

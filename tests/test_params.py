@@ -27,17 +27,14 @@ def test_derive_params_rejects_bad_domain():
 
 def test_expected_dimension_examples():
     p = derive_params(2, 2, 1)
-    assert expected_dimension(p, 1, 0) == 5
-    assert expected_dimension(p, 0, 0) == 3 == p.dim_m
-    assert expected_dimension(p, 2, 1) == 4
+    assert expected_dimension(p, 1) == 5
+    assert expected_dimension(p, 0) == 3 == p.dim_m
 
 
 def test_expected_dimension_rejects_negative():
     p = derive_params(2, 2, 1)
     with pytest.raises(ParameterError):
         expected_dimension(p, -1)
-    with pytest.raises(ParameterError):
-        expected_dimension(p, 1, -1)
 
 
 def test_solve_dioph_examples():
