@@ -9,9 +9,10 @@ exhaustive enumeration of obstructed candidate families (two-step with twist
 
 from dataclasses import dataclass
 from enum import Enum
+from math import comb
 
-from .params import (ConsistencyError, ModuliParams, ParameterError, derive_params,
-                     expected_dimension, solve_dioph)
+from .params import (MAX_K, ConsistencyError, ModuliParams, ParameterError,
+                     derive_params, expected_dimension, solve_dioph)
 from .families import (
     ExtensionChain,
     MixedDatum,
@@ -311,18 +312,27 @@ class CandidateSearch:
     descriptors: tuple
     max_l: int
     deg_bound: int
-    analytic_bound: int
+    analytic_bound: int  # covers every degree entry of a chain of degree k
+    longest_l: int  # no chain of degree k is longer than this
 
     @property
-    def incomplete(self):
-        return self.max_l >= 3 and self.deg_bound < self.analytic_bound
+    def reasons(self):
+        """Why the search may have missed families; empty when it is exhaustive."""
+        out = []
+        if self.max_l >= 3 and self.deg_bound < self.analytic_bound:
+            out.append(f"candidate-search-incomplete: deg_bound={self.deg_bound} "
+                       f"below analytic bound {self.analytic_bound}")
+        if self.max_l < self.longest_l:
+            out.append(f"candidate-search-incomplete: max_l={self.max_l} "
+                       f"below longest feasible chain length {self.longest_l}")
+        return out
 
 
 def enumerate_candidates(p, k, max_l=3, deg_bound=None, include_mixed=False):
     """Exhaustively enumerate obstructed families of degree k: two-step data
     with twist >= 2, chains of length 3..max_l, and (optionally) mixed
-    families.  The result carries an incompleteness flag when deg_bound is
-    below the analytic bound that guarantees exhaustiveness."""
+    families.  The result names the reasons the search may be incomplete:
+    deg_bound below the analytic bound, or max_l below the longest chain."""
     if max_l < 2:
         raise ParameterError(f"max_l must be >= 2, got {max_l}")
     if deg_bound is None:
@@ -330,6 +340,8 @@ def enumerate_candidates(p, k, max_l=3, deg_bound=None, include_mixed=False):
     exp = expected_dimension(p, k)
     hk = p.h * k
     out = []
+    # a chain of length l has l ranks summing to r and hk >= C(l+1, 3) (min_hk)
+    longest_l = max(l for l in range(1, p.r + 1) if comb(l + 1, 3) <= hk)
 
     # two-step, twist >= 2; the equality case is routed to
     # enumerate_obstructed_expected instead
@@ -346,7 +358,7 @@ def enumerate_candidates(p, k, max_l=3, deg_bound=None, include_mixed=False):
             out.append(_describe(p, k, two_step_chain(p, r1, d1, a), exp))
 
     # chains of length >= 3
-    for l in range(3, max_l + 1):
+    for l in range(3, min(max_l, longest_l) + 1):
         for ranks in _compositions(p.r, l):
             for degs in _deg_vectors(ranks, p.d, deg_bound, hk):
                 prefix_r = prefix_d = 0
@@ -373,11 +385,17 @@ def enumerate_candidates(p, k, max_l=3, deg_bound=None, include_mixed=False):
                 t += 1
 
     out.sort(key=_sort_key)
-    # chains are exhaustive when deg_bound covers every degree entry that any
-    # valid chain of degree k can have
-    return CandidateSearch(descriptors=tuple(out), max_l=max_l,
-                           deg_bound=deg_bound,
-                           analytic_bound=p.r * abs(p.d) + hk + 1)
+    return CandidateSearch(descriptors=tuple(out), max_l=max_l, deg_bound=deg_bound,
+                           analytic_bound=p.r * abs(p.d) + hk + 1, longest_l=longest_l)
+
+
+def _json_at(node, *path, kind=int):
+    """The value at path in report JSON; ParameterError unless it has type kind."""
+    for key in path:
+        node = node.get(key) if isinstance(node, dict) else None
+    if type(node) is not kind:  # JSON true and false load as bool, an int subclass
+        raise ParameterError(f"{'.'.join(path)} must be {kind.__name__}, got {node!r}")
+    return node
 
 
 @dataclass
@@ -405,10 +423,8 @@ class ClassificationReport:
                f"test {'passes' if row.constructive else 'fails'}; "
                "constructive test is authoritative"
                for row in self.thm_b if not row.agree]
-        search = self.candidate_search
-        if search is not None and search.incomplete:
-            out.append(f"candidate-search-incomplete: deg_bound={search.deg_bound} "
-                       f"below analytic bound {search.analytic_bound}")
+        if self.candidate_search is not None:
+            out += self.candidate_search.reasons
         return out
 
     def to_dict(self):
@@ -430,7 +446,7 @@ class ClassificationReport:
                 "maxL": self.candidate_search.max_l,
                 "degBound": self.candidate_search.deg_bound,
                 "analyticBound": self.candidate_search.analytic_bound,
-                "incomplete": self.candidate_search.incomplete,
+                "incomplete": bool(self.candidate_search.reasons),
             }
         return data
 
@@ -441,17 +457,18 @@ class ClassificationReport:
         present, and with mixed families only when some descriptor is mixed
         (so a report stripped of every mixed descriptor, totals edited to
         match, loads as the include_mixed=False report it then equals).
-        Raises ParameterError at the first top-level key where `data`
+        Raises ParameterError when a value it reads is missing, of the wrong
+        type or out of range, and at the first top-level key where `data`
         differs from the replayed report.  Loading costs as much as the run
         that produced the report."""
-        params, search = data["params"], data.get("candidateSearch")
+        g, r, d = (_json_at(data, "params", key) for key in "grd")
+        search = data.get("candidateSearch")
         options = {} if search is None else {
-            "include_candidates": True, "max_l": search["maxL"],
-            "deg_bound": search["degBound"],
-            "include_mixed": any(d["datum"]["type"] == "mixed"
-                                 for d in data["descriptors"])}
-        report = classify(derive_params(params["g"], params["r"], params["d"]),
-                          data["k"], **options)
+            "include_candidates": True, "max_l": _json_at(search, "maxL"),
+            "deg_bound": _json_at(search, "degBound"),
+            "include_mixed": any(_json_at(desc, "datum", "type", kind=str) == "mixed"
+                                 for desc in _json_at(data, "descriptors", kind=list))}
+        report = classify(derive_params(g, r, d), _json_at(data, "k"), **options)
         rebuilt, missing = report.to_dict(), object()
         for key in dict.fromkeys([*data, *rebuilt]):
             if data.get(key, missing) != rebuilt.get(key, missing):
@@ -465,8 +482,8 @@ def classify(p, k, include_candidates=False, include_mixed=False,
     """Full classification at degree k.  Merges the unobstructed and
     obstructed-expected enumerations, optionally the candidate sweep, and
     reports the divisibility cross-check with any discrepancies flagged."""
-    if k < 1:
-        raise ParameterError(f"degree must be >= 1, got {k}")
+    if not 1 <= k <= MAX_K:
+        raise ParameterError(f"k must lie in [1, {MAX_K}]")
     descriptors = enumerate_unobstructed(p, k)
     expected, rows = enumerate_obstructed_expected(p, k)
     descriptors += expected

@@ -13,7 +13,8 @@ import json
 import os
 import sys
 
-from .params import ConsistencyError, ParameterError, derive_params, expected_dimension
+from .params import (MAX_K, ConsistencyError, ParameterError, derive_params,
+                     expected_dimension)
 from .classifier import classify
 from .oracle import (
     verify_chain_dimension_equivalence,
@@ -26,12 +27,6 @@ from .oracle import (
 from .segre import generic_segre, min_connecting_degree, stratum_codimension
 
 SCHEMA_VERSION = "1.0"
-
-# inputs beyond these keep every intermediate formula inside signed 64 bits
-MAX_GENUS = 1000
-MAX_RANK = 1000
-MAX_DEGREE = 10**6
-MAX_K = 10**6
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -58,17 +53,6 @@ def _dumps(obj):
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _check_bounds(g, r, d, k=None):
-    if g < 2 or g > MAX_GENUS:
-        raise ParameterError(f"g must lie in [2, {MAX_GENUS}]")
-    if r < 2 or r > MAX_RANK:
-        raise ParameterError(f"r must lie in [2, {MAX_RANK}]")
-    if abs(d) > MAX_DEGREE:
-        raise ParameterError(f"|d| must be at most {MAX_DEGREE}")
-    if k is not None and not 1 <= k <= MAX_K:
-        raise ParameterError(f"k must lie in [1, {MAX_K}]")
-
-
 def _classify_table(report):
     lines = []
     p = report.params
@@ -92,7 +76,6 @@ def _classify_table(report):
 
 
 def _cmd_classify(args, out):
-    _check_bounds(args.g, args.r, args.d, args.k)
     p = derive_params(args.g, args.r, args.d)
     report = classify(p, args.k,
                       include_candidates=args.include_candidates,
@@ -122,7 +105,7 @@ def _sweep_rows(p, k_min, k_max, include_candidates, max_l, deg_bound):
         flags = []
         if any(not row.agree for row in report.thm_b):
             flags.append("divisibility-disagreement")
-        if report.candidate_search is not None and report.candidate_search.incomplete:
+        if report.candidate_search is not None and report.candidate_search.reasons:
             flags.append("incomplete")
         rows.append({
             "k": k,
@@ -145,11 +128,10 @@ _SWEEP_COLUMNS = ["k", "unobstructedExt", "unobstructedTorsion",
 
 
 def _cmd_sweep(args, out):
-    _check_bounds(args.g, args.r, args.d)
+    p = derive_params(args.g, args.r, args.d)
     if args.k_min < 1 or args.k_max > MAX_K or args.k_min > args.k_max:
         raise ParameterError(
             f"need 1 <= k-min <= k-max <= {MAX_K}, got [{args.k_min}, {args.k_max}]")
-    p = derive_params(args.g, args.r, args.d)
     rows = _sweep_rows(p, args.k_min, args.k_max, args.include_candidates,
                        args.max_l, args.deg_bound)
     if args.format == "csv":
@@ -239,22 +221,17 @@ def _cmd_verify(args, out):
 
 
 def _cmd_segre(args, out):
-    _check_bounds(args.g, args.r, args.d)
     p = derive_params(args.g, args.r, args.d)
-    if args.r_prime is not None and not 1 <= args.r_prime <= p.r - 1:
-        raise ParameterError(f"r-prime must lie in [1, {p.r - 1}]")
-    r_primes = [args.r_prime] if args.r_prime is not None else list(range(1, p.r))
+    r_primes = [args.r_prime] if args.r_prime is not None else range(1, p.r)
     results = []
     for rp in r_primes:
         s_gen = generic_segre(p, rp)
         strata = []
-        s = s_gen % p.r
-        if s <= 0:
-            s += p.r
-        while s <= s_gen:
+        s = s_gen % p.r or p.r
+        while s != -1:
             st = stratum_codimension(p, rp, s)
             strata.append({"s": st.s, "codim": st.codim, "nextS": st.next_s})
-            s += p.r
+            s = st.next_s
         results.append({"rPrime": rp, "genericS": s_gen, "strata": strata})
     out.write(_dumps(_envelope(
         "segre", {"g": args.g, "r": args.r, "d": args.d,
@@ -264,7 +241,6 @@ def _cmd_segre(args, out):
 
 
 def _cmd_connect(args, out):
-    _check_bounds(args.g, args.r, args.d)
     p = derive_params(args.g, args.r, args.d)
     res = min_connecting_degree(p)
     warnings = []

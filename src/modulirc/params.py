@@ -8,6 +8,13 @@ from dataclasses import dataclass
 from math import gcd
 
 
+# inputs beyond these keep every intermediate formula inside signed 64 bits
+MAX_GENUS = 1000
+MAX_RANK = 1000
+MAX_DEGREE = 10**6
+MAX_K = 10**6
+
+
 class ParameterError(ValueError):
     """Input outside the allowed domain (bad genus, rank, slope, ...)."""
 
@@ -37,12 +44,14 @@ class ModuliParams:
 def derive_params(g, r, d):
     """Compute all derived invariants from (g, r, d).
 
-    g must be at least 2 and r at least 2; d may be any integer.
+    Requires 2 <= g <= MAX_GENUS, 2 <= r <= MAX_RANK and |d| <= MAX_DEGREE.
     """
-    if g < 2:
-        raise ParameterError(f"genus must be >= 2, got {g}")
-    if r < 2:
-        raise ParameterError(f"rank must be >= 2, got {r}")
+    if not 2 <= g <= MAX_GENUS:
+        raise ParameterError(f"g must lie in [2, {MAX_GENUS}]")
+    if not 2 <= r <= MAX_RANK:
+        raise ParameterError(f"r must lie in [2, {MAX_RANK}]")
+    if abs(d) > MAX_DEGREE:
+        raise ParameterError(f"|d| must be at most {MAX_DEGREE}")
     h = gcd(r, d)  # math.gcd(r, 0) == r, matching the convention we need
     return ModuliParams(
         g=g, r=r, d=d, h=h,

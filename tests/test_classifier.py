@@ -47,6 +47,17 @@ _CONTRADICTIONS = {
                     "OBSTRUCTED_CANDIDATE", "NOT_COMPONENT", "EXPECTED_DIM_COMPONENTS")],
 }
 
+_DELETE = object()
+
+# edits of the same report that leave an input it is rebuilt from missing or
+# of the wrong type
+_MALFORMED = {
+    "params-g-deleted": [(("params", "g"), _DELETE)],
+    "datum-deleted": [(("descriptors", 1, "datum"), _DELETE)],
+    "k-string": [(("k",), "9")],
+    "max-l-null": [(("candidateSearch", "maxL"), None)],
+}
+
 
 class TestUnobstructed:
     def test_ext_example(self):
@@ -124,7 +135,7 @@ class TestCandidates:
     def test_three_step_chain_found(self):
         p = derive_params(2, 3, 1)
         search = enumerate_candidates(p, 9, max_l=3)
-        assert not search.incomplete
+        assert not search.reasons
         chains = [d for d in search.descriptors
                   if _datum(d)["type"] == "chain" and len(_datum(d)["steps"]) == 3]
         target = [d for d in chains
@@ -145,7 +156,23 @@ class TestCandidates:
     def test_incomplete_flag(self):
         p = derive_params(2, 3, 1)
         search = enumerate_candidates(p, 9, max_l=3, deg_bound=2)
-        assert search.incomplete
+        assert search.reasons == ["candidate-search-incomplete: deg_bound=2 "
+                                  "below analytic bound 13"]
+
+    def test_short_max_l_incomplete(self):
+        # chains of length up to 5 can have degree hk = 30 >= C(6, 3)
+        p = derive_params(2, 5, 1)
+        short = enumerate_candidates(p, 30, max_l=3)
+        assert short.deg_bound >= short.analytic_bound
+        assert short.longest_l == 5
+        assert short.reasons == ["candidate-search-incomplete: max_l=3 below "
+                                 "longest feasible chain length 5"]
+        longer = enumerate_candidates(p, 30, max_l=4)
+        assert any(len(_datum(d).get("steps", ())) == 4 for d in longer.descriptors)
+
+    def test_max_l_beyond_longest_chain_searches_no_further(self):
+        search = enumerate_candidates(derive_params(2, 2, 1), 1, max_l=10**12)
+        assert search.longest_l == 2 and not search.reasons
 
     def test_mixed_flag(self):
         p = derive_params(2, 2, 2)
@@ -206,8 +233,8 @@ class TestClassify:
         with pytest.raises(ParameterError, match="contradicts"):
             ClassificationReport.from_dict(data)
 
-    @pytest.mark.parametrize("edits", _CONTRADICTIONS.values(),
-                             ids=_CONTRADICTIONS)
+    @pytest.mark.parametrize("edits", [*_CONTRADICTIONS.values(), *_MALFORMED.values()],
+                             ids=[*_CONTRADICTIONS, *_MALFORMED])
     def test_from_dict_rejects_contradicting_json(self, edits):
         p = derive_params(2, 3, 1)
         report = classify(p, 9, include_candidates=True, deg_bound=2)
@@ -222,9 +249,25 @@ class TestClassify:
             node = data
             for key in path[:-1]:
                 node = node[key]
-            node[path[-1]] = value
+            if value is _DELETE:
+                del node[path[-1]]
+            else:
+                node[path[-1]] = value
         with pytest.raises(ParameterError):
             ClassificationReport.from_dict(data)
+
+    def test_from_dict_rejects_out_of_range_params(self):
+        data = json.loads(json.dumps(classify(derive_params(2, 3, 1), 9).to_dict()))
+        assert "candidateSearch" not in data
+        data["params"]["r"] = 5000
+        with pytest.raises(ParameterError, match="must lie in"):
+            ClassificationReport.from_dict(data)
+
+    def test_k_bounds(self):
+        p = derive_params(2, 2, 1)
+        for k in (0, 10**6 + 1):
+            with pytest.raises(ParameterError, match="k must lie in"):
+                classify(p, k)
 
     def test_from_dict_rejects_agree_contradicting_readings(self):
         p = derive_params(3, 2, 1)

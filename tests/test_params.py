@@ -23,6 +23,9 @@ def test_derive_params_rejects_bad_domain():
         derive_params(1, 2, 1)
     with pytest.raises(ParameterError):
         derive_params(2, 1, 1)
+    for g, r, d in ((1001, 2, 1), (2, 1001, 1), (2, 2, 10**6 + 1), (2, 2, -10**6 - 1)):
+        with pytest.raises(ParameterError, match="must"):
+            derive_params(g, r, d)
 
 
 def test_expected_dimension_examples():
