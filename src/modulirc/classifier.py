@@ -9,7 +9,8 @@ exhaustive enumeration of obstructed candidate families (two-step with twist
 
 from dataclasses import dataclass
 from enum import Enum
-from math import comb
+from itertools import accumulate
+from math import comb, isqrt
 
 from .params import (MAX_K, ConsistencyError, ModuliParams, ParameterError,
                      derive_params, expected_dimension, solve_dioph)
@@ -248,39 +249,41 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def _deg_vectors(ranks, d_total, deg_bound, hk_target):
-    """Degree vectors with strictly increasing slopes, entries bounded by
-    deg_bound, total d_total, and minimal possible chain degree <= hk_target."""
-    l = len(ranks)
+def _deg_vectors(ranks, d, hk, deg_bound, clipped):
+    """(degrees, coefficients) of every chain with ranks `ranks`, strictly
+    increasing slopes, total degree d and degree at most hk at twists all 1,
+    with each degree entry in [-deg_bound, deg_bound].
+
+    Prefix rank R_j and prefix degree D_j give the telescoped coefficient
+    c_j = R_j*d - D_j*r >= 1, and the c_j sum to at most hk, so each D_j lies
+    in a finite window and the search is complete by construction.  The
+    entries bound only clips that window; `clipped` gets an item whenever
+    the clip removes a value."""
+    l, r = len(ranks), sum(ranks)
+    prefix_ranks = list(accumulate(ranks))
     results = []
 
-    def min_hk(degs):
-        # every pairwise term is >= 1 and carries weight >= j - i
-        n = len(degs)
-        s = l * (l - 1) // 2 - n * (n - 1) // 2
-        for i in range(n):
-            for j in range(i + 1, n):
-                s += (ranks[i] * degs[j] - ranks[j] * degs[i]) * (j - i)
-        return s
-
-    def rec(degs):
-        n = len(degs)
-        if n == l:
-            if sum(degs) == d_total:
-                results.append(tuple(degs))
+    def rec(degs, coeffs, prefix_d, spare):
+        j = len(degs)
+        if j == l:  # the last coefficient, r*d - d*r = 0, carries no twist
+            results.append((tuple(degs), tuple(coeffs[:-1])))
             return
-        rem = d_total - sum(degs)
-        if abs(rem) > (l - n) * deg_bound:
-            return
-        for nxt in range(-deg_bound, deg_bound + 1):
-            if degs and not degs[-1] * ranks[n] < nxt * ranks[n - 1]:
-                continue  # slope must strictly increase
-            degs.append(nxt)
-            if min_hk(degs) <= hk_target:
-                rec(degs)
-            degs.pop()
+        prefix_r = prefix_ranks[j]
+        if j == l - 1:
+            lo = hi = d  # the last entry closes the total degree
+        else:  # 1 <= c_j <= spare minus 1 for each coefficient still to place
+            lo = -((spare - (l - 2 - j) - prefix_r * d) // r)
+            hi = (prefix_r * d - 1) // r
+        if degs:  # the slope must strictly increase
+            lo = max(lo, prefix_d + degs[-1] * ranks[j] // ranks[j - 1] + 1)
+        if lo <= hi and (lo < prefix_d - deg_bound or hi > prefix_d + deg_bound):
+            clipped.append(tuple(degs))
+        for next_d in range(max(lo, prefix_d - deg_bound),
+                            min(hi, prefix_d + deg_bound) + 1):
+            c = prefix_r * d - next_d * r
+            rec(degs + [next_d - prefix_d], coeffs + [c], next_d, spare - c)
 
-    rec([])
+    rec([], [], 0, hk)
     return results
 
 
@@ -314,12 +317,13 @@ class CandidateSearch:
     deg_bound: int
     analytic_bound: int  # covers every degree entry of a chain of degree k
     longest_l: int  # no chain of degree k is longer than this
+    clipped: bool  # deg_bound removed a degree entry the search would visit
 
     @property
     def reasons(self):
         """Why the search may have missed families; empty when it is exhaustive."""
         out = []
-        if self.max_l >= 3 and self.deg_bound < self.analytic_bound:
+        if self.clipped:
             out.append(f"candidate-search-incomplete: deg_bound={self.deg_bound} "
                        f"below analytic bound {self.analytic_bound}")
         if self.max_l < self.longest_l:
@@ -332,22 +336,22 @@ def enumerate_candidates(p, k, max_l=3, deg_bound=None, include_mixed=False):
     """Exhaustively enumerate obstructed families of degree k: two-step data
     with twist >= 2, chains of length 3..max_l, and (optionally) mixed
     families.  The result names the reasons the search may be incomplete:
-    deg_bound below the analytic bound, or max_l below the longest chain."""
+    deg_bound clipping a degree entry, or max_l below the longest chain."""
     if max_l < 2:
         raise ParameterError(f"max_l must be >= 2, got {max_l}")
     if deg_bound is None:
         deg_bound = 4 * p.r * p.g
     exp = expected_dimension(p, k)
     hk = p.h * k
-    out = []
-    # a chain of length l has l ranks summing to r and hk >= C(l+1, 3) (min_hk)
+    out, clipped = [], []
+    # a chain of length l has l ranks summing to r and hk >= C(l+1, 3): every
+    # pairwise term r_i*d_j - r_j*d_i is >= 1 and carries weight >= j - i
     longest_l = max(l for l in range(1, p.r + 1) if comb(l + 1, 3) <= hk)
 
-    # two-step, twist >= 2; the equality case is routed to
+    # two-step, twist a >= 2 dividing hk; the equality case is routed to
     # enumerate_obstructed_expected instead
-    for a in range(2, hk + 1):
-        if hk % a != 0:
-            continue
+    small = [q for q in range(1, isqrt(hk) + 1) if hk % q == 0]
+    for a in {*small, *(hk // q for q in small)} - {1}:
         c0 = hk // a
         for r1 in range(1, p.r):
             if (r1 * p.d - c0) % p.r != 0:
@@ -360,13 +364,7 @@ def enumerate_candidates(p, k, max_l=3, deg_bound=None, include_mixed=False):
     # chains of length >= 3
     for l in range(3, min(max_l, longest_l) + 1):
         for ranks in _compositions(p.r, l):
-            for degs in _deg_vectors(ranks, p.d, deg_bound, hk):
-                prefix_r = prefix_d = 0
-                coeffs = []
-                for ri, di in zip(ranks[:-1], degs[:-1]):
-                    prefix_r += ri
-                    prefix_d += di
-                    coeffs.append(prefix_r * p.d - prefix_d * p.r)
+            for degs, coeffs in _deg_vectors(ranks, p.d, hk, deg_bound, clipped):
                 if any(c < 1 for c in coeffs):
                     raise ConsistencyError("non-positive telescoped coefficient")
                 for twists in _twist_vectors(coeffs, hk):
@@ -386,7 +384,8 @@ def enumerate_candidates(p, k, max_l=3, deg_bound=None, include_mixed=False):
 
     out.sort(key=_sort_key)
     return CandidateSearch(descriptors=tuple(out), max_l=max_l, deg_bound=deg_bound,
-                           analytic_bound=p.r * abs(p.d) + hk + 1, longest_l=longest_l)
+                           analytic_bound=p.r * abs(p.d) + hk + 1, longest_l=longest_l,
+                           clipped=bool(clipped))
 
 
 def _json_at(node, *path, kind=int):

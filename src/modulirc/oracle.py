@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import ParameterError, derive_params, expected_dimension
+from .params import derive_params, expected_dimension
 from .families import (
     ExtensionChain,
     MixedDatum,
@@ -49,19 +49,6 @@ class VerificationReport:
             "pass": self.passed,
             "notes": self.notes,
         }
-
-    @classmethod
-    def from_dict(cls, data):
-        """Inverse of to_dict; a `pass` that contradicts `failures` raises
-        ParameterError."""
-        report = cls(suite=data["suiteName"], trials=data["trials"],
-                     failures=data["failures"],
-                     counterexamples=[tuple(c) for c in data["counterexamples"]],
-                     notes=data["notes"])
-        if data["pass"] != report.passed:
-            raise ParameterError(
-                f"pass={data['pass']!r} contradicts failures={report.failures}")
-        return report
 
 
 def _report(suite, trials, failures, counterexamples, notes=""):

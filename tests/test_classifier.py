@@ -23,7 +23,8 @@ def _datum(desc):
 
 
 # (path, value) edits of the (g, r, d, k) = (2, 3, 1, 9) report searched at
-# deg_bound 2, each of which contradicts what the report's inputs determine
+# deg_bound 2, which is complete, each of which contradicts what the report's
+# inputs determine
 _CONTRADICTIONS = {
     "not-component-relabelled": [(("descriptors", 2, "kind"), "OBSTRUCTED_CANDIDATE"),
                                  (("descriptors", 2, "dimension"), 99),
@@ -33,11 +34,12 @@ _CONTRADICTIONS = {
     "descriptor-k": [(("descriptors", 1, "k"), 10)],
     "torsion-wrong-degree": [(("descriptors", 0, "datum", "t"), 4)],
     "totals": [(("totals", "NOT_COMPONENT"), 2)],
-    "warnings-emptied": [(("warnings",), [])],
+    "warning-added": [(("warnings",), ["candidate-search-incomplete: deg_bound=2 "
+                                       "below analytic bound 13"])],
     "thmb-divisor": [(("thmB", 0, "divisor"), 99)],
     "thmb-both-readings": [(("thmB", 0, "dividesK"), True),
                            (("thmB", 0, "constructive"), True)],
-    "search-complete": [(("candidateSearch", "incomplete"), False)],
+    "search-incomplete": [(("candidateSearch", "incomplete"), True)],
     "analytic-bound": [(("candidateSearch", "analyticBound"), 3)],
     "params-h": [(("params", "h"), 3)],
     "unknown-key": [(("extra",), None)],
@@ -155,9 +157,25 @@ class TestCandidates:
 
     def test_incomplete_flag(self):
         p = derive_params(2, 3, 1)
-        search = enumerate_candidates(p, 9, max_l=3, deg_bound=2)
-        assert search.reasons == ["candidate-search-incomplete: deg_bound=2 "
+        search = enumerate_candidates(p, 9, max_l=3, deg_bound=1)
+        assert search.reasons == ["candidate-search-incomplete: deg_bound=1 "
                                   "below analytic bound 13"]
+
+    def test_bound_that_cuts_nothing_is_complete(self):
+        # no chain of length 3 has degree hk = 3, so deg_bound 0 cuts nothing
+        search = enumerate_candidates(derive_params(2, 3, 1), 3, max_l=3, deg_bound=0)
+        assert search.longest_l == 2 and not search.reasons
+
+    def test_deg_bound_only_clips(self):
+        p = derive_params(2, 3, 1)
+        full = enumerate_candidates(p, 9, max_l=3, deg_bound=10**9)
+        assert not full.reasons
+        assert enumerate_candidates(p, 9, max_l=3, deg_bound=2).descriptors == \
+            full.descriptors
+        cut = enumerate_candidates(p, 9, max_l=3, deg_bound=1)
+        assert cut.reasons and set(cut.descriptors) < set(full.descriptors)
+        assert any(len(_datum(d).get("steps", ())) == 3
+                   for d in set(full.descriptors) - set(cut.descriptors))
 
     def test_short_max_l_incomplete(self):
         # chains of length up to 5 can have degree hk = 30 >= C(6, 3)
@@ -244,7 +262,7 @@ class TestClassify:
         assert data["descriptors"][0]["datum"]["t"] == 3
         assert data["descriptors"][2]["dimension"] == 24
         assert not data["thmB"][0]["dividesK"] and not data["thmB"][0]["constructive"]
-        assert data["candidateSearch"]["incomplete"] and data["params"]["h"] == 1
+        assert not data["candidateSearch"]["incomplete"] and data["params"]["h"] == 1
         for path, value in edits:
             node = data
             for key in path[:-1]:
