@@ -48,7 +48,7 @@ def _box_deg_vectors(ranks, d_total, deg_bound, hk_target):
 
 def _linear_two_step(p, hk):
     """(r1, d1, a) of every two-step datum with twist a >= 2 off the equality case."""
-    out = set()
+    out = []
     for a in range(2, hk + 1):
         if hk % a != 0:
             continue
@@ -58,7 +58,7 @@ def _linear_two_step(p, hk):
                 continue
             if c0 == r1 * (p.r - r1) * (p.g - 1):
                 continue
-            out.add((r1, (r1 * p.d - c0) // p.r, a))
+            out.append((r1, (r1 * p.d - c0) // p.r, a))
     return out
 
 
@@ -116,6 +116,6 @@ def test_two_step_divisors_equal_linear_search():
             for d in range(-4, 5):
                 p = derive_params(g, r, d)
                 for k in range(1, 40):
-                    found = {(c.datum.steps[0][0], c.datum.steps[0][1], c.datum.twists[0])
-                             for c in enumerate_candidates(p, k, max_l=2).descriptors}
-                    assert found == _linear_two_step(p, p.h * k)
+                    found = [(c.datum.steps[0][0], c.datum.steps[0][1], c.datum.twists[0])
+                             for c in enumerate_candidates(p, k, max_l=2).descriptors]
+                    assert sorted(found) == sorted(_linear_two_step(p, p.h * k))
