@@ -10,7 +10,7 @@ exhaustive enumeration of obstructed candidate families (two-step with twist
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from math import comb, isqrt
+from math import comb, gcd, isqrt
 
 from .params import (MAX_K, ConsistencyError, ModuliParams, ParameterError,
                      derive_params, expected_dimension, solve_dioph)
@@ -239,6 +239,35 @@ def enumerate_obstructed_expected(p, k):
     return out, rows
 
 
+def sieve_obstructed_expected(p, k_min, k_max):
+    """Per k in [k_min, k_max], the number of obstructed components of
+    expected dimension and whether the literal and constructive readings of
+    the divisibility criterion disagree at some r1: what
+    `enumerate_obstructed_expected` finds at each k, for a range at once.
+
+    This restates that test per r1.  With divisor = r1*(r-r1)*(g-1), the
+    congruence r | r1*d - divisor does not depend on k; when it holds, the
+    test passes exactly at the k that are multiples of divisor/gcd(divisor, h)
+    (so that divisor | hk) with hk >= 2*divisor.  The literal reading passes
+    at the multiples of divisor, which are among those k.  So each r1 visits
+    only its multiples of that step in the range.
+    """
+    n = k_max - k_min + 1
+    counts, disagree = [0] * n, [False] * n
+    for r1 in range(1, p.r):
+        divisor = r1 * (p.r - r1) * (p.g - 1)
+        if (r1 * p.d - divisor) % p.r == 0:
+            step, low = divisor // gcd(divisor, p.h), -(-2 * divisor // p.h)
+        else:  # the constructive test never passes
+            step, low = divisor, k_max + 1
+        for k in range(-(-k_min // step) * step, k_max + 1, step):
+            constructive = k >= low
+            counts[k - k_min] += constructive
+            if constructive != (k % divisor == 0):
+                disagree[k - k_min] = True
+    return counts, disagree
+
+
 def _compositions(total, parts):
     if parts == 1:
         if total >= 1:
@@ -255,12 +284,17 @@ def _deg_vectors(ranks, d, hk, deg_bound, clipped):
     with each degree entry in [-deg_bound, deg_bound].
 
     Prefix rank R_j and prefix degree D_j give the telescoped coefficient
-    c_j = R_j*d - D_j*r >= 1, and the c_j sum to at most hk, so each D_j lies
-    in a finite window and the search is complete by construction.  The
-    entries bound only clips that window; `clipped` gets an item whenever
-    the clip removes a value."""
+    c_j = R_j*d - D_j*r, a sum of j*(l-j) pairwise terms r_i*d_m - r_m*d_i
+    (i <= j < m), each >= 1.  The c_j sum to at most hk, so each D_j lies in
+    a finite window and the search is complete by construction.  The entries
+    bound only clips that window; `clipped` gets an item whenever the clip
+    removes a value."""
     l, r = len(ranks), sum(ranks)
     prefix_ranks = list(accumulate(ranks))
+    # floors[j]: least value of the coefficient chosen with the (j+1)-th
+    # entry; rests[j]: least sum of the coefficients chosen after it
+    floors = [(j + 1) * (l - 1 - j) for j in range(l)]
+    rests = [sum(floors[j + 1:]) for j in range(l)]
     results = []
 
     def rec(degs, coeffs, prefix_d, spare):
@@ -271,9 +305,9 @@ def _deg_vectors(ranks, d, hk, deg_bound, clipped):
         prefix_r = prefix_ranks[j]
         if j == l - 1:
             lo = hi = d  # the last entry closes the total degree
-        else:  # 1 <= c_j <= spare minus 1 for each coefficient still to place
-            lo = -((spare - (l - 2 - j) - prefix_r * d) // r)
-            hi = (prefix_r * d - 1) // r
+        else:  # floor <= c_j <= spare minus the floors still to place
+            lo = -((spare - rests[j] - prefix_r * d) // r)
+            hi = (prefix_r * d - floors[j]) // r
         if degs:  # the slope must strictly increase
             lo = max(lo, prefix_d + degs[-1] * ranks[j] // ranks[j - 1] + 1)
         if lo <= hi and (lo < prefix_d - deg_bound or hi > prefix_d + deg_bound):

@@ -15,15 +15,8 @@ import sys
 
 from .params import (MAX_K, ConsistencyError, ParameterError, derive_params,
                      expected_dimension)
-from .classifier import classify
-from .oracle import (
-    verify_chain_dimension_equivalence,
-    verify_claim_inequality,
-    verify_component_counts,
-    verify_degree_telescoping,
-    verify_dimension_laws,
-    verify_three_term_identities,
-)
+from .classifier import (Kind, classify, enumerate_candidates,
+                         sieve_obstructed_expected)
 from .segre import generic_segre, min_connecting_degree, stratum_codimension
 
 SCHEMA_VERSION = "1.0"
@@ -96,25 +89,32 @@ def _cmd_classify(args, out):
 
 
 def _sweep_rows(p, k_min, k_max, include_candidates, max_l, deg_bound):
+    """One row per k in [k_min, k_max].  The expected-dimension counts are
+    arithmetic: h unobstructed components, one of them torsion exactly when
+    r_bar | k, and the obstructed ones from one sieve over r1.  Only the
+    candidate search runs per k."""
+    obstructed, disagree = sieve_obstructed_expected(p, k_min, k_max)
     rows = []
-    for k in range(k_min, k_max + 1):
-        report = classify(p, k, include_candidates=include_candidates,
-                          max_l=max_l, deg_bound=deg_bound)
-        counts = report.totals
-        dims = [d.dimension for d in report.descriptors]
-        flags = []
-        if any(not row.agree for row in report.thm_b):
-            flags.append("divisibility-disagreement")
-        if report.candidate_search is not None and report.candidate_search.reasons:
-            flags.append("incomplete")
+    for k, n_obstructed, disagrees in zip(range(k_min, k_max + 1), obstructed, disagree):
+        torsion = int(k % p.r_bar == 0)
+        exp_dim = expected_dimension(p, k)
+        dims = [exp_dim]
+        kinds = []
+        flags = ["divisibility-disagreement"] if disagrees else []
+        if include_candidates:
+            search = enumerate_candidates(p, k, max_l=max_l, deg_bound=deg_bound)
+            dims += [d.dimension for d in search.descriptors]
+            kinds = [d.kind for d in search.descriptors]
+            if search.reasons:
+                flags.append("incomplete")
         rows.append({
             "k": k,
-            "unobstructedExt": counts["UNOBSTRUCTED_EXT"],
-            "unobstructedTorsion": counts["UNOBSTRUCTED_TORSION"],
-            "obstructedExpected": counts["OBSTRUCTED_EXPECTED"],
-            "obstructedCandidate": counts["OBSTRUCTED_CANDIDATE"],
-            "notComponent": counts["NOT_COMPONENT"],
-            "expectedDim": expected_dimension(p, k),
+            "unobstructedExt": p.h - torsion,
+            "unobstructedTorsion": torsion,
+            "obstructedExpected": n_obstructed,
+            "obstructedCandidate": kinds.count(Kind.OBSTRUCTED_CANDIDATE),
+            "notComponent": kinds.count(Kind.NOT_COMPONENT),
+            "expectedDim": exp_dim,
             "minDim": min(dims),
             "maxDim": max(dims),
             "flags": ";".join(flags),
@@ -174,6 +174,10 @@ def _cmd_verify(args, out):
         if value < low:
             flag = name.replace("_", "-")
             raise ParameterError(f"--{flag} must be >= {low}, got {value}")
+    # imported here so that no other command loads numpy
+    from .oracle import (verify_chain_dimension_equivalence, verify_claim_inequality,
+                         verify_component_counts, verify_degree_telescoping,
+                         verify_dimension_laws, verify_three_term_identities)
     reports = []
     warnings = []
     expected_fail_ok = True

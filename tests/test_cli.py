@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import modulirc
 from modulirc.cli import SCHEMA_VERSION, main
 
 
@@ -213,3 +218,15 @@ class TestConnect:
         assert res["closedFormK"] == 12
         assert res["mismatch"] is True
         assert any("mismatch" in w for w in data["warnings"])
+
+
+def test_cli_import_leaves_numpy_to_verify():
+    script = ("import sys, modulirc.cli\n"
+              "print(sorted({'numpy', 'modulirc.oracle'} & set(sys.modules)))\n"
+              "from modulirc import VerificationReport\n"
+              "print(VerificationReport.__module__)\n")
+    src = str(pathlib.Path(modulirc.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\nmodulirc.oracle\n"
