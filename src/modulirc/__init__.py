@@ -36,10 +36,8 @@ from .classifier import (
 from .segre import (
     ConnectivityResult,
     SegreStratum,
-    elementary_transform_segre,
     generic_segre,
     min_connecting_degree,
-    nonstable_codim_bound,
     stratum_codimension,
 )
 

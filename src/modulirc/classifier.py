@@ -9,7 +9,6 @@ exhaustive enumeration of obstructed candidate families (two-step with twist
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
 from math import comb, gcd, isqrt
 
 from .params import (MAX_K, ConsistencyError, ModuliParams, ParameterError,
@@ -268,80 +267,61 @@ def sieve_obstructed_expected(p, k_min, k_max):
     return counts, disagree
 
 
-def _compositions(total, parts):
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _deg_vectors(p, l, hk, deg_bound, clipped):
+    """(steps, twists) of every chain of length l and degree hk: ranks
+    summing to r, degrees summing to d with strictly increasing slopes, each
+    degree entry in [-deg_bound, deg_bound], and twists >= 1.
 
-
-def _deg_vectors(ranks, d, hk, deg_bound, clipped):
-    """(degrees, coefficients) of every chain with ranks `ranks`, strictly
-    increasing slopes, total degree d and degree at most hk at twists all 1,
-    with each degree entry in [-deg_bound, deg_bound].
-
-    Prefix rank R_j and prefix degree D_j give the telescoped coefficient
-    c_j = R_j*d - D_j*r, a sum of j*(l-j) pairwise terms r_i*d_m - r_m*d_i
-    (i <= j < m), each >= 1.  The c_j sum to at most hk, so each D_j lies in
-    a finite window and the search is complete by construction.  The entries
-    bound only clips that window; `clipped` gets an item whenever the clip
-    removes a value."""
-    l, r = len(ranks), sum(ranks)
-    prefix_ranks = list(accumulate(ranks))
+    The walk picks, entry by entry, the rank r_j, then the prefix degree D_j,
+    then the twist a_j.  Prefix rank R_j and prefix degree D_j give the
+    telescoped coefficient c_j = R_j*d - D_j*r, a sum of j*(l-j) pairwise
+    terms r_i*d_m - r_m*d_i (i <= j < m), each >= 1, and the chain's degree
+    is the sum of the a_j*c_j.  So each D_j lies in a finite window of the
+    spare degree hk minus the a_i*c_i placed, and the last twist is the one
+    value that uses up the spare: the search is complete by construction.
+    The entries bound only clips that window; `clipped` gets an item
+    whenever the clip removes a value."""
+    r, d = p.r, p.d
     # floors[j]: least value of the coefficient chosen with the (j+1)-th
-    # entry; rests[j]: least sum of the coefficients chosen after it
+    # entry; rests[j]: least sum of the a_m*c_m chosen after it
     floors = [(j + 1) * (l - 1 - j) for j in range(l)]
     rests = [sum(floors[j + 1:]) for j in range(l)]
     results = []
 
-    def rec(degs, coeffs, prefix_d, spare):
-        j = len(degs)
-        if j == l:  # the last coefficient, r*d - d*r = 0, carries no twist
-            results.append((tuple(degs), tuple(coeffs[:-1])))
-            return
-        prefix_r = prefix_ranks[j]
-        if j == l - 1:
-            lo = hi = d  # the last entry closes the total degree
-        else:  # floor <= c_j <= spare minus the floors still to place
-            lo = -((spare - rests[j] - prefix_r * d) // r)
-            hi = (prefix_r * d - floors[j]) // r
-        if degs:  # the slope must strictly increase
-            lo = max(lo, prefix_d + degs[-1] * ranks[j] // ranks[j - 1] + 1)
-        if lo <= hi and (lo < prefix_d - deg_bound or hi > prefix_d + deg_bound):
-            clipped.append(tuple(degs))
-        for next_d in range(max(lo, prefix_d - deg_bound),
-                            min(hi, prefix_d + deg_bound) + 1):
-            c = prefix_r * d - next_d * r
-            rec(degs + [next_d - prefix_d], coeffs + [c], next_d, spare - c)
+    def rec(steps, twists, prefix_r, prefix_d, spare):
+        j = len(steps)
+        last = j == l - 1  # the last entry closes rank and degree
+        # each entry after this one keeps rank >= 1
+        for rank in (r - prefix_r,) if last else range(1, r - prefix_r - (l - 2 - j)):
+            next_r = prefix_r + rank
+            if last:
+                lo = hi = d
+            else:  # floor <= c_j <= spare minus the floors still to place
+                lo = -((spare - rests[j] - next_r * d) // r)
+                hi = (next_r * d - floors[j]) // r
+            if steps:  # the slope must strictly increase
+                prev_r, prev_d = steps[-1]
+                lo = max(lo, prefix_d + prev_d * rank // prev_r + 1)
+            if lo <= hi and (lo < prefix_d - deg_bound or hi > prefix_d + deg_bound):
+                clipped.append(steps)
+            for next_d in range(max(lo, prefix_d - deg_bound),
+                                min(hi, prefix_d + deg_bound) + 1):
+                step = steps + ((rank, next_d - prefix_d),)
+                if last:  # the last coefficient, r*d - d*r = 0, carries no twist
+                    results.append((step, twists))
+                    continue
+                c = next_r * d - next_d * r
+                if c < 1:
+                    raise ConsistencyError("non-positive telescoped coefficient")
+                if j == l - 2:  # the last twist uses up the spare
+                    if spare % c == 0:
+                        rec(step, twists + (spare // c,), next_r, next_d, 0)
+                    continue
+                for a in range(1, (spare - rests[j]) // c + 1):
+                    rec(step, twists + (a,), next_r, next_d, spare - a * c)
 
-    rec([], [], 0, hk)
+    rec((), (), 0, 0, hk)
     return results
-
-
-def _twist_vectors(coeffs, hk):
-    """All positive integer vectors a with sum(a_j * coeffs[j]) == hk.
-
-    coeffs are the telescoped per-twist degree coefficients, all >= 1.
-    """
-    out = []
-
-    def rec(idx, remaining, acc):
-        c = coeffs[idx]
-        if idx == len(coeffs) - 1:
-            if remaining >= c and remaining % c == 0:
-                out.append(tuple(acc + [remaining // c]))
-            return
-        min_rest = sum(coeffs[idx + 1:])
-        a = 1
-        while a * c + min_rest <= remaining:
-            rec(idx + 1, remaining - a * c, acc + [a])
-            a += 1
-
-    rec(0, hk, [])
-    return out
 
 
 @dataclass(frozen=True)
@@ -397,14 +377,9 @@ def enumerate_candidates(p, k, max_l=3, deg_bound=None, include_mixed=False):
 
     # chains of length >= 3
     for l in range(3, min(max_l, longest_l) + 1):
-        for ranks in _compositions(p.r, l):
-            for degs, coeffs in _deg_vectors(ranks, p.d, hk, deg_bound, clipped):
-                if any(c < 1 for c in coeffs):
-                    raise ConsistencyError("non-positive telescoped coefficient")
-                for twists in _twist_vectors(coeffs, hk):
-                    chain = ExtensionChain(params=p, steps=tuple(zip(ranks, degs)),
-                                           twists=twists)
-                    out.append(_describe(p, k, chain, exp))
+        for steps, twists in _deg_vectors(p, l, hk, deg_bound, clipped):
+            chain = ExtensionChain(params=p, steps=steps, twists=twists)
+            out.append(_describe(p, k, chain, exp))
 
     if include_mixed:
         for r1 in range(1, p.r):

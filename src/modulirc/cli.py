@@ -8,10 +8,10 @@ the table format is human-oriented only.
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
+from itertools import chain
 
 from .params import (MAX_K, ConsistencyError, ParameterError, derive_params,
                      expected_dimension)
@@ -94,7 +94,6 @@ def _sweep_rows(p, k_min, k_max, include_candidates, max_l, deg_bound):
     r_bar | k, and the obstructed ones from one sieve over r1.  Only the
     candidate search runs per k."""
     obstructed, disagree = sieve_obstructed_expected(p, k_min, k_max)
-    rows = []
     for k, n_obstructed, disagrees in zip(range(k_min, k_max + 1), obstructed, disagree):
         torsion = int(k % p.r_bar == 0)
         exp_dim = expected_dimension(p, k)
@@ -107,7 +106,7 @@ def _sweep_rows(p, k_min, k_max, include_candidates, max_l, deg_bound):
             kinds = [d.kind for d in search.descriptors]
             if search.reasons:
                 flags.append("incomplete")
-        rows.append({
+        yield {
             "k": k,
             "unobstructedExt": p.h - torsion,
             "unobstructedTorsion": torsion,
@@ -118,13 +117,26 @@ def _sweep_rows(p, k_min, k_max, include_candidates, max_l, deg_bound):
             "minDim": min(dims),
             "maxDim": max(dims),
             "flags": ";".join(flags),
-        })
-    return rows
+        }
 
 
 _SWEEP_COLUMNS = ["k", "unobstructedExt", "unobstructedTorsion",
                   "obstructedExpected", "obstructedCandidate", "notComponent",
                   "expectedDim", "minDim", "maxDim", "flags"]
+
+
+def _write_sweep(args, rows, fh):
+    if args.format == "csv":  # streamed: one row in memory at a time
+        writer = csv.DictWriter(fh, fieldnames=_SWEEP_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    else:
+        fh.write(_dumps(_envelope(
+            "sweep",
+            {"g": args.g, "r": args.r, "d": args.d,
+             "kMin": args.k_min, "kMax": args.k_max,
+             "includeCandidates": args.include_candidates},
+            {"rows": list(rows)}, [])))
 
 
 def _cmd_sweep(args, out):
@@ -134,25 +146,14 @@ def _cmd_sweep(args, out):
             f"need 1 <= k-min <= k-max <= {MAX_K}, got [{args.k_min}, {args.k_max}]")
     rows = _sweep_rows(p, args.k_min, args.k_max, args.include_candidates,
                        args.max_l, args.deg_bound)
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=_SWEEP_COLUMNS,
-                                lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        text = buf.getvalue()
-    else:
-        text = _dumps(_envelope(
-            "sweep",
-            {"g": args.g, "r": args.r, "d": args.d,
-             "kMin": args.k_min, "kMax": args.k_max,
-             "includeCandidates": args.include_candidates},
-            {"rows": rows}, []))
+    # the first row is built before anything is written, so that an option
+    # the candidate search rejects exits with no output
+    rows = chain([next(rows)], rows)
     if args.out:
         tmp = args.out + ".tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                _write_sweep(args, rows, fh)
             os.replace(tmp, args.out)
         except BaseException as exc:
             if os.path.isfile(tmp):
@@ -161,7 +162,7 @@ def _cmd_sweep(args, out):
                 raise ParameterError(f"cannot write {args.out}: {exc.strerror}") from exc
             raise
     else:
-        out.write(text)
+        _write_sweep(args, rows, out)
     return EXIT_OK
 
 

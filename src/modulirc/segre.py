@@ -54,28 +54,6 @@ def stratum_codimension(p, r_prime, s):
     return SegreStratum(params=p, r_prime=r_prime, s=s, codim=codim, next_s=next_s)
 
 
-def elementary_transform_segre(s, r1, r):
-    """Segre invariant after a generic elementary transformation: s + r1 - r."""
-    if not 1 <= r1 <= r - 1:
-        raise ParameterError(f"r1 must lie in [1, r-1], got {r1}")
-    return s + r1 - r
-
-
-def nonstable_codim_bound(r1, r2, g):
-    """Lower bound r1*r2*(g-1) for the codimension of the non-stable locus in
-    a space of extensions of generic bundles of ranks r1, r2."""
-    if r1 < 1 or r2 < 1:
-        raise ParameterError("ranks must be >= 1")
-    if g < 2:
-        raise ParameterError(f"genus must be >= 2, got {g}")
-    return r1 * r2 * (g - 1)
-
-
-def lines_avoid_unstable_locus(r1, r2, g):
-    """Whether whole lines fit inside the stable locus (codim bound >= 2)."""
-    return nonstable_codim_bound(r1, r2, g) >= 2
-
-
 @dataclass(frozen=True)
 class ConnectivityResult:
     params: ModuliParams

@@ -1,13 +1,25 @@
-"""The window chain search against the degree-box search it replaced.
+"""The one-pass chain walk against the enumerators it replaced.
 
-`_box_deg_vectors` and `_linear_two_step` are the former enumerators, kept
-as reference oracles: the box search walks every entry over
--deg_bound..deg_bound and prunes with the chain's least possible degree, and
-the two-step search tries every twist 2..hk.
+`_compositions`, `_box_deg_vectors`, `_twist_vectors` and `_linear_two_step`
+are the former enumerators, kept as reference oracles: the rank
+compositions, the box search that walks every degree entry over
+-deg_bound..deg_bound and prunes with the chain's least possible degree, the
+twist vectors of each degree vector's coefficients, and the two-step search
+that tries every twist 2..hk.
 """
 
 from modulirc import derive_params, enumerate_candidates
-from modulirc.classifier import _compositions, _deg_vectors
+from modulirc.classifier import _deg_vectors
+
+
+def _compositions(total, parts):
+    if parts == 1:
+        if total >= 1:
+            yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
 
 
 def _box_deg_vectors(ranks, d_total, deg_bound, hk_target):
@@ -46,6 +58,29 @@ def _box_deg_vectors(ranks, d_total, deg_bound, hk_target):
     return results
 
 
+def _twist_vectors(coeffs, hk):
+    """All positive integer vectors a with sum(a_j * coeffs[j]) == hk.
+
+    coeffs are the telescoped per-twist degree coefficients, all >= 1.
+    """
+    out = []
+
+    def rec(idx, remaining, acc):
+        c = coeffs[idx]
+        if idx == len(coeffs) - 1:
+            if remaining >= c and remaining % c == 0:
+                out.append(tuple(acc + [remaining // c]))
+            return
+        min_rest = sum(coeffs[idx + 1:])
+        a = 1
+        while a * c + min_rest <= remaining:
+            rec(idx + 1, remaining - a * c, acc + [a])
+            a += 1
+
+    rec(0, hk, [])
+    return out
+
+
 def _linear_two_step(p, hk):
     """(r1, d1, a) of every two-step datum with twist a >= 2 off the equality case."""
     out = []
@@ -67,53 +102,62 @@ def _prefix_coeffs(ranks, degs, d):
     return tuple(sum(ranks[:j]) * d - sum(degs[:j]) * r for j in range(1, len(ranks)))
 
 
-def _window(ranks, d, hk, deg_bound):
+def _reference(p, l, hk, deg_bound):
+    """Sorted (steps, twists) of the chains of length l and degree hk, from
+    the rank compositions, the box search and the twist vectors."""
+    out = []
+    for ranks in _compositions(p.r, l):
+        for degs in _box_deg_vectors(ranks, p.d, deg_bound, hk):
+            for twists in _twist_vectors(_prefix_coeffs(ranks, degs, p.d), hk):
+                out.append((tuple(zip(ranks, degs)), twists))
+    return sorted(out)
+
+
+def _walk(p, l, hk, deg_bound):
     clipped = []
-    pairs = _deg_vectors(ranks, d, hk, deg_bound, clipped)
-    for degs, coeffs in pairs:
-        assert coeffs == _prefix_coeffs(ranks, degs, d)
-        assert min(coeffs) >= 1 and sum(coeffs) <= hk
-    return [degs for degs, _ in pairs], bool(clipped)
+    chains = sorted(_deg_vectors(p, l, hk, deg_bound, clipped))
+    for steps, twists in chains:
+        ranks, degs = zip(*steps)
+        coeffs = _prefix_coeffs(ranks, degs, p.d)
+        assert min(coeffs) >= 1
+        assert sum(a * c for a, c in zip(twists, coeffs)) == hk
+    return chains, bool(clipped)
 
 
-def _rank_compositions(r_values, l_values):
-    for r in r_values:
-        for l in l_values:
-            yield from _compositions(r, l)
+def _grid(ks):
+    for g in (2, 3):
+        for r in range(3, 6):
+            for d in range(-4, 5):
+                p = derive_params(g, r, d)
+                for k in ks:
+                    for l in (3, 4):
+                        yield p, l, p.h * k
 
 
 def test_window_equals_box_search_at_small_bounds():
-    clips = {"lost a vector": 0, "lost none": 0}
-    for g in (2, 3):
-        for d in range(-4, 5):
-            for k in range(1, 7):
-                for ranks in _rank_compositions(range(3, 6), (3, 4)):
-                    hk = derive_params(g, sum(ranks), d).h * k
-                    full, full_clipped = _window(ranks, d, hk, 10**9)
-                    assert not full_clipped
-                    for deg_bound in range(4):
-                        degs, clipped = _window(ranks, d, hk, deg_bound)
-                        assert degs == _box_deg_vectors(ranks, d, deg_bound, hk)
-                        # a search the bound did not clip misses nothing
-                        assert clipped or degs == full
-                        if clipped:
-                            clips["lost a vector" if degs != full else "lost none"] += 1
-    # a clip that loses nothing cut a prefix with no completion; the floors
-    # c_j >= j*(l-j) leave fewer of those than c_j >= 1 did (954 then)
-    assert clips == {"lost a vector": 532, "lost none": 462}
+    clips = {"lost a chain": 0, "lost none": 0}
+    for p, l, hk in _grid(range(1, 7)):
+        full, full_clipped = _walk(p, l, hk, 10**9)
+        assert not full_clipped
+        for deg_bound in range(4):
+            chains, clipped = _walk(p, l, hk, deg_bound)
+            assert chains == _reference(p, l, hk, deg_bound)
+            # a search the bound did not clip misses nothing
+            assert clipped or chains == full
+            if clipped:
+                clips["lost a chain" if chains != full else "lost none"] += 1
+    # the last entry is reached only after the last twist completes, so a
+    # clip there always loses a chain; a clip that loses nothing cut an
+    # earlier entry at values that no chain completes
+    assert clips == {"lost a chain": 246, "lost none": 216}
 
 
 def test_window_equals_box_search_at_analytic_bound():
-    for g in (2, 3):
-        for d in range(-4, 5):
-            for k in range(1, 4):
-                for ranks in _rank_compositions(range(3, 6), (3, 4)):
-                    r = sum(ranks)
-                    hk = derive_params(g, r, d).h * k
-                    bound = r * abs(d) + hk + 1
-                    degs, clipped = _window(ranks, d, hk, bound)
-                    assert not clipped
-                    assert degs == _box_deg_vectors(ranks, d, bound, hk)
+    for p, l, hk in _grid(range(1, 4)):
+        bound = p.r * abs(p.d) + hk + 1
+        chains, clipped = _walk(p, l, hk, bound)
+        assert not clipped
+        assert chains == _reference(p, l, hk, bound)
 
 
 def test_two_step_divisors_equal_linear_search():

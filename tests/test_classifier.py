@@ -162,9 +162,15 @@ class TestCandidates:
                                   "below analytic bound 13"]
 
     def test_bound_that_cuts_nothing_is_complete(self):
-        # no chain of length 3 has degree hk = 3, so deg_bound 0 cuts nothing
-        search = enumerate_candidates(derive_params(2, 3, 1), 3, max_l=3, deg_bound=0)
-        assert search.longest_l == 2 and not search.reasons
+        # at (2, 3, 1, 3) no chain of length 3 has degree hk = 3; at
+        # (2, 3, 5, 10) the bound cuts only prefixes no twist vector completes
+        for (g, r, d, k), deg_bound in (((2, 3, 1, 3), 0), ((2, 3, 5, 10), 2)):
+            p = derive_params(g, r, d)
+            search = enumerate_candidates(p, k, max_l=3, deg_bound=deg_bound)
+            assert not search.reasons, (g, r, d, k)
+            assert search.descriptors == \
+                enumerate_candidates(p, k, max_l=3, deg_bound=10**9).descriptors
+        assert enumerate_candidates(derive_params(2, 3, 1), 3).longest_l == 2
 
     def test_deg_bound_only_clips(self):
         p = derive_params(2, 3, 1)

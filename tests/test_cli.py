@@ -134,6 +134,16 @@ class TestSweep:
                         "--k-min", "5", "--k-max", "2"])
         assert code == 1
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rejected_search_option_writes_nothing(self, tmp_path, fmt):
+        argv = ["sweep", "--g", "2", "--r", "3", "--d", "1", "--k-min", "1",
+                "--k-max", "3", "--include-candidates", "--max-l", "1",
+                "--format", fmt]
+        assert _run(argv) == (1, "")
+        out = tmp_path / "sweep.out"
+        assert _run(argv + ["--out", str(out)]) == (1, "")
+        assert not list(tmp_path.iterdir())
+
 
 class TestVerify:
     def test_all_suites_pass(self):

@@ -4,13 +4,10 @@ from hypothesis import given, strategies as st
 from modulirc import (
     ParameterError,
     derive_params,
-    elementary_transform_segre,
     generic_segre,
     min_connecting_degree,
-    nonstable_codim_bound,
     stratum_codimension,
 )
-from modulirc.segre import lines_avoid_unstable_locus
 
 
 class TestGenericSegre:
@@ -72,19 +69,6 @@ class TestStratumCodim:
             s += r
         assert prev.codim == 0
         assert prev.next_s == -1
-
-
-def test_elementary_transform():
-    assert elementary_transform_segre(2, 1, 3) == 0
-    assert elementary_transform_segre(3, 1, 4) == 0  # s = r - r1 cancels
-    assert elementary_transform_segre(5, 2, 3) == 4
-
-
-def test_nonstable_codim_bound():
-    assert nonstable_codim_bound(1, 1, 2) == 1
-    assert nonstable_codim_bound(2, 3, 3) == 12
-    assert not lines_avoid_unstable_locus(1, 1, 2)
-    assert lines_avoid_unstable_locus(1, 1, 3)
 
 
 class TestConnectivity:

@@ -46,10 +46,10 @@ def _compare_grid(gs, rs, ds, k_max, **search):
         for r in rs:
             for d in ds:
                 p = derive_params(g, r, d)
-                rows = _sweep_rows(p, 1, k_max, **options)
+                rows = list(_sweep_rows(p, 1, k_max, **options))
                 assert rows == _classified_rows(p, 1, k_max, **options), (g, r, d)
                 # a window that starts past k = 1 sieves from its own start
-                assert _sweep_rows(p, 7, k_max, **options) == rows[6:], (g, r, d)
+                assert list(_sweep_rows(p, 7, k_max, **options)) == rows[6:], (g, r, d)
                 seen.add("h=1" if p.h == 1 else "h=r" if p.h == r else "1<h<r")
                 for row in rows:
                     seen.update(row["flags"].split(";"))
@@ -84,7 +84,7 @@ def test_rank_1000_rows_equal_classified_rows_at_sampled_k():
     seen = set()
     for d in (0, 500):
         p = derive_params(2, 1000, d)
-        rows = _sweep_rows(p, 1, 20000, False, 3, None)
+        rows = list(_sweep_rows(p, 1, 20000, False, 3, None))
         for k in sample:
             assert [rows[k - 1]] == _classified_rows(p, k, k, False, 3, None), (d, k)
             seen.add((rows[k - 1]["obstructedExpected"] > 0, rows[k - 1]["flags"]))
