@@ -9,7 +9,7 @@ exhaustive enumeration of obstructed candidate families (two-step with twist
 
 from dataclasses import dataclass
 from enum import Enum
-from math import comb, gcd, isqrt
+from math import comb, isqrt
 
 from .params import (MAX_K, ConsistencyError, ModuliParams, ParameterError,
                      derive_params, expected_dimension, solve_dioph)
@@ -245,18 +245,20 @@ def sieve_obstructed_expected(p, k_min, k_max):
     `enumerate_obstructed_expected` finds at each k, for a range at once.
 
     This restates that test per r1.  With divisor = r1*(r-r1)*(g-1), the
-    congruence r | r1*d - divisor does not depend on k; when it holds, the
-    test passes exactly at the k that are multiples of divisor/gcd(divisor, h)
-    (so that divisor | hk) with hk >= 2*divisor.  The literal reading passes
-    at the multiples of divisor, which are among those k.  So each r1 visits
-    only its multiples of that step in the range.
+    congruence r | r1*d - divisor does not depend on k; when it holds, h
+    divides divisor (h divides r and d), and the test passes exactly at the k
+    that are multiples of step = divisor/h (so that divisor | hk) with
+    k >= 2*step.  The literal reading passes at the multiples of divisor,
+    which are among those k.  So each r1 visits only its multiples of step in
+    the range.
     """
     n = k_max - k_min + 1
     counts, disagree = [0] * n, [False] * n
     for r1 in range(1, p.r):
         divisor = r1 * (p.r - r1) * (p.g - 1)
         if (r1 * p.d - divisor) % p.r == 0:
-            step, low = divisor // gcd(divisor, p.h), -(-2 * divisor // p.h)
+            step = divisor // p.h
+            low = 2 * step
         else:  # the constructive test never passes
             step, low = divisor, k_max + 1
         for k in range(-(-k_min // step) * step, k_max + 1, step):
@@ -362,18 +364,14 @@ def enumerate_candidates(p, k, max_l=3, deg_bound=None, include_mixed=False):
     # pairwise term r_i*d_j - r_j*d_i is >= 1 and carries weight >= j - i
     longest_l = max(l for l in range(1, p.r + 1) if comb(l + 1, 3) <= hk)
 
-    # two-step, twist a >= 2 dividing hk; the equality case is routed to
-    # enumerate_obstructed_expected instead
-    small = [q for q in range(1, isqrt(hk) + 1) if hk % q == 0]
-    for a in {*small, *(hk // q for q in small)} - {1}:
-        c0 = hk // a
-        for r1 in range(1, p.r):
-            if (r1 * p.d - c0) % p.r != 0:
-                continue
-            d1 = (r1 * p.d - c0) // p.r
-            if c0 == r1 * (p.r - r1) * (p.g - 1):
-                continue
-            out.append(_describe(p, k, two_step_chain(p, r1, d1, a), exp))
+    # two-step, twist a >= 2: h divides r1*d - r*d1, so hk = a*(r1*d - r*d1)
+    # asks a | k and (r1, d1) solving the degree equation at k/a; the
+    # equality case is routed to enumerate_obstructed_expected instead
+    small = [q for q in range(1, isqrt(k) + 1) if k % q == 0]
+    for a in {*small, *(k // q for q in small)} - {1}:
+        for r1, d1 in solve_dioph(p, k // a):
+            if r1 >= 1 and hk // a != r1 * (p.r - r1) * (p.g - 1):
+                out.append(_describe(p, k, two_step_chain(p, r1, d1, a), exp))
 
     # chains of length >= 3
     for l in range(3, min(max_l, longest_l) + 1):
@@ -382,14 +380,12 @@ def enumerate_candidates(p, k, max_l=3, deg_bound=None, include_mixed=False):
             out.append(_describe(p, k, chain, exp))
 
     if include_mixed:
-        for r1 in range(1, p.r):
-            t = 1
-            while hk - p.r * t - r1 * t > 0:
-                if (r1 * p.d + p.r * t - hk) % p.r == 0:
-                    d1 = (r1 * p.d + p.r * t - hk) // p.r
-                    datum = MixedDatum(params=p, r1=r1, d1=d1, t=t)
-                    out.append(_describe(p, k, datum, exp))
-                t += 1
+        # a mixed family of degree k is a solution (r1, y) at k, r1 >= 1, with
+        # d1 = y + t; its slopes increase exactly when (r + r1)*t < hk
+        for r1, y in solve_dioph(p, k):
+            for t in range(1, -(-hk // (p.r + r1)) if r1 >= 1 else 1):
+                datum = MixedDatum(params=p, r1=r1, d1=y + t, t=t)
+                out.append(_describe(p, k, datum, exp))
 
     out.sort(key=_sort_key)
     return CandidateSearch(descriptors=tuple(out), max_l=max_l, deg_bound=deg_bound,

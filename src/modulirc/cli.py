@@ -126,17 +126,27 @@ _SWEEP_COLUMNS = ["k", "unobstructedExt", "unobstructedTorsion",
 
 
 def _write_sweep(args, rows, fh):
-    if args.format == "csv":  # streamed: one row in memory at a time
+    """Write the rows as they come, one row in memory at a time."""
+    if args.format == "csv":
         writer = csv.DictWriter(fh, fieldnames=_SWEEP_COLUMNS, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
-    else:
-        fh.write(_dumps(_envelope(
-            "sweep",
-            {"g": args.g, "r": args.r, "d": args.d,
-             "kMin": args.k_min, "kMax": args.k_max,
-             "includeCandidates": args.include_candidates},
-            {"rows": list(rows)}, [])))
+        return
+    # the envelope's text around a one-row placeholder; the rows take its
+    # place, each indented to the placeholder's depth
+    head, _, tail = _dumps(_envelope(
+        "sweep",
+        {"g": args.g, "r": args.r, "d": args.d,
+         "kMin": args.k_min, "kMax": args.k_max,
+         "includeCandidates": args.include_candidates},
+        {"rows": [None]}, [])).partition("null")
+    indent = "\n" + head.rpartition("\n")[2]
+    fh.write(head)
+    for i, row in enumerate(rows):
+        if i:
+            fh.write("," + indent)
+        fh.write(json.dumps(row, indent=2).replace("\n", indent))
+    fh.write(tail)
 
 
 def _cmd_sweep(args, out):

@@ -1,15 +1,17 @@
 """The one-pass chain walk against the enumerators it replaced.
 
-`_compositions`, `_box_deg_vectors`, `_twist_vectors` and `_linear_two_step`
-are the former enumerators, kept as reference oracles: the rank
-compositions, the box search that walks every degree entry over
+`_compositions`, `_box_deg_vectors`, `_twist_vectors`, `_linear_two_step`
+and `_linear_mixed` are the former enumerators, kept as reference oracles:
+the rank compositions, the box search that walks every degree entry over
 -deg_bound..deg_bound and prunes with the chain's least possible degree, the
-twist vectors of each degree vector's coefficients, and the two-step search
-that tries every twist 2..hk.
+twist vectors of each degree vector's coefficients, the two-step search that
+tries every twist 2..hk at every r1, and the mixed search that tries every
+torsion degree t at every r1.
 """
 
 from modulirc import derive_params, enumerate_candidates
 from modulirc.classifier import _deg_vectors
+from modulirc.families import MixedDatum
 
 
 def _compositions(total, parts):
@@ -97,6 +99,18 @@ def _linear_two_step(p, hk):
     return out
 
 
+def _linear_mixed(p, hk):
+    """(r1, d1, t) of every mixed datum of degree hk / h."""
+    out = []
+    for r1 in range(1, p.r):
+        t = 1
+        while hk - p.r * t - r1 * t > 0:
+            if (r1 * p.d + p.r * t - hk) % p.r == 0:
+                out.append((r1, (r1 * p.d + p.r * t - hk) // p.r, t))
+            t += 1
+    return out
+
+
 def _prefix_coeffs(ranks, degs, d):
     r = sum(ranks)
     return tuple(sum(ranks[:j]) * d - sum(degs[:j]) * r for j in range(1, len(ranks)))
@@ -169,3 +183,18 @@ def test_two_step_divisors_equal_linear_search():
                     found = [(c.datum.steps[0][0], c.datum.steps[0][1], c.datum.twists[0])
                              for c in enumerate_candidates(p, k, max_l=2).descriptors]
                     assert sorted(found) == sorted(_linear_two_step(p, p.h * k))
+
+
+def test_mixed_solutions_equal_linear_search():
+    shapes = set()
+    for g in (2, 3):
+        for r in range(2, 6):
+            for d in range(-4, 5):
+                p = derive_params(g, r, d)
+                shapes.add("h = 1" if p.h == 1 else "h = r" if p.h == r else "1 < h < r")
+                for k in range(1, 40):
+                    search = enumerate_candidates(p, k, max_l=2, include_mixed=True)
+                    found = [(c.datum.r1, c.datum.d1, c.datum.t) for c in search.descriptors
+                             if isinstance(c.datum, MixedDatum)]
+                    assert sorted(found) == sorted(_linear_mixed(p, p.h * k))
+    assert shapes == {"h = 1", "1 < h < r", "h = r"}

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -9,7 +10,8 @@ import sys
 import pytest
 
 import modulirc
-from modulirc.cli import SCHEMA_VERSION, main
+from modulirc import derive_params
+from modulirc.cli import SCHEMA_VERSION, _dumps, _envelope, _sweep_rows, _write_sweep, main
 
 
 def _run(argv):
@@ -143,6 +145,28 @@ class TestSweep:
         out = tmp_path / "sweep.out"
         assert _run(argv + ["--out", str(out)]) == (1, "")
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_each_row_written_before_the_next_is_built(self, fmt):
+        args = argparse.Namespace(format=fmt, g=2, r=4, d=2, k_min=1, k_max=5,
+                                  include_candidates=False)
+        rows = list(_sweep_rows(derive_params(2, 4, 2), 1, 5, False, 3, None))
+        fh = io.StringIO()
+
+        def pulled():
+            for i, row in enumerate(rows):
+                if i:
+                    k = rows[i - 1]["k"]
+                    assert (f'"k": {k},' if fmt == "json" else f"\n{k},") in fh.getvalue()
+                yield row
+
+        _write_sweep(args, pulled(), fh)
+        if fmt == "csv":
+            assert fh.getvalue().count("\n") == len(rows) + 1
+        else:  # the streamed text is the whole document's
+            inputs = {"g": 2, "r": 4, "d": 2, "kMin": 1, "kMax": 5,
+                      "includeCandidates": False}
+            assert fh.getvalue() == _dumps(_envelope("sweep", inputs, {"rows": rows}, []))
 
 
 class TestVerify:
