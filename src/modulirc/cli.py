@@ -13,8 +13,8 @@ import os
 import sys
 from itertools import chain
 
-from .params import (MAX_K, ConsistencyError, ParameterError, derive_params,
-                     expected_dimension)
+from .params import (MAX_GENUS, MAX_K, ConsistencyError, ParameterError,
+                     derive_params, expected_dimension)
 from .classifier import (Kind, classify, enumerate_candidates,
                          sieve_obstructed_expected)
 from .segre import generic_segre, min_connecting_degree, stratum_codimension
@@ -24,6 +24,14 @@ SCHEMA_VERSION = "1.0"
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FAILURE = 2
+
+# upper bounds of `verify`: each caps one loop of the oracle suites, so every
+# accepted argv ends in bounded time and every value stays inside int64
+MAX_TRIALS = 10**6            # seeded trials of each random suite
+MAX_VERIFY_L = 12             # chain lengths 3..max_l
+MAX_RANK_TUPLES = 10**5       # one array pass per rank tuple
+MAX_CHAINS = 5 * 10**7        # rank tuples times degree vectors
+MAX_CELLS = 10**9             # chains times twist vectors times genera
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,6 +133,25 @@ _SWEEP_COLUMNS = ["k", "unobstructedExt", "unobstructedTorsion",
                   "expectedDim", "minDim", "maxDim", "flags"]
 
 
+def _write_streamed(fh, command, inputs, key, items):
+    """Write the envelope of `command` whose results are {key: items}, as
+    `_dumps` would, with one item in memory at a time.  There must be at
+    least one item."""
+    # the envelope's text around a one-item placeholder, a string that no
+    # input holds (segre's inputs may hold null); the items take its place,
+    # each indented to the placeholder's depth
+    marker = "\0items"
+    head, _, tail = _dumps(_envelope(
+        command, inputs, {key: [marker]}, [])).partition(json.dumps(marker))
+    indent = "\n" + head.rpartition("\n")[2]
+    fh.write(head)
+    for i, item in enumerate(items):
+        if i:
+            fh.write("," + indent)
+        fh.write(json.dumps(item, indent=2).replace("\n", indent))
+    fh.write(tail)
+
+
 def _write_sweep(args, rows, fh):
     """Write the rows as they come, one row in memory at a time."""
     if args.format == "csv":
@@ -132,21 +159,11 @@ def _write_sweep(args, rows, fh):
         writer.writeheader()
         writer.writerows(rows)
         return
-    # the envelope's text around a one-row placeholder; the rows take its
-    # place, each indented to the placeholder's depth
-    head, _, tail = _dumps(_envelope(
-        "sweep",
-        {"g": args.g, "r": args.r, "d": args.d,
-         "kMin": args.k_min, "kMax": args.k_max,
-         "includeCandidates": args.include_candidates},
-        {"rows": [None]}, [])).partition("null")
-    indent = "\n" + head.rpartition("\n")[2]
-    fh.write(head)
-    for i, row in enumerate(rows):
-        if i:
-            fh.write("," + indent)
-        fh.write(json.dumps(row, indent=2).replace("\n", indent))
-    fh.write(tail)
+    _write_streamed(fh, "sweep",
+                    {"g": args.g, "r": args.r, "d": args.d,
+                     "kMin": args.k_min, "kMax": args.k_max,
+                     "includeCandidates": args.include_candidates},
+                    "rows", rows)
 
 
 def _cmd_sweep(args, out):
@@ -185,6 +202,23 @@ def _cmd_verify(args, out):
         if value < low:
             flag = name.replace("_", "-")
             raise ParameterError(f"--{flag} must be >= {low}, got {value}")
+    for flag, value, high in (("trials", args.trials, MAX_TRIALS),
+                              ("g-bound", args.g_bound, MAX_GENUS),
+                              ("max-l", args.max_l, MAX_VERIFY_L)):
+        if value > high:
+            raise ParameterError(f"--{flag} must be <= {high}, got {value}")
+    lengths = range(3, args.max_l + 1)
+    tuples = sum(args.rank_bound ** l for l in lengths)
+    chains = sum((args.rank_bound * (2 * args.deg_bound + 1)) ** l for l in lengths)
+    cells = sum((args.rank_bound * (2 * args.deg_bound + 1)) ** l
+                * args.twist_bound ** (l - 1) for l in lengths) * (args.g_bound - 1)
+    for count, what, flags, high in (
+            (tuples, "rank tuples", "--max-l and --rank-bound", MAX_RANK_TUPLES),
+            (chains, "chains", "--max-l, --rank-bound and --deg-bound", MAX_CHAINS),
+            (cells, "cells", "--max-l, --rank-bound, --deg-bound, --twist-bound "
+                             "and --g-bound", MAX_CELLS)):
+        if count > high:
+            raise ParameterError(f"{flags} give {count} {what}, more than {high}")
     # imported here so that no other command loads numpy
     from .oracle import (verify_chain_dimension_equivalence, verify_claim_inequality,
                          verify_component_counts, verify_degree_telescoping,
@@ -235,10 +269,9 @@ def _cmd_verify(args, out):
     return EXIT_OK if ok else EXIT_FAILURE
 
 
-def _cmd_segre(args, out):
-    p = derive_params(args.g, args.r, args.d)
-    r_primes = [args.r_prime] if args.r_prime is not None else range(1, p.r)
-    results = []
+def _segre_rows(p, r_primes):
+    """One table row per r', with its strata from the least positive
+    s = r'd (mod r) up to the dense one."""
     for rp in r_primes:
         s_gen = generic_segre(p, rp)
         strata = []
@@ -247,11 +280,18 @@ def _cmd_segre(args, out):
             st = stratum_codimension(p, rp, s)
             strata.append({"s": st.s, "codim": st.codim, "nextS": st.next_s})
             s = st.next_s
-        results.append({"rPrime": rp, "genericS": s_gen, "strata": strata})
-    out.write(_dumps(_envelope(
-        "segre", {"g": args.g, "r": args.r, "d": args.d,
-                  "rPrime": args.r_prime},
-        {"table": results}, [])))
+        yield {"rPrime": rp, "genericS": s_gen, "strata": strata}
+
+
+def _cmd_segre(args, out):
+    p = derive_params(args.g, args.r, args.d)
+    r_primes = [args.r_prime] if args.r_prime is not None else range(1, p.r)
+    rows = _segre_rows(p, r_primes)
+    # the first row is built before anything is written, so that a rejected
+    # r' exits with no output
+    _write_streamed(out, "segre",
+                    {"g": args.g, "r": args.r, "d": args.d, "rPrime": args.r_prime},
+                    "table", chain([next(rows)], rows))
     return EXIT_OK
 
 

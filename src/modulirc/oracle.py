@@ -23,9 +23,12 @@ from .families import (
     two_step_chain,
 )
 from .params import solve_dioph
-from .rng import SplitMix64
+from .rng import randint, splitmix64
 
 COUNTEREXAMPLE_CAP = 10
+# array entries per pass of a suite: blocks of this size keep peak memory
+# flat however many trials, grid rows or twist vectors a run asks for
+_BLOCK = 1 << 16
 
 
 @dataclass
@@ -57,6 +60,31 @@ def _report(suite, trials, failures, counterexamples, notes=""):
         counterexamples=counterexamples[:COUNTEREXAMPLE_CAP], notes=notes)
 
 
+def _blocks(n, size):
+    """(start, stop) pairs that cover range(n) in order, `size` at a time."""
+    size = max(1, size)
+    return ((i, min(i + size, n)) for i in range(0, n, size))
+
+
+def _first_rows(bad, rows, cex):
+    """The number of rows where `bad` holds; the first of them are appended
+    to `cex` as tuples, up to COUNTEREXAMPLE_CAP in all."""
+    hits = np.flatnonzero(bad)
+    cex += map(tuple, rows[hits[:COUNTEREXAMPLE_CAP - len(cex)]].tolist())
+    return len(hits)
+
+
+def _keep_first(cands, found):
+    """Merge (key, counterexample) pairs into `cands` and keep the
+    COUNTEREXAMPLE_CAP of smallest key.  A key is the counterexample's place
+    in the loop order of the scalar suite (the trial, or the length, rank
+    tuple, genus, twist vector and degree vector), so blocks may be
+    evaluated in any order."""
+    cands += found
+    cands.sort()
+    del cands[COUNTEREXAMPLE_CAP:]
+
+
 def _a_term(r, d, g, i, k):
     return r[i] * d[k] - r[k] * d[i] - r[i] * r[k] * (g - 1)
 
@@ -70,25 +98,21 @@ def verify_three_term_identities(trials=10000, seed=0):
     counterexamples; the plus-sign relation is a polynomial identity and must
     pass with zero failures.
     """
-    rng = SplitMix64(seed)
     printed_fail, corrected_fail = 0, 0
     printed_cex, corrected_cex = [], []
-    for _ in range(trials):
-        r = tuple(rng.randint(1, 6) for _ in range(3))
-        d = tuple(rng.randint(-10, 10) for _ in range(3))
-        g = rng.randint(2, 5)
+    # a trial draws r1, r2, r3, d1, d2, d3 and g: one row of 7 draws
+    for start, stop in _blocks(trials, _BLOCK // 7):
+        n = stop - start
+        draws = randint(splitmix64(seed, 7 * start, 7 * n).reshape(n, 7),
+                        (1, 1, 1, -10, -10, -10, 2), (6, 6, 6, 10, 10, 10, 5))
+        r, d, g = draws[:, :3].T, draws[:, 3:6].T, draws[:, 6]
         a12 = _a_term(r, d, g, 0, 1)
         a23 = _a_term(r, d, g, 1, 2)
         a13 = _a_term(r, d, g, 0, 2)
         rhs = r[1] * a13 - r[0] * r[1] * r[2] * (g - 1)
-        if r[2] * a12 - r[0] * a23 != rhs:
-            printed_fail += 1
-            if len(printed_cex) < COUNTEREXAMPLE_CAP:
-                printed_cex.append(r + d + (g,))
-        if r[2] * a12 + r[0] * a23 != rhs:
-            corrected_fail += 1
-            if len(corrected_cex) < COUNTEREXAMPLE_CAP:
-                corrected_cex.append(r + d + (g,))
+        printed_fail += _first_rows(r[2] * a12 - r[0] * a23 != rhs, draws, printed_cex)
+        corrected_fail += _first_rows(r[2] * a12 + r[0] * a23 != rhs, draws,
+                                      corrected_cex)
     printed = _report(
         "three_term_printed", trials, printed_fail, printed_cex,
         notes="minus-sign form as displayed; expected to fail in general")
@@ -98,40 +122,84 @@ def verify_three_term_identities(trials=10000, seed=0):
     return printed, corrected
 
 
+def _random_chains(trials, seed):
+    """The seeded random chains of the telescoping suite, drawn from one
+    stream: a trial draws its length l in 2..6, then l ranks in 1..4, l
+    degrees in -10..10 and l - 1 twists in 1..4.  Yields (l, trial indices,
+    draws) block by block and length by length, one row of 3l - 1 draws per
+    trial."""
+    drawn = 0
+    for start, stop in _blocks(trials, _BLOCK // 18):
+        n = stop - start
+        # a trial takes 3l draws, at most 18, so n trials lie within 18n
+        u = splitmix64(seed, drawn, 18 * n)
+        spans = (3 * randint(u, 2, 6)).tolist()
+        offsets = []
+        at = 0
+        for _ in range(n):
+            offsets.append(at)
+            at += spans[at]
+        drawn += at
+        offsets = np.array(offsets)
+        lengths = randint(u[offsets], 2, 6)
+        for l in range(2, 7):
+            trial = np.flatnonzero(lengths == l)
+            yield l, start + trial, randint(
+                u[offsets[trial, None] + np.arange(1, 3 * l)],
+                [1] * l + [-10] * l + [1] * (l - 1), [4] * l + [10] * l + [4] * (l - 1))
+
+
 def verify_degree_telescoping(trials=10000, seed=0):
     """Compare the partial-sum and pairwise forms of the chain degree on
     seeded random chains: length 2..6, ranks in 1..4, degrees in -10..10,
     twists in 1..4.  No slope condition: this is a polynomial identity."""
-    rng = SplitMix64(seed)
     failures = 0
-    cex = []
-    for _ in range(trials):
-        l = rng.randint(2, 6)
-        ranks = [rng.randint(1, 4) for _ in range(l)]
-        degs = [rng.randint(-10, 10) for _ in range(l)]
-        twists = [rng.randint(1, 4) for _ in range(l - 1)]
-        r_tot, d_tot = sum(ranks), sum(degs)
-        partial = 0
-        pr = pd = 0
-        for j in range(l - 1):
-            pr += ranks[j]
-            pd += degs[j]
-            partial += (pr * d_tot - pd * r_tot) * twists[j]
-        pairwise = 0
-        for i in range(l):
-            for j in range(i + 1, l):
-                pairwise += (ranks[i] * degs[j] - ranks[j] * degs[i]) * sum(twists[i:j])
-        if partial != pairwise:
-            failures += 1
-            if len(cex) < COUNTEREXAMPLE_CAP:
-                cex.append(tuple(ranks) + tuple(degs) + tuple(twists))
-    return _report("degree_telescoping", trials, failures, cex,
+    cands = []
+    for l, trial, draws in _random_chains(trials, seed):
+        ranks, degs, twists = draws[:, :l], draws[:, l:2 * l], draws[:, 2 * l:]
+        pr, pd = np.cumsum(ranks, axis=1), np.cumsum(degs, axis=1)
+        partial = ((pr[:, :-1] * pd[:, -1:] - pd[:, :-1] * pr[:, -1:])
+                   * twists).sum(axis=1)
+        # sum(twists[i:j]) = twist_sum[:, j] - twist_sum[:, i]
+        twist_sum = np.zeros_like(ranks)
+        twist_sum[:, 1:] = np.cumsum(twists, axis=1)
+        pairwise = sum(
+            (ranks[:, i] * degs[:, j] - ranks[:, j] * degs[:, i])
+            * (twist_sum[:, j] - twist_sum[:, i])
+            for i, j in itertools.combinations(range(l), 2))
+        bad = np.flatnonzero(partial != pairwise)
+        if len(bad):
+            failures += len(bad)
+            bad = bad[:COUNTEREXAMPLE_CAP]
+            _keep_first(cands, zip(trial[bad].tolist(), map(tuple, draws[bad].tolist())))
+    return _report("degree_telescoping", trials, failures, [c for _, c in cands],
                    notes="partial-sum vs pairwise chain degree, exact")
 
 
-def _degree_grid(l, deg_bound):
-    side = np.arange(-deg_bound, deg_bound + 1, dtype=np.int64)
-    return np.array(list(itertools.product(side, repeat=l)), dtype=np.int64)
+def _product(side, length, start, stop):
+    """Rows start..stop-1 of itertools.product(range(side), repeat=length),
+    as an int64 array whose transpose, one row per entry, is contiguous."""
+    digits = np.unravel_index(np.arange(start, stop), (side,) * length)
+    return np.array(digits, dtype=np.int64).T
+
+
+def _degree_grid(l, deg_bound, start, stop):
+    """Rows start..stop-1 of the degree vectors in [-deg_bound, deg_bound]^l,
+    in the order of itertools.product."""
+    return _product(2 * deg_bound + 1, l, start, stop) - deg_bound
+
+
+def _grid_blocks(l, deg_bound):
+    """The degree vectors of length l in blocks of about _BLOCK entries:
+    (first row index, one row per vector)."""
+    for start, stop in _blocks((2 * deg_bound + 1) ** l, _BLOCK // l):
+        yield start, _degree_grid(l, deg_bound, start, stop)
+
+
+def _rank_tuples(l, rank_bound):
+    """Every rank tuple of length l with entries 1..rank_bound, in the order
+    of itertools.product, one per row."""
+    return _product(rank_bound, l, 0, rank_bound ** l) + 1
 
 
 def verify_claim_inequality(max_l=4, rank_bound=3, deg_bound=6, g_bound=4):
@@ -139,48 +207,84 @@ def verify_claim_inequality(max_l=4, rank_bound=3, deg_bound=6, g_bound=4):
     the per-split positivity hypothesis.
 
     The rational factor (g-1)/r is cleared by multiplying through by the
-    total rank; no division anywhere.
+    total rank.  For each rank tuple, the hypothesis
+    c_j = R_j·d - r·D_j >= (r - R_j)·R_j·(g-1) at every split j becomes one
+    largest admissible g - 1 per degree vector, the least floor quotient
+    c_j // ((r - R_j)·R_j), and the inequality's left side splits into a
+    g-free part and a multiple of g - 1.
     """
     trials = 0
     failures = 0
-    cex = []
+    cands = []
     for l in range(3, max_l + 1):
-        grid = _degree_grid(l, deg_bound)
-        prefix_d = np.cumsum(grid, axis=1)
-        d_tot = prefix_d[:, -1]
-        for ranks in itertools.product(range(1, rank_bound + 1), repeat=l):
-            rk = np.array(ranks, dtype=np.int64)
-            r_tot = int(rk.sum())
-            prefix_r = np.cumsum(rk)
-            triple_sum = sum(
-                ranks[m] * ranks[n] * ranks[p]
-                for m, n, p in itertools.combinations(range(l), 3))
-            for g in range(2, g_bound + 1):
-                gm = g - 1
-                mask = np.ones(len(grid), dtype=bool)
-                for j in range(l - 1):
-                    rj = int(prefix_r[j])
-                    dj = prefix_d[:, j]
-                    mask &= (rj * (d_tot - dj) - (r_tot - rj) * dj
-                             - (r_tot - rj) * rj * gm) >= 0
-                if not mask.any():
+        ranks_all = _rank_tuples(l, rank_bound)
+        r_tot = ranks_all.sum(axis=1)
+        prefix_r = np.cumsum(ranks_all, axis=1)[:, :-1]
+        split = (r_tot[:, None] - prefix_r) * prefix_r
+        # lhs = degs·coef - (g-1)·quad, the pair (i, j) weighing j - i - 1
+        idx = np.arange(l)
+        weight = np.triu(idx - idx[:, None] - 1, 1)
+        coef = ranks_all @ weight - ranks_all @ weight.T
+        quad = ((ranks_all @ weight) * ranks_all).sum(axis=1)
+        # e3, the elementary symmetric sum of degree 3 of the ranks
+        e1 = e2 = e3 = 0
+        for col in ranks_all.T:
+            e1, e2, e3 = e1 + col, e2 + e1 * col, e3 + e2 * col
+        # so the inequality fails where r·(degs·coef) < (g-1)·slack
+        slack = e3 + r_tot * quad
+        tuples = ranks_all.tolist()
+        for start, grid in _grid_blocks(l, deg_bound):
+            degs = grid.T
+            # prefix sums entry by entry: np.cumsum along the short axis of
+            # a block is several times slower
+            prefix_d = degs.copy()
+            for k in range(1, l):
+                prefix_d[k] += prefix_d[k - 1]
+            for t, ranks in enumerate(tuples):
+                c = prefix_r[t, :, None] * prefix_d[-1] - r_tot[t] * prefix_d[:-1]
+                # the rows that hold the hypothesis at g = 2, and how far up
+                rows = np.flatnonzero((c >= split[t, :, None]).all(axis=0))
+                if not len(rows):
                     continue
-                sub = grid[mask]
-                lhs = np.zeros(len(sub), dtype=np.int64)
-                for i in range(l):
-                    for j in range(i + 2, l):
-                        lhs += (j - i - 1) * (
-                            ranks[i] * sub[:, j] - ranks[j] * sub[:, i]
-                            - ranks[i] * ranks[j] * gm)
-                trials += int(mask.sum())
-                bad = r_tot * lhs < gm * triple_sum
-                nbad = int(bad.sum())
-                if nbad:
-                    failures += nbad
-                    for row in sub[bad][:COUNTEREXAMPLE_CAP - len(cex)]:
-                        cex.append(ranks + tuple(int(x) for x in row) + (g,))
-    return _report("claim_inequality", trials, failures, cex,
+                g_top = (c[:, rows] // split[t, :, None]).min(axis=0)
+                lhs = r_tot[t] * (coef[t] @ degs[:, rows])
+                for g in range(2, min(g_bound, int(g_top.max()) + 1) + 1):
+                    held = g_top >= g - 1
+                    trials += int(np.count_nonzero(held))
+                    bad = np.flatnonzero(held & (lhs < (g - 1) * slack[t]))
+                    if not len(bad):
+                        continue
+                    failures += len(bad)
+                    _keep_first(cands, (
+                        ((l, t, g, start + i), tuple(ranks + grid[i].tolist() + [g]))
+                        for i in rows[bad[:COUNTEREXAMPLE_CAP]].tolist()))
+    return _report("claim_inequality", trials, failures, [c for _, c in cands],
                    notes="summed inequality over hypothesis-satisfying chains")
+
+
+def _twist_sums(l, twist_bound, start, stop, pairs):
+    """Twist vectors start..stop-1 of length l - 1 with entries
+    1..twist_bound (in the order of itertools.product, one per row), and the
+    matrix of sum(twists[i:j]) with one row per twist vector and one column
+    per pair (i, j)."""
+    twists = _product(twist_bound, l - 1, start, stop) + 1
+    twist_sum = np.zeros((len(twists), l), dtype=np.int64)
+    twist_sum[:, 1:] = np.cumsum(twists, axis=1)
+    i, j = pairs
+    return twists, twist_sum[:, j] - twist_sum[:, i]
+
+
+def _scalar_dimension_check(g, ranks, degs, twists):
+    """One chain through the library formulas: its dimension meets the
+    expected one exactly when its certificate is <= 0, and the two differ by
+    the certificate."""
+    p = derive_params(g, sum(ranks), sum(degs))
+    chain = ExtensionChain(params=p, steps=tuple(zip(ranks, degs)), twists=twists)
+    k = multi_step_degree(chain)
+    dim = multi_step_dimension(chain)
+    cert = chain_dimension_excess_certificate(chain)
+    want = expected_dimension(p, k)
+    return (dim >= want) == (cert <= 0) and dim - want == -cert
 
 
 def verify_chain_dimension_equivalence(max_l=4, rank_bound=3, deg_bound=6,
@@ -188,70 +292,82 @@ def verify_chain_dimension_equivalence(max_l=4, rank_bound=3, deg_bound=6,
     """For every valid chain in range, the dimension meets or exceeds the
     expected dimension exactly when the signed certificate sum is <= 0.
 
-    The bulk sweep is vectorized; a deterministic sample of 50 chains is
-    pushed through the scalar formulas as well to tie the library functions
-    in.
+    The bulk sweep is vectorized: per rank tuple, with the pair terms of its
+    chains as the columns of T and the twist sums as the rows of W, the
+    degree is W·T, and dimension and certificate follow from W·T, the column
+    sums of T and (W - 1) times the rank products.  A deterministic sample
+    of 50 chains is pushed through the scalar formulas as well to tie the
+    library functions in.
     """
     trials = 0
     failures = 0
-    cex = []
+    cands = []
     spot_done = 0
     for l in range(3, max_l + 1):
-        grid = _degree_grid(l, deg_bound)
-        for ranks in itertools.product(range(1, rank_bound + 1), repeat=l):
-            r_tot = sum(ranks)
-            # strictly increasing slopes, adjacent checks suffice
-            mask = np.ones(len(grid), dtype=bool)
-            for i in range(l - 1):
-                mask &= grid[:, i] * ranks[i + 1] < grid[:, i + 1] * ranks[i]
-            if not mask.any():
-                continue
-            sub = grid[mask]
-            pair_terms = {}
-            for i in range(l):
-                for j in range(i + 1, l):
-                    pair_terms[i, j] = ranks[i] * sub[:, j] - ranks[j] * sub[:, i]
-            for g in range(2, g_bound + 1):
-                gm = g - 1
-                dim_m = (r_tot * r_tot - 1) * gm
-                for twists in itertools.product(range(1, twist_bound + 1),
-                                                repeat=l - 1):
-                    hk = np.zeros(len(sub), dtype=np.int64)
-                    dim = np.full(len(sub), dim_m, dtype=np.int64)
-                    cert = np.zeros(len(sub), dtype=np.int64)
-                    for (i, j), t in pair_terms.items():
-                        w = sum(twists[i:j])
-                        hk += t * w
-                        dim += t * (w + 1) + ranks[i] * ranks[j] * (w - 1) * gm
-                        cert += (t - ranks[i] * ranks[j] * gm) * (w - 1)
-                    excess = dim - (dim_m + 2 * hk)
-                    bad = (excess >= 0) != (cert <= 0)
-                    trials += len(sub)
-                    nbad = int(bad.sum())
-                    if nbad:
-                        failures += nbad
-                        for row in sub[bad][:COUNTEREXAMPLE_CAP - len(cex)]:
-                            cex.append(ranks + tuple(int(x) for x in row)
-                                       + twists + (g,))
-                    # spot-check a few rows through the scalar formulas
-                    if spot_done < 50:
-                        for row in sub[:2]:
-                            p = derive_params(g, r_tot, int(row.sum()))
-                            chain = ExtensionChain(
-                                params=p,
-                                steps=tuple(zip(ranks, (int(x) for x in row))),
-                                twists=twists)
-                            k = multi_step_degree(chain)
-                            scalar_dim = multi_step_dimension(chain)
-                            scalar_cert = chain_dimension_excess_certificate(chain)
-                            want = expected_dimension(p, k)
-                            if ((scalar_dim >= want) != (scalar_cert <= 0)
-                                    or scalar_dim - want != -scalar_cert):
-                                failures += 1
-                                cex.append(ranks + tuple(int(x) for x in row)
-                                           + twists + (g,))
-                            spot_done += 1
-    return _report("chain_dimension_equivalence", trials, failures, cex,
+        ranks_all = _rank_tuples(l, rank_bound)
+        pairs = i, j = np.triu_indices(l, 1)
+        n_twists = twist_bound ** (l - 1)
+        twist_block = min(n_twists, _BLOCK)
+        first_twists = _twist_sums(l, twist_bound, 0, twist_block, pairs)
+        firsts = {}  # rank tuple -> its first two slope-increasing degree vectors
+        for start, grid in _grid_blocks(l, deg_bound):
+            degs = grid.T
+            for t, rk in enumerate(ranks_all):
+                # strictly increasing slopes, adjacent checks suffice
+                rows = np.flatnonzero(
+                    (degs[:-1] * rk[1:, None] < degs[1:] * rk[:-1, None]).all(axis=0))
+                if not len(rows):
+                    continue
+                seen = firsts.setdefault(t, [])
+                seen += grid[rows[:2 - len(seen)]].tolist()
+                sub = degs[:, rows]
+                pair_terms = rk[i, None] * sub[j] - rk[j, None] * sub[i]
+                t_sum = pair_terms.sum(axis=0)
+                r_tot = int(rk.sum())
+                for w0, w1 in _blocks(n_twists, twist_block):
+                    twists, w = (first_twists if w0 == 0 else
+                                 _twist_sums(l, twist_bound, w0, w1, pairs))
+                    rr = ((w - 1) @ (rk[i] * rk[j]))[:, None]
+                    for c0, c1 in _blocks(len(rows), _BLOCK // (w1 - w0)):
+                        # one row per twist vector, one column per chain
+                        hk = w @ pair_terms[:, c0:c1]
+                        dim_free = hk + t_sum[c0:c1]
+                        cert_free = hk - t_sum[c0:c1]
+                        two_hk = 2 * hk
+                        trials += hk.size * (g_bound - 1)
+                        for g in range(2, g_bound + 1):
+                            gm = g - 1
+                            dim_m = (r_tot * r_tot - 1) * gm
+                            dim = dim_free + (dim_m + gm * rr)
+                            cert = cert_free - gm * rr
+                            bad = (dim - two_hk >= dim_m) != (cert <= 0)
+                            if not bad.any():
+                                continue
+                            bad = np.argwhere(bad)
+                            failures += len(bad)
+                            _keep_first(cands, (
+                                ((l, t, g, w0 + tw, 0, start + rows[c]),
+                                 tuple(rk.tolist() + grid[rows[c]].tolist()
+                                       + twists[tw].tolist() + [g]))
+                                for tw, c in (bad[:COUNTEREXAMPLE_CAP] + [0, c0]).tolist()))
+        # spot-check the first two chains of each rank tuple through the
+        # scalar formulas, in the order of the bulk sweep, 50 chains in all
+        spots = ((t, g, tw, twists) for t in sorted(firsts)
+                 for g in range(2, g_bound + 1)
+                 for tw, twists in enumerate(
+                     itertools.product(range(1, twist_bound + 1), repeat=l - 1)))
+        for t, g, tw, twists in spots:
+            if spot_done >= 50:
+                break
+            ranks = tuple(ranks_all[t].tolist())
+            for pos, degs in enumerate(firsts[t]):
+                if not _scalar_dimension_check(g, ranks, degs, twists):
+                    failures += 1
+                    _keep_first(cands, [((l, t, g, tw, 1, pos),
+                                         ranks + tuple(degs) + twists + (g,))])
+                spot_done += 1
+    return _report("chain_dimension_equivalence", trials, failures,
+                   [c for _, c in cands],
                    notes="dimension-vs-expected sign matches certificate sum")
 
 

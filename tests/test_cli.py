@@ -212,6 +212,41 @@ class TestVerify:
         assert text == ""
         assert "must be >=" in capsys.readouterr().err
 
+    # (argv at the upper bound, the same argv one step past it, the flag the
+    # rejection names); the identities suite reads none of the grid flags,
+    # so the accepted side runs in a moment
+    @pytest.mark.parametrize("at, past, flag", [
+        (["--trials", "1000000"], ["--trials", "1000001"], "--trials"),
+        (["--g-bound", "1000", "--max-l", "3", "--rank-bound", "1", "--deg-bound", "1",
+          "--twist-bound", "1"],
+         ["--g-bound", "1001", "--max-l", "3", "--rank-bound", "1", "--deg-bound", "1",
+          "--twist-bound", "1"], "--g-bound"),
+        (["--max-l", "12", "--rank-bound", "1", "--deg-bound", "0", "--twist-bound", "1"],
+         ["--max-l", "13", "--rank-bound", "1", "--deg-bound", "0", "--twist-bound", "1"],
+         "--max-l"),
+        # 46^3 = 97 336 and 47^3 = 103 823 rank tuples
+        (["--max-l", "3", "--rank-bound", "46", "--deg-bound", "0", "--twist-bound", "1"],
+         ["--max-l", "3", "--rank-bound", "47", "--deg-bound", "0", "--twist-bound", "1"],
+         "--rank-bound"),
+        # 367^3 = 49 430 863 and 369^3 = 50 243 409 chains
+        (["--max-l", "3", "--rank-bound", "1", "--deg-bound", "183", "--twist-bound", "1",
+          "--g-bound", "2"],
+         ["--max-l", "3", "--rank-bound", "1", "--deg-bound", "184", "--twist-bound", "1",
+          "--g-bound", "2"], "--deg-bound"),
+        # 31 622^2 = 999 950 884 and 31 623^2 = 1 000 014 129 cells
+        (["--max-l", "3", "--rank-bound", "1", "--deg-bound", "0", "--twist-bound", "31622",
+          "--g-bound", "2"],
+         ["--max-l", "3", "--rank-bound", "1", "--deg-bound", "0", "--twist-bound", "31623",
+          "--g-bound", "2"], "--twist-bound"),
+    ])
+    def test_upper_bounds(self, at, past, flag, capsys):
+        code, text = _run(["verify", "--suite", "identities"] + at)
+        assert code == 0 and json.loads(text)["results"]["allExpectedPass"]
+        code, text = _run(["verify", "--suite", "identities"] + past)
+        assert code == 1
+        assert text == ""
+        assert flag in capsys.readouterr().err
+
 
 class TestSegre:
     def test_single_r_prime(self):

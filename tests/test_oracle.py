@@ -1,5 +1,9 @@
 import json
 
+import pytest
+
+import oracle_reference as reference
+from modulirc import oracle
 from modulirc.oracle import (
     VerificationReport,
     verify_chain_dimension_equivalence,
@@ -9,7 +13,8 @@ from modulirc.oracle import (
     verify_dimension_laws,
     verify_three_term_identities,
 )
-from modulirc.rng import SplitMix64
+from modulirc.rng import randint, splitmix64
+from oracle_reference import SplitMix64
 
 
 def test_rng_is_deterministic():
@@ -110,3 +115,111 @@ def test_report_pass_follows_failures():
     assert report.to_dict()["pass"] is True
     failed = VerificationReport(suite=report.suite, trials=report.trials, failures=3)
     assert failed.to_dict()["pass"] is False
+
+
+# the array suites against the scalar ones they replaced (oracle_reference)
+
+SEEDS = (0, -1, 2**63, 2**64 - 1, 2**70)
+
+
+def _dicts(reports):
+    reports = reports if isinstance(reports, tuple) else (reports,)
+    return [r.to_dict() for r in reports]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_splitmix64_blocks_are_the_scalar_stream(seed):
+    scalar = SplitMix64(seed)
+    stream = [scalar.next_u64() for _ in range(300)]
+    assert splitmix64(seed, 0, 300).tolist() == stream
+    for cut in (1, 7, 64, 299):
+        assert (splitmix64(seed, 0, cut).tolist()
+                + splitmix64(seed, cut, 300 - cut).tolist()) == stream
+    scalar = SplitMix64(seed)
+    assert (randint(splitmix64(seed, 0, 300), -10, 10).tolist()
+            == [scalar.randint(-10, 10) for _ in range(300)])
+
+
+@pytest.mark.parametrize("block", (40, 1 << 16))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_random_chains_are_the_scalar_draws(seed, block, monkeypatch):
+    # the telescoping suite passes whatever chains it draws, so its report
+    # alone would not show a chain drawn from the wrong place in the stream
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    scalar = SplitMix64(seed)
+    want = {}
+    for trial in range(25):
+        l = scalar.randint(2, 6)
+        want[trial] = ([scalar.randint(1, 4) for _ in range(l)]
+                       + [scalar.randint(-10, 10) for _ in range(l)]
+                       + [scalar.randint(1, 4) for _ in range(l - 1)])
+    got = {}
+    for l, trial, draws in oracle._random_chains(25, seed):
+        assert draws.shape == (len(trial), 3 * l - 1)
+        got.update(zip(trial.tolist(), draws.tolist()))
+    assert got == want
+
+
+def test_keep_first_keeps_the_smallest_keys_in_order():
+    cands = []
+    oracle._keep_first(cands, [((2, i), ("b", i)) for i in range(8)])
+    oracle._keep_first(cands, [((1, i), ("a", i)) for i in range(5)])
+    assert [c for _, c in cands] == ([("a", i) for i in range(5)]
+                                     + [("b", i) for i in range(5)])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("trials", (1, 7, 40, 10_000))
+@pytest.mark.parametrize("suite", ("verify_three_term_identities",
+                                   "verify_degree_telescoping"))
+def test_random_suites_match_scalar_oracle(suite, seed, trials):
+    assert (_dicts(getattr(oracle, suite)(trials=trials, seed=seed))
+            == _dicts(getattr(reference, suite)(trials=trials, seed=seed)))
+
+
+# (max_l, deg_bound, rank_bound, twist_bound, g_bound): every value of each
+# range at least once, and the defaults
+GRID_CASES = ([(3, b, 1 + b % 3, 1 + (b + 1) % 3, 2 + b % 5) for b in range(9)]
+              + [(4, b, 1 + b % 3, 3 - b % 3, 6 - b) for b in range(5)]
+              + [(5, b, 2, 1 + b, 2 + 2 * b) for b in range(3)]
+              + [(4, 6, 3, 3, 4)])
+
+
+def _grid_reports(module, max_l, deg_bound, rank_bound, twist_bound, g_bound):
+    claim = module.verify_claim_inequality(
+        max_l=max_l, rank_bound=rank_bound, deg_bound=deg_bound, g_bound=g_bound)
+    dims = module.verify_chain_dimension_equivalence(
+        max_l=max_l, rank_bound=rank_bound, deg_bound=deg_bound,
+        twist_bound=twist_bound, g_bound=g_bound)
+    return _dicts(claim) + _dicts(dims)
+
+
+@pytest.mark.parametrize("case", GRID_CASES)
+def test_grid_suites_match_scalar_oracle(case):
+    assert _grid_reports(oracle, *case) == _grid_reports(reference, *case)
+
+
+@pytest.mark.parametrize("case", [(3, 2, 2, 3, 3), (4, 1, 2, 3, 4), (3, 8, 1, 2, 2)])
+def test_small_blocks_match_scalar_oracle(case, monkeypatch):
+    # blocks of a few entries split the trials, the degree grid, the twist
+    # vectors and the chains of one rank tuple at many places
+    monkeypatch.setattr(oracle, "_BLOCK", 8)
+    for suite in ("verify_three_term_identities", "verify_degree_telescoping"):
+        assert (_dicts(getattr(oracle, suite)(trials=40, seed=2))
+                == _dicts(getattr(reference, suite)(trials=40, seed=2)))
+    assert _grid_reports(oracle, *case) == _grid_reports(reference, *case)
+
+
+@pytest.mark.parametrize("block", (8, 1 << 16))
+def test_spot_check_failures_match_scalar_oracle(block, monkeypatch):
+    # a certificate off by one fails every scalar spot check; both versions
+    # count the same failures and list the same counterexamples in order
+    real = reference.chain_dimension_excess_certificate
+    for module in (oracle, reference):
+        monkeypatch.setattr(module, "chain_dimension_excess_certificate",
+                            lambda chain: real(chain) + 1)
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    case = (4, 1, 2, 2, 3)
+    new, old = _grid_reports(oracle, *case), _grid_reports(reference, *case)
+    assert new == old
+    assert old[1]["failures"] == 50 and len(old[1]["counterexamples"]) == 10
