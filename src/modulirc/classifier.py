@@ -7,11 +7,10 @@ exhaustive enumeration of obstructed candidate families (two-step with twist
 >= 2 and longer chains), each labeled with its proof status.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 from math import comb, isqrt
 
-from .params import (MAX_K, ConsistencyError, ModuliParams, ParameterError,
+from .params import (MAX_K, ConsistencyError, ModuliParams, ParameterError, Record,
                      derive_params, expected_dimension, solve_dioph)
 from .families import (
     ExtensionChain,
@@ -62,8 +61,7 @@ _LABELS = {
 }
 
 
-@dataclass(frozen=True)
-class ComponentDescriptor:
+class ComponentDescriptor(Record):
     """One family at degree k; its labels are computed from kind and datum."""
 
     kind: Kind
@@ -142,8 +140,7 @@ def _sort_key(desc):
     return (_KIND_ORDER[desc.kind],) + _datum_sort_key(desc.datum)
 
 
-@dataclass(frozen=True)
-class ThmBRow:
+class ThmBRow(Record):
     """Cross-check of the two readings of the divisibility criterion for an
     obstructed expected-dimension component at a given r1."""
 
@@ -326,8 +323,7 @@ def _deg_vectors(p, l, hk, deg_bound, clipped):
     return results
 
 
-@dataclass(frozen=True)
-class CandidateSearch:
+class CandidateSearch(Record):
     descriptors: tuple
     max_l: int
     deg_bound: int
@@ -402,8 +398,7 @@ def _json_at(node, *path, kind=int):
     return node
 
 
-@dataclass
-class ClassificationReport:
+class ClassificationReport(Record):
     params: ModuliParams
     k: int
     descriptors: list

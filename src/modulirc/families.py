@@ -11,9 +11,7 @@ All returns are plain integers; any non-integrality raises ConsistencyError
 instead of rounding.
 """
 
-from dataclasses import dataclass
-
-from .params import ConsistencyError, ModuliParams, ParameterError
+from .params import ConsistencyError, ModuliParams, ParameterError, Record
 
 
 def _check_slope_increasing(r_lo, d_lo, r_hi, d_hi):
@@ -21,8 +19,7 @@ def _check_slope_increasing(r_lo, d_lo, r_hi, d_hi):
     return d_lo * r_hi < d_hi * r_lo
 
 
-@dataclass(frozen=True)
-class ExtensionChain:
+class ExtensionChain(Record):
     """Successive-extension datum: ranks/degrees of the graded pieces in
     strictly increasing slope order, plus the relative twists between
     consecutive pieces (the last piece is untwisted)."""
@@ -57,8 +54,7 @@ class ExtensionChain:
         return len(self.steps)
 
 
-@dataclass(frozen=True)
-class TorsionDatum:
+class TorsionDatum(Record):
     """Extension of a torsion sheaf of length t by a twisted rank-r bundle."""
 
     params: ModuliParams
@@ -72,8 +68,7 @@ class TorsionDatum:
             raise ParameterError(f"twist must be >= 1, got {self.a}")
 
 
-@dataclass(frozen=True)
-class MixedDatum:
+class MixedDatum(Record):
     """Two-step extension combined with a torsion part of degree t >= 1."""
 
     params: ModuliParams

@@ -6,11 +6,10 @@ comparisons are exact; rational factors are cleared by cross-multiplication.
 """
 
 import itertools
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import derive_params, expected_dimension
+from .params import Record, derive_params, expected_dimension
 from .families import (
     ExtensionChain,
     MixedDatum,
@@ -31,12 +30,11 @@ COUNTEREXAMPLE_CAP = 10
 _BLOCK = 1 << 16
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     suite: str
     trials: int
     failures: int
-    counterexamples: list = field(default_factory=list)
+    counterexamples: list
     notes: str = ""
 
     @property

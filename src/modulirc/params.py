@@ -4,7 +4,6 @@ Everything here is exact integer arithmetic.  Slope comparisons elsewhere in
 the package are done by cross-multiplication, never by division.
 """
 
-from dataclasses import dataclass
 from math import gcd
 
 
@@ -26,8 +25,59 @@ class ConsistencyError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class ModuliParams:
+class Record:
+    """Base of the immutable value types, in place of frozen dataclasses,
+    whose import costs more than most CLI calls compute.  A subclass's
+    annotations are its fields, in order, and a class attribute named like a
+    field is its default.  Instances compare, hash and print by their field
+    values; `__post_init__` validates them after construction."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._keys = frozenset(cls._fields)
+        cls._defaults = {f: vars(cls)[f] for f in cls._fields if f in vars(cls)}
+
+    def __init__(self, *args, **kwargs):
+        if args or kwargs.keys() != self._keys:  # fast path: every field by keyword
+            kwargs = self._bind(args, kwargs)
+        self.__dict__.update(kwargs)
+        self.__post_init__()
+
+    def _bind(self, args, kwargs):
+        values = dict(zip(self._fields, args))
+        bad = values.keys() & kwargs or kwargs.keys() - self._keys
+        values = {**self._defaults, **values, **kwargs}
+        if bad or len(args) > len(self._fields) or len(values) < len(self._fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {self._fields}, each "
+                            f"once unless it has a default; got {len(args)} positional "
+                            f"and {sorted(kwargs)}")
+        return values
+
+    def __post_init__(self):
+        """Check the fields; a subclass with constraints overrides this."""
+
+    def _values(self):
+        return tuple(self.__dict__[f] for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        pairs = (f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({', '.join(pairs)})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class ModuliParams(Record):
     """Derived invariants of the moduli space of rank-r bundles with fixed
     determinant of degree d on a genus-g curve."""
 

@@ -5,9 +5,7 @@ r'(r-r')(g-1) - s while that quantity is positive, and the strata are nested
 with step r along the congruence class s = r'd (mod r).
 """
 
-from dataclasses import dataclass
-
-from .params import ConsistencyError, ModuliParams, ParameterError
+from .params import ConsistencyError, ModuliParams, ParameterError, Record
 
 
 def _bound(p, r_prime):
@@ -19,8 +17,7 @@ def _check_r_prime(p, r_prime):
         raise ParameterError(f"r' must lie in [1, r-1], got {r_prime}")
 
 
-@dataclass(frozen=True)
-class SegreStratum:
+class SegreStratum(Record):
     params: ModuliParams
     r_prime: int
     s: int
@@ -54,8 +51,7 @@ def stratum_codimension(p, r_prime, s):
     return SegreStratum(params=p, r_prime=r_prime, s=s, codim=codim, next_s=next_s)
 
 
-@dataclass(frozen=True)
-class ConnectivityResult:
+class ConnectivityResult(Record):
     params: ModuliParams
     derived_k: int
     paper_k: int

@@ -289,13 +289,51 @@ class TestConnect:
         assert any("mismatch" in w for w in data["warnings"])
 
 
+_SRC = str(pathlib.Path(modulirc.__file__).parent.parent)
+_GOLDEN = pathlib.Path(__file__).parent / "golden"
+# one golden case per command that starts without numpy
+_STARTUP_CASES = ("classify_json_candidates", "sweep_csv", "segre_one_r_prime",
+                  "connect_mismatch")
+
+
+def _golden_case(name):
+    cases = json.loads((_GOLDEN / "cases.json").read_text(encoding="utf-8"))
+    return next(case for case in cases if case["name"] == name)
+
+
+def _python(args):
+    env = {**os.environ, "PYTHONPATH": _SRC}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          check=False)
+
+
 def test_cli_import_leaves_numpy_to_verify():
     script = ("import sys, modulirc.cli\n"
               "print(sorted({'numpy', 'modulirc.oracle'} & set(sys.modules)))\n"
               "from modulirc import VerificationReport\n"
               "print(VerificationReport.__module__)\n")
-    src = str(pathlib.Path(modulirc.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, check=True)
-    assert done.stdout == "[]\nmodulirc.oracle\n"
+    done = _python(["-c", script])
+    assert (done.returncode, done.stdout) == (0, b"[]\nmodulirc.oracle\n")
+
+
+@pytest.mark.parametrize("name", _STARTUP_CASES)
+def test_commands_start_without_heavy_imports(name):
+    # each call is a fresh process: dataclasses (which imports inspect) and
+    # numpy would cost more than these commands compute
+    argv = _golden_case(name)["argv"]
+    script = ("import io, sys\n"
+              "from modulirc.cli import main\n"
+              "main(sys.argv[1:], out=io.StringIO())\n"
+              "print(sorted({'dataclasses', 'inspect', 'numpy', 'modulirc.oracle'}"
+              " & set(sys.modules)))\n")
+    done = _python(["-c", script, *argv])
+    assert (done.returncode, done.stdout) == (0, b"[]\n")
+
+
+@pytest.mark.parametrize("name", _STARTUP_CASES)
+def test_module_entry_point_matches_golden(name):
+    # `python -m modulirc.cli` runs cli as __main__, the form a shell call takes
+    case = _golden_case(name)
+    done = _python(["-m", "modulirc.cli", *case["argv"]])
+    assert done.returncode == case["exit"]
+    assert done.stdout == (_GOLDEN / f"{name}.txt").read_bytes()

@@ -113,7 +113,8 @@ def test_report_pass_follows_failures():
     report = verify_degree_telescoping(trials=10, seed=0)
     assert report.to_dict() == verify_degree_telescoping(trials=10, seed=0).to_dict()
     assert report.to_dict()["pass"] is True
-    failed = VerificationReport(suite=report.suite, trials=report.trials, failures=3)
+    failed = VerificationReport(suite=report.suite, trials=report.trials, failures=3,
+                                counterexamples=[])
     assert failed.to_dict()["pass"] is False
 
 
