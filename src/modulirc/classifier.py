@@ -11,7 +11,7 @@ from enum import Enum
 from math import comb, isqrt
 
 from .params import (MAX_K, ConsistencyError, ModuliParams, ParameterError, Record,
-                     derive_params, expected_dimension, solve_dioph)
+                     expected_dimension, solve_dioph)
 from .families import (
     ExtensionChain,
     MixedDatum,
@@ -389,15 +389,6 @@ def enumerate_candidates(p, k, max_l=3, deg_bound=None, include_mixed=False):
                            clipped=bool(clipped))
 
 
-def _json_at(node, *path, kind=int):
-    """The value at path in report JSON; ParameterError unless it has type kind."""
-    for key in path:
-        node = node.get(key) if isinstance(node, dict) else None
-    if type(node) is not kind:  # JSON true and false load as bool, an int subclass
-        raise ParameterError(f"{'.'.join(path)} must be {kind.__name__}, got {node!r}")
-    return node
-
-
 class ClassificationReport(Record):
     params: ModuliParams
     k: int
@@ -448,32 +439,6 @@ class ClassificationReport(Record):
                 "incomplete": bool(self.candidate_search.reasons),
             }
         return data
-
-    @classmethod
-    def from_dict(cls, data):
-        """Inverse of to_dict: replays `classify` on g, r, d and k, with the
-        candidate search at maxL and degBound when `candidateSearch` is
-        present, and with mixed families only when some descriptor is mixed
-        (so a report stripped of every mixed descriptor, totals edited to
-        match, loads as the include_mixed=False report it then equals).
-        Raises ParameterError when a value it reads is missing, of the wrong
-        type or out of range, and at the first top-level key where `data`
-        differs from the replayed report.  Loading costs as much as the run
-        that produced the report."""
-        g, r, d = (_json_at(data, "params", key) for key in "grd")
-        search = data.get("candidateSearch")
-        options = {} if search is None else {
-            "include_candidates": True, "max_l": _json_at(search, "maxL"),
-            "deg_bound": _json_at(search, "degBound"),
-            "include_mixed": any(_json_at(desc, "datum", "type", kind=str) == "mixed"
-                                 for desc in _json_at(data, "descriptors", kind=list))}
-        report = classify(derive_params(g, r, d), _json_at(data, "k"), **options)
-        rebuilt, missing = report.to_dict(), object()
-        for key in dict.fromkeys([*data, *rebuilt]):
-            if data.get(key, missing) != rebuilt.get(key, missing):
-                raise ParameterError(
-                    f"{key!r} contradicts the value rebuilt from the inputs")
-        return report
 
 
 def classify(p, k, include_candidates=False, include_mixed=False,

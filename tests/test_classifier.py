@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from modulirc import (
-    ClassificationReport,
     GenericImage,
     Kind,
     ParameterError,
@@ -20,45 +19,6 @@ from modulirc import (
 
 def _datum(desc):
     return desc.to_dict()["datum"]
-
-
-# (path, value) edits of the (g, r, d, k) = (2, 3, 1, 9) report searched at
-# deg_bound 2, which is complete, each of which contradicts what the report's
-# inputs determine
-_CONTRADICTIONS = {
-    "not-component-relabelled": [(("descriptors", 2, "kind"), "OBSTRUCTED_CANDIDATE"),
-                                 (("descriptors", 2, "dimension"), 99),
-                                 (("descriptors", 2, "genericImage"), "NON_GENERIC"),
-                                 (("descriptors", 2, "status"), "CANDIDATE")],
-    "dimension-lowered": [(("descriptors", 2, "dimension"), 23)],
-    "descriptor-k": [(("descriptors", 1, "k"), 10)],
-    "torsion-wrong-degree": [(("descriptors", 0, "datum", "t"), 4)],
-    "totals": [(("totals", "NOT_COMPONENT"), 2)],
-    "warning-added": [(("warnings",), ["candidate-search-incomplete: deg_bound=2 "
-                                       "below analytic bound 13"])],
-    "thmb-divisor": [(("thmB", 0, "divisor"), 99)],
-    "thmb-both-readings": [(("thmB", 0, "dividesK"), True),
-                           (("thmB", 0, "constructive"), True)],
-    "search-incomplete": [(("candidateSearch", "incomplete"), True)],
-    "analytic-bound": [(("candidateSearch", "analyticBound"), 3)],
-    "params-h": [(("params", "h"), 3)],
-    "unknown-key": [(("extra",), None)],
-    "descriptors-deleted": [(("descriptors",), [])] + [
-        (("totals", key), 0)
-        for key in ("UNOBSTRUCTED_EXT", "UNOBSTRUCTED_TORSION", "OBSTRUCTED_EXPECTED",
-                    "OBSTRUCTED_CANDIDATE", "NOT_COMPONENT", "EXPECTED_DIM_COMPONENTS")],
-}
-
-_DELETE = object()
-
-# edits of the same report that leave an input it is rebuilt from missing or
-# of the wrong type
-_MALFORMED = {
-    "params-g-deleted": [(("params", "g"), _DELETE)],
-    "datum-deleted": [(("descriptors", 1, "datum"), _DELETE)],
-    "k-string": [(("k",), "9")],
-    "max-l-null": [(("candidateSearch", "maxL"), None)],
-}
 
 
 class TestUnobstructed:
@@ -241,63 +201,8 @@ class TestClassify:
                 if desc.dimension < desc.expected_dim:
                     assert desc.status is not Status.PROVED_COMPONENT
 
-    def test_round_trip(self):
-        p = derive_params(2, 3, 1)
-        report = classify(p, 9, include_candidates=True, max_l=3)
-        data = json.loads(json.dumps(report.to_dict()))
-        rebuilt = ClassificationReport.from_dict(data)
-        assert rebuilt.to_dict() == report.to_dict()
-
-    def test_from_dict_rejects_labels_contradicting_kind(self):
-        p = derive_params(2, 2, 1)
-        data = json.loads(json.dumps(classify(p, 1).to_dict()))
-        desc = data["descriptors"][0]
-        assert desc["kind"] == "UNOBSTRUCTED_EXT"
-        desc["genericImage"], desc["status"] = "UNKNOWN", "CANDIDATE"
-        with pytest.raises(ParameterError, match="contradicts"):
-            ClassificationReport.from_dict(data)
-
-    @pytest.mark.parametrize("edits", [*_CONTRADICTIONS.values(), *_MALFORMED.values()],
-                             ids=[*_CONTRADICTIONS, *_MALFORMED])
-    def test_from_dict_rejects_contradicting_json(self, edits):
-        p = derive_params(2, 3, 1)
-        report = classify(p, 9, include_candidates=True, deg_bound=2)
-        data = json.loads(json.dumps(report.to_dict()))
-        assert [d["kind"] for d in data["descriptors"]] == [
-            "UNOBSTRUCTED_TORSION", "OBSTRUCTED_CANDIDATE", "NOT_COMPONENT"]
-        assert data["descriptors"][0]["datum"]["t"] == 3
-        assert data["descriptors"][2]["dimension"] == 24
-        assert not data["thmB"][0]["dividesK"] and not data["thmB"][0]["constructive"]
-        assert not data["candidateSearch"]["incomplete"] and data["params"]["h"] == 1
-        for path, value in edits:
-            node = data
-            for key in path[:-1]:
-                node = node[key]
-            if value is _DELETE:
-                del node[path[-1]]
-            else:
-                node[path[-1]] = value
-        with pytest.raises(ParameterError):
-            ClassificationReport.from_dict(data)
-
-    def test_from_dict_rejects_out_of_range_params(self):
-        data = json.loads(json.dumps(classify(derive_params(2, 3, 1), 9).to_dict()))
-        assert "candidateSearch" not in data
-        data["params"]["r"] = 5000
-        with pytest.raises(ParameterError, match="must lie in"):
-            ClassificationReport.from_dict(data)
-
     def test_k_bounds(self):
         p = derive_params(2, 2, 1)
         for k in (0, 10**6 + 1):
             with pytest.raises(ParameterError, match="k must lie in"):
                 classify(p, k)
-
-    def test_from_dict_rejects_agree_contradicting_readings(self):
-        p = derive_params(3, 2, 1)
-        data = json.loads(json.dumps(classify(p, 4).to_dict()))
-        row = data["thmB"][0]
-        assert row["dividesK"] != row["constructive"] and not row["agree"]
-        row["agree"] = True
-        with pytest.raises(ParameterError, match="contradicts"):
-            ClassificationReport.from_dict(data)
