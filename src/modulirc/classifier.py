@@ -49,7 +49,6 @@ class Status(Enum):
 _KIND_ORDER = {k: i for i, k in enumerate(Kind)}
 
 _UNOBSTRUCTED = (Kind.UNOBSTRUCTED_EXT, Kind.UNOBSTRUCTED_TORSION)
-_EXPECTED_DIM = _UNOBSTRUCTED + (Kind.OBSTRUCTED_EXPECTED,)
 
 # (generic image, status) of each kind; `status` makes one exception
 _LABELS = {
@@ -62,23 +61,42 @@ _LABELS = {
 
 
 class ComponentDescriptor(Record):
-    """One family at degree k; its labels are computed from kind and datum."""
+    """One family at degree k.  Its kind, dimension and expected dimension
+    are computed from datum and k, and its labels from kind and datum."""
 
-    kind: Kind
     datum: object  # ExtensionChain | TorsionDatum | MixedDatum
     k: int
-    dimension: int
-    expected_dim: int
 
     def __post_init__(self):
-        ok = True
-        if self.kind in _EXPECTED_DIM:
-            ok = self.dimension == self.expected_dim
-        elif self.kind is Kind.NOT_COMPONENT:
-            ok = self.dimension < self.expected_dim
-        if not ok:
+        datum, k = self.datum, self.k
+        p = datum.params
+        if isinstance(datum, MixedDatum):
+            degree, dim = mixed_dimension(p, datum)
+        elif isinstance(datum, TorsionDatum):
+            degree, dim = torsion_degree(p, datum), torsion_dimension(p, datum)
+        else:
+            degree, dim = multi_step_degree(datum), multi_step_dimension(datum)
+        if degree != k:
             raise ConsistencyError(
-                f"descriptor invariant violated for kind {self.kind.value}")
+                f"{type(datum).__name__} has degree {degree}, not k = {k}")
+        exp = expected_dimension(p, k)
+        if isinstance(datum, MixedDatum) or not is_unobstructed_splitting(datum):
+            if dim < exp:
+                kind = Kind.NOT_COMPONENT
+            elif isinstance(datum, MixedDatum):
+                raise ConsistencyError("mixed family is not below the expected dimension")
+            elif dim == exp and isinstance(datum, ExtensionChain) and datum.length == 2:
+                kind = Kind.OBSTRUCTED_EXPECTED
+            else:
+                kind = Kind.OBSTRUCTED_CANDIDATE
+        elif dim != exp:
+            raise ConsistencyError("twist-1 family does not have the expected dimension")
+        else:
+            kind = (Kind.UNOBSTRUCTED_TORSION if isinstance(datum, TorsionDatum)
+                    else Kind.UNOBSTRUCTED_EXT)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "dimension", dim)
+        object.__setattr__(self, "expected_dim", exp)
 
     @property
     def obstructed(self):
@@ -163,45 +181,17 @@ class ThmBRow(Record):
         }
 
 
-def _describe(p, k, datum, exp):
-    """The descriptor of a family of degree k.  Its kind follows from the
-    datum's shape and from its dimension against the expected one, exp."""
-    if isinstance(datum, MixedDatum):
-        degree, dim = mixed_dimension(p, datum)
-        kind = Kind.NOT_COMPONENT
-    else:
-        if isinstance(datum, TorsionDatum):
-            degree, dim = torsion_degree(p, datum), torsion_dimension(p, datum)
-        else:
-            degree, dim = multi_step_degree(datum), multi_step_dimension(datum)
-        if is_unobstructed_splitting(datum):
-            kind = (Kind.UNOBSTRUCTED_TORSION if isinstance(datum, TorsionDatum)
-                    else Kind.UNOBSTRUCTED_EXT)
-        elif dim < exp:
-            kind = Kind.NOT_COMPONENT
-        elif dim == exp and isinstance(datum, ExtensionChain) and datum.length == 2:
-            kind = Kind.OBSTRUCTED_EXPECTED
-        else:
-            kind = Kind.OBSTRUCTED_CANDIDATE
-    if degree != k:
-        raise ConsistencyError(
-            f"{type(datum).__name__} has degree {degree}, not k = {k}")
-    return ComponentDescriptor(kind=kind, datum=datum, k=k, dimension=dim,
-                               expected_dim=exp)
-
-
 def enumerate_unobstructed(p, k):
     """The h unobstructed components of degree k (one per Diophantine
     solution); all have exactly the expected dimension."""
-    exp = expected_dimension(p, k)
     out = []
     for r1, d1 in solve_dioph(p, k):
         if r1 > 0:
             datum = two_step_chain(p, r1, d1, 1)
         else:
-            # k = r_bar * t with t = -d1 * ... : d_bar*0 - r_bar*d1 = k
+            # x = 0 solves d_bar*0 - r_bar*y = k, so r_bar | k and t = k/r_bar
             datum = TorsionDatum(params=p, t=k // p.r_bar, a=1)
-        out.append(_describe(p, k, datum, exp))
+        out.append(ComponentDescriptor(datum=datum, k=k))
     out.sort(key=_sort_key)
     return out
 
@@ -215,7 +205,6 @@ def enumerate_obstructed_expected(p, k):
     with hk = a times that value; when it passes, the two-step family
     (r1, d1, a) is a component.  The literal reading is that value | k.
     """
-    exp = expected_dimension(p, k)
     hk = p.h * k
     out, rows = [], []
     for r1 in range(1, p.r):
@@ -224,7 +213,7 @@ def enumerate_obstructed_expected(p, k):
         a, rest = divmod(hk, divisor)
         constructive = r_d1 % p.r == 0 and rest == 0 and a >= 2
         if constructive:
-            desc = _describe(p, k, two_step_chain(p, r1, r_d1 // p.r, a), exp)
+            desc = ComponentDescriptor(datum=two_step_chain(p, r1, r_d1 // p.r, a), k=k)
             if desc.kind is not Kind.OBSTRUCTED_EXPECTED:
                 raise ConsistencyError(
                     "equality-case family does not have expected dimension")
@@ -353,7 +342,8 @@ def enumerate_candidates(p, k, max_l=3, deg_bound=None, include_mixed=False):
         raise ParameterError(f"max_l must be >= 2, got {max_l}")
     if deg_bound is None:
         deg_bound = 4 * p.r * p.g
-    exp = expected_dimension(p, k)
+    elif deg_bound < 0:
+        raise ParameterError(f"deg_bound must be >= 0, got {deg_bound}")
     hk = p.h * k
     out, clipped = [], []
     # a chain of length l has l ranks summing to r and hk >= C(l+1, 3): every
@@ -367,13 +357,13 @@ def enumerate_candidates(p, k, max_l=3, deg_bound=None, include_mixed=False):
     for a in {*small, *(k // q for q in small)} - {1}:
         for r1, d1 in solve_dioph(p, k // a):
             if r1 >= 1 and hk // a != r1 * (p.r - r1) * (p.g - 1):
-                out.append(_describe(p, k, two_step_chain(p, r1, d1, a), exp))
+                out.append(ComponentDescriptor(datum=two_step_chain(p, r1, d1, a), k=k))
 
     # chains of length >= 3
     for l in range(3, min(max_l, longest_l) + 1):
         for steps, twists in _deg_vectors(p, l, hk, deg_bound, clipped):
             chain = ExtensionChain(params=p, steps=steps, twists=twists)
-            out.append(_describe(p, k, chain, exp))
+            out.append(ComponentDescriptor(datum=chain, k=k))
 
     if include_mixed:
         # a mixed family of degree k is a solution (r1, y) at k, r1 >= 1, with
@@ -381,7 +371,7 @@ def enumerate_candidates(p, k, max_l=3, deg_bound=None, include_mixed=False):
         for r1, y in solve_dioph(p, k):
             for t in range(1, -(-hk // (p.r + r1)) if r1 >= 1 else 1):
                 datum = MixedDatum(params=p, r1=r1, d1=y + t, t=t)
-                out.append(_describe(p, k, datum, exp))
+                out.append(ComponentDescriptor(datum=datum, k=k))
 
     out.sort(key=_sort_key)
     return CandidateSearch(descriptors=tuple(out), max_l=max_l, deg_bound=deg_bound,

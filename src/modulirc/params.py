@@ -30,7 +30,8 @@ class Record:
     whose import costs more than most CLI calls compute.  A subclass's
     annotations are its fields, in order, and a class attribute named like a
     field is its default.  Instances compare, hash and print by their field
-    values; `__post_init__` validates them after construction."""
+    values; `__post_init__` validates them after construction and may also
+    store values derived from them, which are not fields."""
 
     def __init_subclass__(cls):
         cls._fields = tuple(cls.__annotations__)
@@ -84,11 +85,15 @@ class ModuliParams(Record):
     g: int
     r: int
     d: int
-    h: int          # gcd(r, d), with gcd(r, 0) = r
-    r_bar: int      # r / h
-    d_bar: int      # d / h
-    dim_m: int      # (r^2 - 1)(g - 1)
-    fano_index: int  # 2h
+
+    def __post_init__(self):
+        r, d = self.r, self.d
+        h = gcd(r, d)  # math.gcd(r, 0) == r, matching the convention we need
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "r_bar", r // h)
+        object.__setattr__(self, "d_bar", d // h)
+        object.__setattr__(self, "dim_m", (r * r - 1) * (self.g - 1))
+        object.__setattr__(self, "fano_index", 2 * h)
 
 
 def derive_params(g, r, d):
@@ -102,13 +107,7 @@ def derive_params(g, r, d):
         raise ParameterError(f"r must lie in [2, {MAX_RANK}]")
     if abs(d) > MAX_DEGREE:
         raise ParameterError(f"|d| must be at most {MAX_DEGREE}")
-    h = gcd(r, d)  # math.gcd(r, 0) == r, matching the convention we need
-    return ModuliParams(
-        g=g, r=r, d=d, h=h,
-        r_bar=r // h, d_bar=d // h,
-        dim_m=(r * r - 1) * (g - 1),
-        fano_index=2 * h,
-    )
+    return ModuliParams(g=g, r=r, d=d)
 
 
 def expected_dimension(p, k):

@@ -21,8 +21,12 @@ class SegreStratum(Record):
     params: ModuliParams
     r_prime: int
     s: int
-    codim: int
-    next_s: int  # inclusion-chain neighbor s + r, or -1 once the stratum is dense
+
+    def __post_init__(self):
+        bound = _bound(self.params, self.r_prime)
+        object.__setattr__(self, "codim", max(bound - self.s, 0))
+        # inclusion-chain neighbor s + r, or -1 once the stratum is dense
+        object.__setattr__(self, "next_s", self.s + self.params.r if self.s < bound else -1)
 
 
 def generic_segre(p, r_prime):
@@ -45,10 +49,7 @@ def stratum_codimension(p, r_prime, s):
     if (s - r_prime * p.d) % p.r != 0:
         raise ParameterError(
             f"no stratum: s = {s} is not congruent to r'd = {r_prime * p.d} mod {p.r}")
-    bound = _bound(p, r_prime)
-    codim = bound - s if s <= bound else 0
-    next_s = s + p.r if s < bound else -1
-    return SegreStratum(params=p, r_prime=r_prime, s=s, codim=codim, next_s=next_s)
+    return SegreStratum(params=p, r_prime=r_prime, s=s)
 
 
 class ConnectivityResult(Record):
@@ -57,7 +58,10 @@ class ConnectivityResult(Record):
     paper_k: int
     witness_r_prime: int
     witness_d_prime: int
-    mismatch: bool
+
+    @property
+    def mismatch(self):
+        return self.derived_k != self.paper_k
 
 
 def min_connecting_degree(p):
@@ -85,8 +89,5 @@ def min_connecting_degree(p):
         paper = (p.r * p.r // 2 - 1) * (p.g - 1)
     else:
         paper = 3 * (p.r * p.r - 1) // 2 * (p.g - 1)
-    return ConnectivityResult(
-        params=p, derived_k=derived, paper_k=paper,
-        witness_r_prime=r_prime, witness_d_prime=d_prime,
-        mismatch=derived != paper,
-    )
+    return ConnectivityResult(params=p, derived_k=derived, paper_k=paper,
+                              witness_r_prime=r_prime, witness_d_prime=d_prime)

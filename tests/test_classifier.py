@@ -3,10 +3,17 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+import modulirc.classifier
 from modulirc import (
+    ComponentDescriptor,
+    ConnectivityResult,
+    ConsistencyError,
     GenericImage,
     Kind,
+    MixedDatum,
+    ModuliParams,
     ParameterError,
+    SegreStratum,
     Status,
     classify,
     derive_params,
@@ -14,6 +21,9 @@ from modulirc import (
     enumerate_obstructed_expected,
     enumerate_unobstructed,
     expected_dimension,
+    mixed_dimension,
+    multi_step_dimension,
+    two_step_chain,
 )
 
 
@@ -206,3 +216,56 @@ class TestClassify:
         for k in (0, 10**6 + 1):
             with pytest.raises(ParameterError, match="k must lie in"):
                 classify(p, k)
+
+
+class TestDerivedValues:
+    """Each value type takes its independent inputs; the rest is computed."""
+
+    def test_fields_are_the_independent_inputs(self):
+        assert ComponentDescriptor._fields == ("datum", "k")
+        assert ModuliParams._fields == ("g", "r", "d")
+        assert SegreStratum._fields == ("params", "r_prime", "s")
+        assert len(ConnectivityResult._fields) == 5
+
+    def test_descriptor_computes_kind_and_dimensions(self):
+        # a twist-1 two-step chain of degree 1 at (2, 3, 1)
+        chain = two_step_chain(derive_params(2, 3, 1), 1, 0, 1)
+        desc = ComponentDescriptor(datum=chain, k=1)
+        assert desc.kind is Kind.UNOBSTRUCTED_EXT
+        assert desc.dimension == desc.expected_dim == expected_dimension(chain.params, 1)
+
+    def test_datum_of_another_degree_rejected(self):
+        chain = two_step_chain(derive_params(2, 3, 1), 1, 0, 1)
+        with pytest.raises(ConsistencyError, match="has degree 1, not k = 999"):
+            ComponentDescriptor(datum=chain, k=999)
+
+    def test_old_five_field_construction_rejected(self):
+        chain = two_step_chain(derive_params(2, 3, 1), 1, 0, 1)
+        with pytest.raises(TypeError):
+            ComponentDescriptor(kind=Kind.OBSTRUCTED_CANDIDATE, datum=chain, k=999,
+                                dimension=1, expected_dim=0)
+        with pytest.raises(TypeError):
+            ModuliParams(g=2, r=3, d=1, h=3, r_bar=1, d_bar=0, dim_m=8, fano_index=6)
+
+    def test_twist_one_dimension_checked(self, monkeypatch):
+        chain = two_step_chain(derive_params(2, 3, 1), 1, 0, 1)
+        monkeypatch.setattr(modulirc.classifier, "multi_step_dimension",
+                            lambda c: multi_step_dimension(c) + 1)
+        with pytest.raises(ConsistencyError, match="twist-1 family"):
+            ComponentDescriptor(datum=chain, k=1)
+
+    def test_mixed_dimension_checked(self, monkeypatch):
+        p = derive_params(2, 2, 2)
+        datum = MixedDatum(params=p, r1=1, d1=0, t=1)
+        k = mixed_dimension(p, datum)[0]
+        assert ComponentDescriptor(datum=datum, k=k).kind is Kind.NOT_COMPONENT
+        monkeypatch.setattr(modulirc.classifier, "mixed_dimension",
+                            lambda p, m: (k, expected_dimension(p, k)))
+        with pytest.raises(ConsistencyError, match="mixed family"):
+            ComponentDescriptor(datum=datum, k=k)
+
+    def test_params_derived(self):
+        p = ModuliParams(g=2, r=4, d=2)
+        assert p.h == 2 and p.fano_index == 4
+        assert (p.r_bar, p.d_bar, p.dim_m) == (2, 1, 15)
+        assert p == derive_params(2, 4, 2)

@@ -78,6 +78,16 @@ class TestClassify:
         assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--g", "2", "--r", "3", "--d", "1", "--k", "9"],
+    ["sweep", "--g", "2", "--r", "3", "--d", "1", "--k-min", "1", "--k-max", "9"],
+])
+def test_negative_deg_bound_rejected(argv, capsys):
+    # a negative bound would search no chain of length >= 3
+    assert _run(argv + ["--include-candidates", "--deg-bound", "-3"]) == (1, "")
+    assert "deg_bound must be >= 0, got -3" in capsys.readouterr().err
+
+
 class TestSweep:
     def test_csv_shape_and_counts(self):
         code, text = _run(["sweep", "--g", "2", "--r", "2", "--d", "1",
