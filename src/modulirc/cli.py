@@ -162,6 +162,7 @@ def _write_sweep(args, rows, fh):
     _write_streamed(fh, "sweep",
                     {"g": args.g, "r": args.r, "d": args.d,
                      "kMin": args.k_min, "kMax": args.k_max,
+                     "maxL": args.max_l, "degBound": args.deg_bound,
                      "includeCandidates": args.include_candidates},
                     "rows", rows)
 

@@ -159,7 +159,7 @@ class TestSweep:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_each_row_written_before_the_next_is_built(self, fmt):
         args = argparse.Namespace(format=fmt, g=2, r=4, d=2, k_min=1, k_max=5,
-                                  include_candidates=False)
+                                  max_l=3, deg_bound=None, include_candidates=False)
         rows = list(_sweep_rows(derive_params(2, 4, 2), 1, 5, False, 3, None))
         fh = io.StringIO()
 
@@ -174,8 +174,8 @@ class TestSweep:
         if fmt == "csv":
             assert fh.getvalue().count("\n") == len(rows) + 1
         else:  # the streamed text is the whole document's
-            inputs = {"g": 2, "r": 4, "d": 2, "kMin": 1, "kMax": 5,
-                      "includeCandidates": False}
+            inputs = {"g": 2, "r": 4, "d": 2, "kMin": 1, "kMax": 5, "maxL": 3,
+                      "degBound": None, "includeCandidates": False}
             assert fh.getvalue() == _dumps(_envelope("sweep", inputs, {"rows": rows}, []))
 
 
