@@ -209,7 +209,8 @@ def verify_claim_inequality(max_l=4, rank_bound=3, deg_bound=6, g_bound=4):
     c_j = R_j·d - r·D_j >= (r - R_j)·R_j·(g-1) at every split j becomes one
     largest admissible g - 1 per degree vector, the least floor quotient
     c_j // ((r - R_j)·R_j), and the inequality's left side splits into a
-    g-free part and a multiple of g - 1.
+    g-free part and a multiple of g - 1.  A quotient depends on the tuple
+    only through (j, R_j, r), so the tuples of one total rank share them.
     """
     trials = 0
     failures = 0
@@ -217,8 +218,10 @@ def verify_claim_inequality(max_l=4, rank_bound=3, deg_bound=6, g_bound=4):
     for l in range(3, max_l + 1):
         ranks_all = _rank_tuples(l, rank_bound)
         r_tot = ranks_all.sum(axis=1)
-        prefix_r = np.cumsum(ranks_all, axis=1)[:, :-1]
-        split = (r_tot[:, None] - prefix_r) * prefix_r
+        prefix_r = np.cumsum(ranks_all, axis=1)[:, :-1].tolist()
+        by_total = {}
+        for t, r in enumerate(r_tot.tolist()):
+            by_total.setdefault(r, []).append(t)
         # lhs = degs·coef - (g-1)·quad, the pair (i, j) weighing j - i - 1
         idx = np.arange(l)
         weight = np.triu(idx - idx[:, None] - 1, 1)
@@ -238,24 +241,32 @@ def verify_claim_inequality(max_l=4, rank_bound=3, deg_bound=6, g_bound=4):
             prefix_d = degs.copy()
             for k in range(1, l):
                 prefix_d[k] += prefix_d[k - 1]
-            for t, ranks in enumerate(tuples):
-                c = prefix_r[t, :, None] * prefix_d[-1] - r_tot[t] * prefix_d[:-1]
-                # the rows that hold the hypothesis at g = 2, and how far up
-                rows = np.flatnonzero((c >= split[t, :, None]).all(axis=0))
-                if not len(rows):
-                    continue
-                g_top = (c[:, rows] // split[t, :, None]).min(axis=0)
-                lhs = r_tot[t] * (coef[t] @ degs[:, rows])
-                for g in range(2, min(g_bound, int(g_top.max()) + 1) + 1):
-                    held = g_top >= g - 1
-                    trials += int(np.count_nonzero(held))
-                    bad = np.flatnonzero(held & (lhs < (g - 1) * slack[t]))
-                    if not len(bad):
+            for r, group in by_total.items():
+                quotients = {}  # (j, R_j) -> c_j // ((r - R_j)·R_j)
+                for t in group:
+                    g_top = None
+                    for j, rj in enumerate(prefix_r[t]):
+                        q = quotients.get((j, rj))
+                        if q is None:
+                            q = quotients[j, rj] = ((rj * prefix_d[-1] - r * prefix_d[j])
+                                                    // ((r - rj) * rj))
+                        g_top = q if g_top is None else np.minimum(g_top, q)
+                    # the rows that hold the hypothesis at g = 2, and how far up
+                    rows = np.flatnonzero(g_top >= 1)
+                    if not len(rows):
                         continue
-                    failures += len(bad)
-                    _keep_first(cands, (
-                        ((l, t, g, start + i), tuple(ranks + grid[i].tolist() + [g]))
-                        for i in rows[bad[:COUNTEREXAMPLE_CAP]].tolist()))
+                    g_top = g_top[rows]
+                    lhs = r * (coef[t] @ degs[:, rows])
+                    for g in range(2, min(g_bound, int(g_top.max()) + 1) + 1):
+                        held = g_top >= g - 1
+                        trials += int(np.count_nonzero(held))
+                        bad = np.flatnonzero(held & (lhs < (g - 1) * slack[t]))
+                        if not len(bad):
+                            continue
+                        failures += len(bad)
+                        _keep_first(cands, (
+                            ((l, t, g, start + i), tuple(tuples[t] + grid[i].tolist() + [g]))
+                            for i in rows[bad[:COUNTEREXAMPLE_CAP]].tolist()))
     return _report("claim_inequality", trials, failures, [c for _, c in cands],
                    notes="summed inequality over hypothesis-satisfying chains")
 
@@ -285,17 +296,40 @@ def _scalar_dimension_check(g, ranks, degs, twists):
     return (dim >= want) == (cert <= 0) and dim - want == -cert
 
 
+def _slope_walk(degs, rank_bound, rows, ranks=(), t=0):
+    """(t, rows) for the rank tuples of length len(degs) with entries
+    1..rank_bound, t being the tuple's index in the order of
+    itertools.product: the rows of `rows` (indices into the columns of
+    `degs`) whose slopes d_k/r_k strictly increase, in the order of t.
+    Adjacent slope k is tested only on the rows that passed slopes 0..k-1; a
+    prefix that no row passes is not extended."""
+    k = len(ranks)
+    if k == len(degs):
+        yield t, rows
+        return
+    if k:
+        lower, upper = degs[k - 1, rows], degs[k, rows] * ranks[-1]
+    for rank in range(1, rank_bound + 1):
+        kept = rows[lower * rank < upper] if k else rows
+        if len(kept):
+            yield from _slope_walk(degs, rank_bound, kept, ranks + (rank,),
+                                   t * rank_bound + rank - 1)
+
+
 def verify_chain_dimension_equivalence(max_l=4, rank_bound=3, deg_bound=6,
                                        twist_bound=3, g_bound=4):
     """For every valid chain in range, the dimension meets or exceeds the
     expected dimension exactly when the signed certificate sum is <= 0.
 
-    The bulk sweep is vectorized: per rank tuple, with the pair terms of its
-    chains as the columns of T and the twist sums as the rows of W, the
-    degree is W·T, and dimension and certificate follow from W·T, the column
-    sums of T and (W - 1) times the rank products.  A deterministic sample
-    of 50 chains is pushed through the scalar formulas as well to tie the
-    library functions in.
+    The bulk sweep is vectorized.  Per block of the degree grid, a walk over
+    rank prefixes keeps the degree vectors whose slopes increase, testing
+    each adjacent pair only on the vectors the shorter prefix kept.  Per rank
+    tuple, with the pair terms of its chains as the columns of T and the
+    twist sums as the rows of W, the degree hk is W·T, and dimension and
+    certificate follow from W·T, the column sums of T and (W - 1) times the
+    rank products; dim_M appears on both sides of the dimension test and
+    cancels.  A deterministic sample of 50 chains is pushed through the
+    scalar formulas as well to tie the library functions in.
     """
     trials = 0
     failures = 0
@@ -310,18 +344,13 @@ def verify_chain_dimension_equivalence(max_l=4, rank_bound=3, deg_bound=6,
         firsts = {}  # rank tuple -> its first two slope-increasing degree vectors
         for start, grid in _grid_blocks(l, deg_bound):
             degs = grid.T
-            for t, rk in enumerate(ranks_all):
-                # strictly increasing slopes, adjacent checks suffice
-                rows = np.flatnonzero(
-                    (degs[:-1] * rk[1:, None] < degs[1:] * rk[:-1, None]).all(axis=0))
-                if not len(rows):
-                    continue
+            for t, rows in _slope_walk(degs, rank_bound, np.arange(len(grid))):
+                rk = ranks_all[t]
                 seen = firsts.setdefault(t, [])
                 seen += grid[rows[:2 - len(seen)]].tolist()
                 sub = degs[:, rows]
                 pair_terms = rk[i, None] * sub[j] - rk[j, None] * sub[i]
                 t_sum = pair_terms.sum(axis=0)
-                r_tot = int(rk.sum())
                 for w0, w1 in _blocks(n_twists, twist_block):
                     twists, w = (first_twists if w0 == 0 else
                                  _twist_sums(l, twist_bound, w0, w1, pairs))
@@ -329,16 +358,15 @@ def verify_chain_dimension_equivalence(max_l=4, rank_bound=3, deg_bound=6,
                     for c0, c1 in _blocks(len(rows), _BLOCK // (w1 - w0)):
                         # one row per twist vector, one column per chain
                         hk = w @ pair_terms[:, c0:c1]
+                        # the dimension less dim_M and (g-1)·rr; less the
+                        # expected 2hk + dim_M too, dim_M cancelling
                         dim_free = hk + t_sum[c0:c1]
+                        excess = dim_free - 2 * hk
                         cert_free = hk - t_sum[c0:c1]
-                        two_hk = 2 * hk
                         trials += hk.size * (g_bound - 1)
                         for g in range(2, g_bound + 1):
-                            gm = g - 1
-                            dim_m = (r_tot * r_tot - 1) * gm
-                            dim = dim_free + (dim_m + gm * rr)
-                            cert = cert_free - gm * rr
-                            bad = (dim - two_hk >= dim_m) != (cert <= 0)
+                            gm_rr = (g - 1) * rr
+                            bad = (excess >= -gm_rr) != (cert_free <= gm_rr)
                             if not bad.any():
                                 continue
                             bad = np.argwhere(bad)

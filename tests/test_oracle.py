@@ -1,5 +1,8 @@
+import gc
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import oracle_reference as reference
@@ -183,7 +186,9 @@ def test_random_suites_match_scalar_oracle(suite, seed, trials):
 GRID_CASES = ([(3, b, 1 + b % 3, 1 + (b + 1) % 3, 2 + b % 5) for b in range(9)]
               + [(4, b, 1 + b % 3, 3 - b % 3, 6 - b) for b in range(5)]
               + [(5, b, 2, 1 + b, 2 + 2 * b) for b in range(3)]
-              + [(4, 6, 3, 3, 4)])
+              + [(4, 6, 3, 3, 4)]
+              # many rank tuples share one prefix rank and total rank
+              + [(3, 3, 5, 1, 3), (4, 2, 4, 2, 4)])
 
 
 def _grid_reports(module, max_l, deg_bound, rank_bound, twist_bound, g_bound):
@@ -224,3 +229,38 @@ def test_spot_check_failures_match_scalar_oracle(block, monkeypatch):
     new, old = _grid_reports(oracle, *case), _grid_reports(reference, *case)
     assert new == old
     assert old[1]["failures"] == 50 and len(old[1]["counterexamples"]) == 10
+
+
+@pytest.mark.parametrize("block", (8, 1 << 16))
+@pytest.mark.parametrize("l", (3, 4, 5))
+@pytest.mark.parametrize("rank_bound", (1, 2, 3, 4))
+def test_slope_walk_keeps_the_rows_of_the_full_mask(l, rank_bound, block, monkeypatch):
+    # the walk against the adjacent-slope mask of every rank tuple over the
+    # whole block, which it replaced
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    degs = oracle._degree_grid(l, 2, 0, 5 ** l).T
+    masks = np.array([(degs[:-1] * rk[1:, None] < degs[1:] * rk[:-1, None]).all(axis=0)
+                      for rk in oracle._rank_tuples(l, rank_bound)])
+    for start, grid in oracle._grid_blocks(l, 2):
+        block_masks = masks[:, start:start + len(grid)]
+        want = [(t, np.flatnonzero(block_masks[t]).tolist())
+                for t in np.flatnonzero(block_masks.any(axis=1)).tolist()]
+        got = [(t, rows.tolist()) for t, rows in
+               oracle._slope_walk(grid.T, rank_bound, np.arange(len(grid)))]
+        assert got == want
+
+
+def test_dimension_suite_frees_each_block():
+    # with the cyclic collector off, a block held by a reference cycle (a
+    # self-recursive closure over it, say) stays allocated to the end; the
+    # blocks of this grid take about 40 MiB in all
+    gc.disable()
+    tracemalloc.start()
+    try:
+        verify_chain_dimension_equivalence(max_l=3, rank_bound=1, deg_bound=60,
+                                           twist_bound=4, g_bound=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert peak < 16 * 2**20
