@@ -181,9 +181,25 @@ class ThmBRow(Record):
         }
 
 
+def _check_k(k):
+    """The degree domain of every enumerator and of `classify`."""
+    if not 1 <= k <= MAX_K:
+        raise ParameterError(f"k must lie in [1, {MAX_K}]")
+
+
+def _check_search_bounds(max_l, deg_bound):
+    """The bounds of the candidate search, checked wherever they are given:
+    below them it would search no chain of length 3 or more."""
+    if max_l < 2:
+        raise ParameterError(f"max_l must be >= 2, got {max_l}")
+    if deg_bound is not None and deg_bound < 0:
+        raise ParameterError(f"deg_bound must be >= 0, got {deg_bound}")
+
+
 def enumerate_unobstructed(p, k):
     """The h unobstructed components of degree k (one per Diophantine
     solution); all have exactly the expected dimension."""
+    _check_k(k)
     out = []
     for r1, d1 in solve_dioph(p, k):
         if r1 > 0:
@@ -205,6 +221,7 @@ def enumerate_obstructed_expected(p, k):
     with hk = a times that value; when it passes, the two-step family
     (r1, d1, a) is a component.  The literal reading is that value | k.
     """
+    _check_k(k)
     hk = p.h * k
     out, rows = [], []
     for r1 in range(1, p.r):
@@ -338,12 +355,10 @@ def enumerate_candidates(p, k, max_l=3, deg_bound=None, include_mixed=False):
     with twist >= 2, chains of length 3..max_l, and (optionally) mixed
     families.  The result names the reasons the search may be incomplete:
     deg_bound clipping a degree entry, or max_l below the longest chain."""
-    if max_l < 2:
-        raise ParameterError(f"max_l must be >= 2, got {max_l}")
+    _check_k(k)
+    _check_search_bounds(max_l, deg_bound)
     if deg_bound is None:
         deg_bound = 4 * p.r * p.g
-    elif deg_bound < 0:
-        raise ParameterError(f"deg_bound must be >= 0, got {deg_bound}")
     hk = p.h * k
     out, clipped = [], []
     # a chain of length l has l ranks summing to r and hk >= C(l+1, 3): every
@@ -435,9 +450,11 @@ def classify(p, k, include_candidates=False, include_mixed=False,
              max_l=3, deg_bound=None):
     """Full classification at degree k.  Merges the unobstructed and
     obstructed-expected enumerations, optionally the candidate sweep, and
-    reports the divisibility cross-check with any discrepancies flagged."""
-    if not 1 <= k <= MAX_K:
-        raise ParameterError(f"k must lie in [1, {MAX_K}]")
+    reports the divisibility cross-check with any discrepancies flagged.
+    It rejects k outside [1, MAX_K] and search bounds that
+    `enumerate_candidates` rejects, whether or not the search runs."""
+    _check_k(k)
+    _check_search_bounds(max_l, deg_bound)
     descriptors = enumerate_unobstructed(p, k)
     expected, rows = enumerate_obstructed_expected(p, k)
     descriptors += expected

@@ -15,7 +15,7 @@ from itertools import chain
 
 from .params import (MAX_GENUS, MAX_K, ConsistencyError, ParameterError,
                      derive_params, expected_dimension)
-from .classifier import (Kind, classify, enumerate_candidates,
+from .classifier import (Kind, _check_search_bounds, classify, enumerate_candidates,
                          sieve_obstructed_expected)
 from .segre import generic_segre, min_connecting_degree, stratum_codimension
 
@@ -172,10 +172,11 @@ def _cmd_sweep(args, out):
     if args.k_min < 1 or args.k_max > MAX_K or args.k_min > args.k_max:
         raise ParameterError(
             f"need 1 <= k-min <= k-max <= {MAX_K}, got [{args.k_min}, {args.k_max}]")
+    _check_search_bounds(args.max_l, args.deg_bound)
     rows = _sweep_rows(p, args.k_min, args.k_max, args.include_candidates,
                        args.max_l, args.deg_bound)
-    # the first row is built before anything is written, so that an option
-    # the candidate search rejects exits with no output
+    # the first row is built before anything is written, so that an error in
+    # building it exits with no output
     rows = chain([next(rows)], rows)
     if args.out:
         tmp = args.out + ".tmp"

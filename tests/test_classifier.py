@@ -212,10 +212,14 @@ class TestClassify:
                     assert desc.status is not Status.PROVED_COMPONENT
 
     def test_k_bounds(self):
-        p = derive_params(2, 2, 1)
-        for k in (0, 10**6 + 1):
-            with pytest.raises(ParameterError, match="k must lie in"):
-                classify(p, k)
+        # the enumerators check k as classify does: at k 0 the thmB table
+        # would read "dividesK" at every r1, and k -1 would fail inside max()
+        p = derive_params(2, 3, 1)
+        for fn in (classify, enumerate_unobstructed, enumerate_obstructed_expected,
+                   enumerate_candidates):
+            for k in (-4, -1, 0, 10**6 + 1):
+                with pytest.raises(ParameterError, match="k must lie in"):
+                    fn(p, k)
 
 
 class TestDerivedValues:

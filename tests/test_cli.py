@@ -88,6 +88,21 @@ def test_negative_deg_bound_rejected(argv, capsys):
     assert "deg_bound must be >= 0, got -3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--g", "2", "--r", "3", "--d", "1", "--k", "9", "--format", "json"],
+    ["sweep", "--g", "2", "--r", "3", "--d", "1", "--k-min", "1", "--k-max", "9"],
+])
+@pytest.mark.parametrize("bound, message", [
+    (["--deg-bound", "-3"], "deg_bound must be >= 0, got -3"),
+    (["--max-l", "1"], "max_l must be >= 2, got 1"),
+])
+def test_search_bounds_checked_without_candidates(argv, bound, message, capsys):
+    # the bounds are echoed in the inputs, so they are checked even when no
+    # candidate search runs
+    assert _run(argv + bound) == (1, "")
+    assert message in capsys.readouterr().err
+
+
 class TestSweep:
     def test_csv_shape_and_counts(self):
         code, text = _run(["sweep", "--g", "2", "--r", "2", "--d", "1",
