@@ -31,7 +31,9 @@ MAX_TRIALS = 10**6            # seeded trials of each random suite
 MAX_VERIFY_L = 12             # chain lengths 3..max_l
 MAX_RANK_TUPLES = 10**5       # one array pass per rank tuple
 MAX_CHAINS = 5 * 10**7        # rank tuples times degree vectors
-MAX_CELLS = 10**9             # chains times twist vectors times genera
+# chains times twist vectors times genera: the trial count of the dimension
+# suite, and the work of its cell-by-cell pass over chains whose routes disagree
+MAX_CELLS = 10**9
 
 
 class _Parser(argparse.ArgumentParser):

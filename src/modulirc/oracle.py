@@ -1,15 +1,19 @@
 """Brute-force verification of the algebraic identities and dimension laws.
 
 Each suite evaluates its claim over exhaustive small ranges or seeded random
-instances, by routes independent of the formulas it cross-checks.  All
-comparisons are exact; rational factors are cleared by cross-multiplication.
+instances, by routes independent of the formulas it cross-checks.  The
+chain-dimension suite evaluates each chain once, by two routes, and covers its
+twist vectors and genera by linearity; it evaluates cell by cell only the
+chains where the routes disagree.  All comparisons are exact; rational
+factors are cleared by cross-multiplication.
 """
 
+import functools
 import itertools
 
 import numpy as np
 
-from .params import Record, derive_params, expected_dimension
+from .params import Record, derive_params, expected_dimension, solve_dioph
 from .families import (
     ExtensionChain,
     MixedDatum,
@@ -21,7 +25,6 @@ from .families import (
     torsion_dimension,
     two_step_chain,
 )
-from .params import solve_dioph
 from .rng import randint, splitmix64
 
 COUNTEREXAMPLE_CAP = 10
@@ -271,18 +274,6 @@ def verify_claim_inequality(max_l=4, rank_bound=3, deg_bound=6, g_bound=4):
                    notes="summed inequality over hypothesis-satisfying chains")
 
 
-def _twist_sums(l, twist_bound, start, stop, pairs):
-    """Twist vectors start..stop-1 of length l - 1 with entries
-    1..twist_bound (in the order of itertools.product, one per row), and the
-    matrix of sum(twists[i:j]) with one row per twist vector and one column
-    per pair (i, j)."""
-    twists = _product(twist_bound, l - 1, start, stop) + 1
-    twist_sum = np.zeros((len(twists), l), dtype=np.int64)
-    twist_sum[:, 1:] = np.cumsum(twists, axis=1)
-    i, j = pairs
-    return twists, twist_sum[:, j] - twist_sum[:, i]
-
-
 def _scalar_dimension_check(g, ranks, degs, twists):
     """One chain through the library formulas: its dimension meets the
     expected one exactly when its certificate is <= 0, and the two differ by
@@ -316,20 +307,93 @@ def _slope_walk(degs, rank_bound, rows, ranks=(), t=0):
                                    t * rank_bound + rank - 1)
 
 
+# The two sides of dim - expected = -cert, for the chains of one rank tuple
+# rk with degree vectors the columns of `degs`.  Both are linear in the twists
+# a_k and in g - 1: Σ_k a_k·(u_k - (g-1)·v_k) - (s - (g-1)·q).  A route returns
+# (u, s, v, q): u with one row per split k and one column per chain, s with
+# one entry per chain, v with one entry per split, and q one number.
+
+@functools.cache
+def _pairs(l):
+    """The pairs i < j of range(l) as two index arrays, and the 0/1 matrix
+    with one row per split k and one column per pair, 1 where i <= k < j.
+    Cached, since the routes run once per block and rank tuple."""
+    i, j = np.triu_indices(l, 1)
+    split = np.arange(l - 1)[:, None]
+    return i, j, ((i <= split) & (split < j)).astype(np.int64)
+
+
+def _pairwise_route(rk, degs):
+    """expected - dim, summed over the pairs i < j as multi_step_dimension
+    sums it: with T_ij = r_i·d_j - r_j·d_i and w_ij = a_i + ... + a_{j-1},
+    expected - dim = Σ T_ij·(w_ij - 1) - (g-1)·Σ r_i·r_j·(w_ij - 1), and a_k
+    lies in w_ij for the pairs that span split k (i <= k < j)."""
+    i, j, spans = _pairs(len(rk))
+    terms = rk[i, None] * degs[j] - rk[j, None] * degs[i]
+    products = rk[i] * rk[j]
+    return spans @ terms, terms.sum(axis=0), spans @ products, int(products.sum())
+
+
+def _prefix_route(rk, degs):
+    """The certificate from prefix sums R_k, D_k of ranks and degrees: the
+    coefficient of a_k is c_k = R_k·d - r·D_k less (g-1)·R_k·(r - R_k), and
+    the constant is Σ_m (2R_m - r_m - r)·d_m less (g-1)·(r² - Σ r_m²)/2."""
+    prefix_r = np.cumsum(rk)
+    r = int(prefix_r[-1])
+    prefix_d = degs.copy()
+    for k in range(1, len(rk)):
+        prefix_d[k] += prefix_d[k - 1]
+    u = prefix_r[:-1, None] * prefix_d[-1] - r * prefix_d[:-1]
+    s = (2 * prefix_r - rk - r) @ degs
+    return u, s, prefix_r[:-1] * (r - prefix_r[:-1]), (r * r - int(rk @ rk)) // 2
+
+
+def _routes_agree(expected_less_dim, cert):
+    """Per chain, whether both routes give the same coefficients, so that
+    dim - expected = -cert at every twist vector and genus."""
+    (u, s, v, q), (u2, s2, v2, q2) = expected_less_dim, cert
+    agree = (u == u2).all(axis=0) & (s == s2)
+    return agree if q == q2 and (v == v2).all() else np.zeros_like(agree)
+
+
+def _bad_cells(l, twist_bound, g_bound, expected_less_dim, cert, chains):
+    """Evaluate (dim >= expected) == (cert <= 0) cell by cell from both
+    routes' coefficients, one cell per chain of `chains` (column indices),
+    twist vector and genus.  Yields (g, failures, cells) per block and genus:
+    the number of cells where it fails, and the first COUNTEREXAMPLE_CAP of
+    them as (twist vector index, chain index, twist vector)."""
+    forms = [(u[:, chains], s[chains], v, q) for u, s, v, q in (expected_less_dim, cert)]
+    for w0, w1 in _blocks(twist_bound ** (l - 1), _BLOCK):
+        twists = _product(twist_bound, l - 1, w0, w1) + 1
+        for c0, c1 in _blocks(len(chains), _BLOCK // (w1 - w0)):
+            # one row per twist vector, one column per chain: a form's value
+            # at g is twists·u - s - (g-1)·(twists·v - q)
+            at = [(twists @ u[:, c0:c1] - s[c0:c1], twists @ v - q) for u, s, v, q in forms]
+            for g in range(2, g_bound + 1):
+                below, negative = (lin - (g - 1) * quad[:, None] <= 0 for lin, quad in at)
+                bad = np.argwhere(below != negative)
+                if len(bad):
+                    yield g, len(bad), [(w0 + tw, int(chains[c0 + c]), twists[tw].tolist())
+                                        for tw, c in bad[:COUNTEREXAMPLE_CAP].tolist()]
+
+
 def verify_chain_dimension_equivalence(max_l=4, rank_bound=3, deg_bound=6,
                                        twist_bound=3, g_bound=4):
     """For every valid chain in range, the dimension meets or exceeds the
     expected dimension exactly when the signed certificate sum is <= 0.
 
-    The bulk sweep is vectorized.  Per block of the degree grid, a walk over
-    rank prefixes keeps the degree vectors whose slopes increase, testing
-    each adjacent pair only on the vectors the shorter prefix kept.  Per rank
-    tuple, with the pair terms of its chains as the columns of T and the
-    twist sums as the rows of W, the degree hk is W·T, and dimension and
-    certificate follow from W·T, the column sums of T and (W - 1) times the
-    rank products; dim_M appears on both sides of the dimension test and
-    cancels.  A deterministic sample of 50 chains is pushed through the
-    scalar formulas as well to tie the library functions in.
+    A cell is a chain, a twist vector and a genus.  Per block of the degree
+    grid, a walk over rank prefixes keeps the degree vectors whose slopes
+    increase, testing each adjacent pair only on the vectors the shorter
+    prefix kept.  Both expected - dim and the certificate are linear in the
+    twists and in g - 1, so each chain is evaluated once, by two routes that
+    share only its ranks and degrees: the pairwise A-terms of the dimension
+    formula and the prefix sums of the certificate.  Where their coefficients
+    agree, dim - expected = -cert holds at every twist vector and genus by
+    linearity, and the chain counts one passing trial per cell.  A chain
+    whose coefficients disagree is evaluated cell by cell from both routes.
+    A deterministic sample of 50 chains is pushed through the scalar formulas
+    as well to tie the library functions in.
     """
     trials = 0
     failures = 0
@@ -337,10 +401,7 @@ def verify_chain_dimension_equivalence(max_l=4, rank_bound=3, deg_bound=6,
     spot_done = 0
     for l in range(3, max_l + 1):
         ranks_all = _rank_tuples(l, rank_bound)
-        pairs = i, j = np.triu_indices(l, 1)
-        n_twists = twist_bound ** (l - 1)
-        twist_block = min(n_twists, _BLOCK)
-        first_twists = _twist_sums(l, twist_bound, 0, twist_block, pairs)
+        cells = twist_bound ** (l - 1) * (g_bound - 1)
         firsts = {}  # rank tuple -> its first two slope-increasing degree vectors
         for start, grid in _grid_blocks(l, deg_bound):
             degs = grid.T
@@ -348,34 +409,20 @@ def verify_chain_dimension_equivalence(max_l=4, rank_bound=3, deg_bound=6,
                 rk = ranks_all[t]
                 seen = firsts.setdefault(t, [])
                 seen += grid[rows[:2 - len(seen)]].tolist()
+                trials += len(rows) * cells
                 sub = degs[:, rows]
-                pair_terms = rk[i, None] * sub[j] - rk[j, None] * sub[i]
-                t_sum = pair_terms.sum(axis=0)
-                for w0, w1 in _blocks(n_twists, twist_block):
-                    twists, w = (first_twists if w0 == 0 else
-                                 _twist_sums(l, twist_bound, w0, w1, pairs))
-                    rr = ((w - 1) @ (rk[i] * rk[j]))[:, None]
-                    for c0, c1 in _blocks(len(rows), _BLOCK // (w1 - w0)):
-                        # one row per twist vector, one column per chain
-                        hk = w @ pair_terms[:, c0:c1]
-                        # the dimension less dim_M and (g-1)·rr; less the
-                        # expected 2hk + dim_M too, dim_M cancelling
-                        dim_free = hk + t_sum[c0:c1]
-                        excess = dim_free - 2 * hk
-                        cert_free = hk - t_sum[c0:c1]
-                        trials += hk.size * (g_bound - 1)
-                        for g in range(2, g_bound + 1):
-                            gm_rr = (g - 1) * rr
-                            bad = (excess >= -gm_rr) != (cert_free <= gm_rr)
-                            if not bad.any():
-                                continue
-                            bad = np.argwhere(bad)
-                            failures += len(bad)
-                            _keep_first(cands, (
-                                ((l, t, g, w0 + tw, 0, start + rows[c]),
-                                 tuple(rk.tolist() + grid[rows[c]].tolist()
-                                       + twists[tw].tolist() + [g]))
-                                for tw, c in (bad[:COUNTEREXAMPLE_CAP] + [0, c0]).tolist()))
+                expected_less_dim = _pairwise_route(rk, sub)
+                cert = _prefix_route(rk, sub)
+                off = np.flatnonzero(~_routes_agree(expected_less_dim, cert))
+                if not len(off):
+                    continue
+                for g, n_bad, found in _bad_cells(l, twist_bound, g_bound,
+                                                  expected_less_dim, cert, off):
+                    failures += n_bad
+                    _keep_first(cands, (
+                        ((l, t, g, tw, 0, start + rows[c]),
+                         tuple(rk.tolist() + grid[rows[c]].tolist() + twists + [g]))
+                        for tw, c, twists in found))
         # spot-check the first two chains of each rank tuple through the
         # scalar formulas, in the order of the bulk sweep, 50 chains in all
         spots = ((t, g, tw, twists) for t in sorted(firsts)

@@ -2,8 +2,9 @@
 
 `SplitMix64` draws one output at a time, and the four suites below walk
 their trials, rank tuples, genera and twist vectors one at a time, exactly
-as the package did before its suites drew the generator in blocks and
-evaluated each rank tuple as one array pass.  `tests/test_oracle.py`
+as the package did before its suites drew the generator in blocks,
+evaluated each rank tuple as one array pass and evaluated each chain of the
+dimension suite once for all its twist vectors and genera.  `tests/test_oracle.py`
 compares every report of both versions with `to_dict()`.
 """
 
@@ -172,9 +173,10 @@ def verify_chain_dimension_equivalence(max_l=4, rank_bound=3, deg_bound=6,
     """For every valid chain in range, the dimension meets or exceeds the
     expected dimension exactly when the signed certificate sum is <= 0.
 
-    The bulk sweep is vectorized; a deterministic sample of 50 chains is
-    pushed through the scalar formulas as well to tie the library functions
-    in.
+    Every cell (chain, twist vector and genus) is evaluated: one array pass
+    per rank tuple, genus and twist vector over the chains of the tuple.  A
+    deterministic sample of 50 chains is pushed through the scalar formulas
+    as well to tie the library functions in.
     """
     trials = 0
     failures = 0

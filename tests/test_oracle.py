@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import tracemalloc
 
@@ -7,7 +8,14 @@ import pytest
 
 import oracle_reference as reference
 from modulirc import oracle
+from modulirc.families import (
+    ExtensionChain,
+    chain_dimension_excess_certificate,
+    multi_step_degree,
+    multi_step_dimension,
+)
 from modulirc.oracle import (
+    COUNTEREXAMPLE_CAP,
     VerificationReport,
     verify_chain_dimension_equivalence,
     verify_claim_inequality,
@@ -16,6 +24,7 @@ from modulirc.oracle import (
     verify_dimension_laws,
     verify_three_term_identities,
 )
+from modulirc.params import derive_params, expected_dimension
 from modulirc.rng import randint, splitmix64
 from oracle_reference import SplitMix64
 
@@ -191,13 +200,17 @@ GRID_CASES = ([(3, b, 1 + b % 3, 1 + (b + 1) % 3, 2 + b % 5) for b in range(9)]
               + [(3, 3, 5, 1, 3), (4, 2, 4, 2, 4)])
 
 
+def _dimension_report(module, max_l, deg_bound, rank_bound, twist_bound, g_bound):
+    return module.verify_chain_dimension_equivalence(
+        max_l=max_l, rank_bound=rank_bound, deg_bound=deg_bound,
+        twist_bound=twist_bound, g_bound=g_bound).to_dict()
+
+
 def _grid_reports(module, max_l, deg_bound, rank_bound, twist_bound, g_bound):
     claim = module.verify_claim_inequality(
         max_l=max_l, rank_bound=rank_bound, deg_bound=deg_bound, g_bound=g_bound)
-    dims = module.verify_chain_dimension_equivalence(
-        max_l=max_l, rank_bound=rank_bound, deg_bound=deg_bound,
-        twist_bound=twist_bound, g_bound=g_bound)
-    return _dicts(claim) + _dicts(dims)
+    return _dicts(claim) + [_dimension_report(module, max_l, deg_bound, rank_bound,
+                                              twist_bound, g_bound)]
 
 
 @pytest.mark.parametrize("case", GRID_CASES)
@@ -264,3 +277,110 @@ def test_dimension_suite_frees_each_block():
         tracemalloc.stop()
         gc.enable()
     assert peak < 16 * 2**20
+
+
+def _dimension_cells(max_l, rank_bound, deg_bound, twist_bound, g_bound):
+    """(dim - expected, cert, twists, g, cell) for every cell of the dimension
+    suite in the loop order of the scalar suite, through the library
+    formulas."""
+    side = range(-deg_bound, deg_bound + 1)
+    for l in range(3, max_l + 1):
+        for ranks in itertools.product(range(1, rank_bound + 1), repeat=l):
+            chains = [degs for degs in itertools.product(side, repeat=l)
+                      if all(degs[k] * ranks[k + 1] < degs[k + 1] * ranks[k]
+                             for k in range(l - 1))]
+            for g in range(2, g_bound + 1):
+                for twists in itertools.product(range(1, twist_bound + 1), repeat=l - 1):
+                    for degs in chains:
+                        p = derive_params(g, sum(ranks), sum(degs))
+                        chain = ExtensionChain(params=p, steps=tuple(zip(ranks, degs)),
+                                               twists=twists)
+                        excess = (multi_step_dimension(chain)
+                                  - expected_dimension(p, multi_step_degree(chain)))
+                        yield (excess, chain_dimension_excess_certificate(chain),
+                               twists, g, ranks + degs + twists + (g,))
+
+
+def _with_fault(route, fault):
+    def faulty(rk, degs):
+        u, s, v, q = route(rk, degs)
+        return fault(u.copy(), s.copy(), v.copy(), q)
+    return faulty
+
+
+def _add_to_first_split(u, s, v, q):
+    u[0] += 1
+    return u, s, v, q
+
+
+def _add_to_constant(u, s, v, q):
+    return u, s + 1, v, q
+
+
+def _add_to_first_genus_split(u, s, v, q):
+    v[0] += 1
+    return u, s, v, q
+
+
+# a one-unit fault in one route, and how it moves dim - expected and cert
+FAULTS = {
+    "prefix a_1": ("_prefix_route", _add_to_first_split,
+                   lambda excess, cert, twists, g: (excess, cert + twists[0])),
+    "prefix genus a_1": ("_prefix_route", _add_to_first_genus_split,
+                         lambda excess, cert, twists, g: (excess, cert - (g - 1) * twists[0])),
+    "pairwise constant": ("_pairwise_route", _add_to_constant,
+                          lambda excess, cert, twists, g: (excess + 1, cert)),
+}
+
+
+@pytest.mark.parametrize("block", (8, 1 << 16))
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_route_fault_fails_the_bulk_pass(fault, block, monkeypatch):
+    # the routes are independent: a fault in either one is reported, with the
+    # failing cells counted and listed in the loop order of the scalar suite
+    name, change, moved = FAULTS[fault]
+    monkeypatch.setattr(oracle, name, _with_fault(getattr(oracle, name), change))
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    case = (4, 2, 2, 2, 3)
+    want = []
+    for excess, cert, twists, g, cell in _dimension_cells(*case):
+        excess, cert = moved(excess, cert, twists, g)
+        if (excess >= 0) != (cert <= 0):
+            want.append(cell)
+    report = _dimension_report(oracle, *case)
+    assert report["failures"] == len(want) > COUNTEREXAMPLE_CAP
+    assert report["counterexamples"] == [list(c) for c in want[:COUNTEREXAMPLE_CAP]]
+
+
+@pytest.mark.parametrize("block", (8, 1 << 16))
+@pytest.mark.parametrize("case", GRID_CASES[:7:2] + GRID_CASES[9::3])
+def test_cell_by_cell_fallback_matches_scalar_oracle(case, block, monkeypatch):
+    # every chain reported as disagreeing goes through the cell-by-cell
+    # evaluation, which must give the scalar suite's report
+    monkeypatch.setattr(oracle, "_routes_agree", lambda a, b: np.zeros(len(b[1]), bool))
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    assert _dimension_report(oracle, *case) == _dimension_report(reference, *case)
+
+
+def test_agreeing_routes_never_fall_back(monkeypatch):
+    def fall_back(*args):
+        raise AssertionError("cell-by-cell fallback ran")
+    monkeypatch.setattr(oracle, "_bad_cells", fall_back)
+    for case in [(4, 6, 3, 3, 4), (5, 2, 2, 3, 6), (3, 8, 1, 3, 6)]:
+        assert _dimension_report(oracle, *case)["pass"]
+
+
+def test_dimension_suite_memory_is_flat_in_twist_bound():
+    # each chain is evaluated once, whatever number of twist vectors it
+    # stands for, so no array grows with the twist bound (the first call at 20
+    # warms what the first call of a process allocates)
+    peaks = {}
+    for twist_bound in (20, 20, 200):
+        tracemalloc.start()
+        try:
+            verify_chain_dimension_equivalence(max_l=3, rank_bound=2, deg_bound=6,
+                                               twist_bound=twist_bound, g_bound=2)
+            peaks[twist_bound] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[200] < peaks[20] + 2**16
