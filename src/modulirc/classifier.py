@@ -8,6 +8,7 @@ exhaustive enumeration of obstructed candidate families (two-step with twist
 """
 
 from enum import Enum
+from itertools import accumulate
 from math import comb, isqrt
 
 from .params import (MAX_K, ConsistencyError, ModuliParams, ParameterError, Record,
@@ -187,13 +188,39 @@ def _check_k(k):
         raise ParameterError(f"k must lie in [1, {MAX_K}]")
 
 
-def _check_search_bounds(max_l, deg_bound):
-    """The bounds of the candidate search, checked wherever they are given:
-    below them it would search no chain of length 3 or more."""
+def _check_max_l(max_l):
+    """The length bound of the candidate search, checked wherever it is
+    given: below 2 the search would be no search at all."""
     if max_l < 2:
         raise ParameterError(f"max_l must be >= 2, got {max_l}")
-    if deg_bound is not None and deg_bound < 0:
-        raise ParameterError(f"deg_bound must be >= 0, got {deg_bound}")
+
+
+# The work budget of one candidate search, in units: a window value that
+# `_deg_vectors` visits costs 1 and a descriptor built DESCRIPTOR_COST, since
+# a descriptor takes far more time and memory than a window value.  A search
+# that would spend more keeps what it found and names the budget among its
+# reasons, so every search ends in bounded time and memory.
+WORK_BUDGET = 10**6
+DESCRIPTOR_COST = 50
+
+
+class _Spent(Exception):
+    """The candidate search asked for more work than WORK_BUDGET."""
+
+
+class _Work:
+    """The units a candidate search has charged.  The first charge past
+    WORK_BUDGET is the last one counted, and it and every later one raise
+    `_Spent`."""
+
+    def __init__(self):
+        self.units = 0
+
+    def charge(self, units):
+        if self.units <= WORK_BUDGET:
+            self.units += units
+        if self.units > WORK_BUDGET:
+            raise _Spent
 
 
 def enumerate_unobstructed(p, k):
@@ -272,10 +299,10 @@ def sieve_obstructed_expected(p, k_min, k_max):
     return counts, disagree
 
 
-def _deg_vectors(p, l, hk, deg_bound, clipped):
+def _deg_vectors(p, l, hk, work):
     """(steps, twists) of every chain of length l and degree hk: ranks
-    summing to r, degrees summing to d with strictly increasing slopes, each
-    degree entry in [-deg_bound, deg_bound], and twists >= 1.
+    summing to r, degrees summing to d with strictly increasing slopes, and
+    twists >= 1.
 
     The walk picks, entry by entry, the rank r_j, then the prefix degree D_j,
     then the twist a_j.  Prefix rank R_j and prefix degree D_j give the
@@ -284,13 +311,17 @@ def _deg_vectors(p, l, hk, deg_bound, clipped):
     is the sum of the a_j*c_j.  So each D_j lies in a finite window of the
     spare degree hk minus the a_i*c_i placed, and the last twist is the one
     value that uses up the spare: the search is complete by construction.
-    The entries bound only clips that window; `clipped` gets an item
-    whenever the clip removes a value."""
+    The tables cost l units of `work`, each window tried and each value in
+    it one, and each chain found DESCRIPTOR_COST.  Once the budget is spent
+    the walk stops: it returns the chains found so far, or, when the budget
+    was spent before it began, raises `_Spent`."""
     r, d = p.r, p.d
+    charge = work.charge
+    charge(l)
     # floors[j]: least value of the coefficient chosen with the (j+1)-th
     # entry; rests[j]: least sum of the a_m*c_m chosen after it
     floors = [(j + 1) * (l - 1 - j) for j in range(l)]
-    rests = [sum(floors[j + 1:]) for j in range(l)]
+    rests = list(accumulate(floors[:0:-1], initial=0))[::-1]
     results = []
 
     def rec(steps, twists, prefix_r, prefix_d, spare):
@@ -298,6 +329,7 @@ def _deg_vectors(p, l, hk, deg_bound, clipped):
         last = j == l - 1  # the last entry closes rank and degree
         # each entry after this one keeps rank >= 1
         for rank in (r - prefix_r,) if last else range(1, r - prefix_r - (l - 2 - j)):
+            charge(1)
             next_r = prefix_r + rank
             if last:
                 lo = hi = d
@@ -307,12 +339,11 @@ def _deg_vectors(p, l, hk, deg_bound, clipped):
             if steps:  # the slope must strictly increase
                 prev_r, prev_d = steps[-1]
                 lo = max(lo, prefix_d + prev_d * rank // prev_r + 1)
-            if lo <= hi and (lo < prefix_d - deg_bound or hi > prefix_d + deg_bound):
-                clipped.append(steps)
-            for next_d in range(max(lo, prefix_d - deg_bound),
-                                min(hi, prefix_d + deg_bound) + 1):
+            for next_d in range(lo, hi + 1):
+                charge(1)
                 step = steps + ((rank, next_d - prefix_d),)
                 if last:  # the last coefficient, r*d - d*r = 0, carries no twist
+                    charge(DESCRIPTOR_COST)  # the descriptor this chain becomes
                     results.append((step, twists))
                     continue
                 c = next_r * d - next_d * r
@@ -325,73 +356,79 @@ def _deg_vectors(p, l, hk, deg_bound, clipped):
                 for a in range(1, (spare - rests[j]) // c + 1):
                     rec(step, twists + (a,), next_r, next_d, spare - a * c)
 
-    rec((), (), 0, 0, hk)
+    try:
+        rec((), (), 0, 0, hk)
+    except _Spent:
+        pass
     return results
 
 
 class CandidateSearch(Record):
     descriptors: tuple
     max_l: int
-    deg_bound: int
-    analytic_bound: int  # covers every degree entry of a chain of degree k
     longest_l: int  # no chain of degree k is longer than this
-    clipped: bool  # deg_bound removed a degree entry the search would visit
+    work: int  # units charged, past the budget when it ran out
+
+    def __post_init__(self):
+        # the budget the search ran under
+        object.__setattr__(self, "budget", WORK_BUDGET)
 
     @property
     def reasons(self):
         """Why the search may have missed families; empty when it is exhaustive."""
         out = []
-        if self.clipped:
-            out.append(f"candidate-search-incomplete: deg_bound={self.deg_bound} "
-                       f"below analytic bound {self.analytic_bound}")
+        if self.work > self.budget:
+            out.append(f"candidate-search-incomplete: work budget of {self.budget} "
+                       "units spent")
         if self.max_l < self.longest_l:
             out.append(f"candidate-search-incomplete: max_l={self.max_l} "
                        f"below longest feasible chain length {self.longest_l}")
         return out
 
 
-def enumerate_candidates(p, k, max_l=3, deg_bound=None, include_mixed=False):
+def enumerate_candidates(p, k, max_l=3, include_mixed=False):
     """Exhaustively enumerate obstructed families of degree k: two-step data
     with twist >= 2, chains of length 3..max_l, and (optionally) mixed
     families.  The result names the reasons the search may be incomplete:
-    deg_bound clipping a degree entry, or max_l below the longest chain."""
+    the work budget running out, or max_l below the longest chain."""
     _check_k(k)
-    _check_search_bounds(max_l, deg_bound)
-    if deg_bound is None:
-        deg_bound = 4 * p.r * p.g
+    _check_max_l(max_l)
     hk = p.h * k
-    out, clipped = [], []
+    out, work = [], _Work()
     # a chain of length l has l ranks summing to r and hk >= C(l+1, 3): every
     # pairwise term r_i*d_j - r_j*d_i is >= 1 and carries weight >= j - i
     longest_l = max(l for l in range(1, p.r + 1) if comb(l + 1, 3) <= hk)
+    try:
+        # two-step, twist a >= 2: h divides r1*d - r*d1, so hk = a*(r1*d - r*d1)
+        # asks a | k and (r1, d1) solving the degree equation at k/a; the
+        # equality case is routed to enumerate_obstructed_expected instead
+        small = [q for q in range(1, isqrt(k) + 1) if k % q == 0]
+        for a in sorted({*small, *(k // q for q in small)} - {1}):
+            for r1, d1 in solve_dioph(p, k // a):
+                if r1 >= 1 and hk // a != r1 * (p.r - r1) * (p.g - 1):
+                    work.charge(DESCRIPTOR_COST)
+                    out.append(ComponentDescriptor(datum=two_step_chain(p, r1, d1, a), k=k))
 
-    # two-step, twist a >= 2: h divides r1*d - r*d1, so hk = a*(r1*d - r*d1)
-    # asks a | k and (r1, d1) solving the degree equation at k/a; the
-    # equality case is routed to enumerate_obstructed_expected instead
-    small = [q for q in range(1, isqrt(k) + 1) if k % q == 0]
-    for a in {*small, *(k // q for q in small)} - {1}:
-        for r1, d1 in solve_dioph(p, k // a):
-            if r1 >= 1 and hk // a != r1 * (p.r - r1) * (p.g - 1):
-                out.append(ComponentDescriptor(datum=two_step_chain(p, r1, d1, a), k=k))
+        # chains of length >= 3, charged by the walk
+        for l in range(3, min(max_l, longest_l) + 1):
+            for steps, twists in _deg_vectors(p, l, hk, work):
+                chain = ExtensionChain(params=p, steps=steps, twists=twists)
+                out.append(ComponentDescriptor(datum=chain, k=k))
 
-    # chains of length >= 3
-    for l in range(3, min(max_l, longest_l) + 1):
-        for steps, twists in _deg_vectors(p, l, hk, deg_bound, clipped):
-            chain = ExtensionChain(params=p, steps=steps, twists=twists)
-            out.append(ComponentDescriptor(datum=chain, k=k))
-
-    if include_mixed:
-        # a mixed family of degree k is a solution (r1, y) at k, r1 >= 1, with
-        # d1 = y + t; its slopes increase exactly when (r + r1)*t < hk
-        for r1, y in solve_dioph(p, k):
-            for t in range(1, -(-hk // (p.r + r1)) if r1 >= 1 else 1):
-                datum = MixedDatum(params=p, r1=r1, d1=y + t, t=t)
-                out.append(ComponentDescriptor(datum=datum, k=k))
+        if include_mixed:
+            # a mixed family of degree k is a solution (r1, y) at k, r1 >= 1, with
+            # d1 = y + t; its slopes increase exactly when (r + r1)*t < hk
+            for r1, y in solve_dioph(p, k):
+                for t in range(1, -(-hk // (p.r + r1)) if r1 >= 1 else 1):
+                    work.charge(DESCRIPTOR_COST)
+                    datum = MixedDatum(params=p, r1=r1, d1=y + t, t=t)
+                    out.append(ComponentDescriptor(datum=datum, k=k))
+    except _Spent:
+        pass
 
     out.sort(key=_sort_key)
-    return CandidateSearch(descriptors=tuple(out), max_l=max_l, deg_bound=deg_bound,
-                           analytic_bound=p.r * abs(p.d) + hk + 1, longest_l=longest_l,
-                           clipped=bool(clipped))
+    return CandidateSearch(descriptors=tuple(out), max_l=max_l, longest_l=longest_l,
+                           work=work.units)
 
 
 class ClassificationReport(Record):
@@ -439,29 +476,26 @@ class ClassificationReport(Record):
         if self.candidate_search is not None:
             data["candidateSearch"] = {
                 "maxL": self.candidate_search.max_l,
-                "degBound": self.candidate_search.deg_bound,
-                "analyticBound": self.candidate_search.analytic_bound,
                 "incomplete": bool(self.candidate_search.reasons),
             }
         return data
 
 
 def classify(p, k, include_candidates=False, include_mixed=False,
-             max_l=3, deg_bound=None):
+             max_l=3):
     """Full classification at degree k.  Merges the unobstructed and
     obstructed-expected enumerations, optionally the candidate sweep, and
     reports the divisibility cross-check with any discrepancies flagged.
-    It rejects k outside [1, MAX_K] and search bounds that
+    It rejects k outside [1, MAX_K] and a max_l that
     `enumerate_candidates` rejects, whether or not the search runs."""
     _check_k(k)
-    _check_search_bounds(max_l, deg_bound)
+    _check_max_l(max_l)
     descriptors = enumerate_unobstructed(p, k)
     expected, rows = enumerate_obstructed_expected(p, k)
     descriptors += expected
     search = None
     if include_candidates:
-        search = enumerate_candidates(p, k, max_l=max_l, deg_bound=deg_bound,
-                                      include_mixed=include_mixed)
+        search = enumerate_candidates(p, k, max_l=max_l, include_mixed=include_mixed)
         descriptors += search.descriptors
     # already in _sort_key order: each enumerator sorts its own list, and
     # their kinds occupy disjoint, increasing ranges of _KIND_ORDER

@@ -15,11 +15,11 @@ from itertools import chain
 
 from .params import (MAX_GENUS, MAX_K, ConsistencyError, ParameterError,
                      derive_params, expected_dimension)
-from .classifier import (Kind, _check_search_bounds, classify, enumerate_candidates,
+from .classifier import (Kind, _check_max_l, classify, enumerate_candidates,
                          sieve_obstructed_expected)
 from .segre import generic_segre, min_connecting_degree, stratum_codimension
 
-SCHEMA_VERSION = "1.0"
+SCHEMA_VERSION = "2.0"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -34,6 +34,8 @@ MAX_CHAINS = 5 * 10**7        # rank tuples times degree vectors
 # chains times twist vectors times genera: the trial count of the dimension
 # suite, and the work of its cell-by-cell pass over chains whose routes disagree
 MAX_CELLS = 10**9
+# strata in one `segre` table; the all-r' table grows like r^2*g
+MAX_STRATA = 10**6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,13 +85,12 @@ def _cmd_classify(args, out):
     report = classify(p, args.k,
                       include_candidates=args.include_candidates,
                       include_mixed=args.include_mixed,
-                      max_l=args.max_l,
-                      deg_bound=args.deg_bound)
+                      max_l=args.max_l)
     if args.format == "json":
         out.write(_dumps(_envelope(
             "classify",
             {"g": args.g, "r": args.r, "d": args.d, "k": args.k,
-             "maxL": args.max_l, "degBound": args.deg_bound,
+             "maxL": args.max_l,
              "includeCandidates": args.include_candidates,
              "includeMixed": args.include_mixed},
             report.to_dict(), report.warnings)))
@@ -98,7 +99,7 @@ def _cmd_classify(args, out):
     return EXIT_OK
 
 
-def _sweep_rows(p, k_min, k_max, include_candidates, max_l, deg_bound):
+def _sweep_rows(p, k_min, k_max, include_candidates, max_l):
     """One row per k in [k_min, k_max].  The expected-dimension counts are
     arithmetic: h unobstructed components, one of them torsion exactly when
     r_bar | k, and the obstructed ones from one sieve over r1.  Only the
@@ -111,7 +112,7 @@ def _sweep_rows(p, k_min, k_max, include_candidates, max_l, deg_bound):
         kinds = []
         flags = ["divisibility-disagreement"] if disagrees else []
         if include_candidates:
-            search = enumerate_candidates(p, k, max_l=max_l, deg_bound=deg_bound)
+            search = enumerate_candidates(p, k, max_l=max_l)
             dims += [d.dimension for d in search.descriptors]
             kinds = [d.kind for d in search.descriptors]
             if search.reasons:
@@ -164,7 +165,7 @@ def _write_sweep(args, rows, fh):
     _write_streamed(fh, "sweep",
                     {"g": args.g, "r": args.r, "d": args.d,
                      "kMin": args.k_min, "kMax": args.k_max,
-                     "maxL": args.max_l, "degBound": args.deg_bound,
+                     "maxL": args.max_l,
                      "includeCandidates": args.include_candidates},
                     "rows", rows)
 
@@ -174,9 +175,8 @@ def _cmd_sweep(args, out):
     if args.k_min < 1 or args.k_max > MAX_K or args.k_min > args.k_max:
         raise ParameterError(
             f"need 1 <= k-min <= k-max <= {MAX_K}, got [{args.k_min}, {args.k_max}]")
-    _check_search_bounds(args.max_l, args.deg_bound)
-    rows = _sweep_rows(p, args.k_min, args.k_max, args.include_candidates,
-                       args.max_l, args.deg_bound)
+    _check_max_l(args.max_l)
+    rows = _sweep_rows(p, args.k_min, args.k_max, args.include_candidates, args.max_l)
     # the first row is built before anything is written, so that an error in
     # building it exits with no output
     rows = chain([next(rows)], rows)
@@ -290,6 +290,11 @@ def _segre_rows(p, r_primes):
 def _cmd_segre(args, out):
     p = derive_params(args.g, args.r, args.d)
     r_primes = [args.r_prime] if args.r_prime is not None else range(1, p.r)
+    # a row's strata step by r from the least positive s up to the generic one
+    strata = sum(-(-generic_segre(p, rp) // p.r) for rp in r_primes)
+    if strata > MAX_STRATA:
+        raise ParameterError(f"the table has {strata} strata, more than {MAX_STRATA}; "
+                             "ask for one --r-prime")
     rows = _segre_rows(p, r_primes)
     # the first row is built before anything is written, so that a rejected
     # r' exits with no output
@@ -334,8 +339,6 @@ def build_parser():
     _add_gr_d(sp)
     sp.add_argument("--k", type=int, required=True, help="curve degree (>= 1)")
     sp.add_argument("--max-l", type=int, default=3, dest="max_l")
-    sp.add_argument("--deg-bound", type=int, default=None, dest="deg_bound",
-                    help="candidate degree bound (default 4*r*g)")
     sp.add_argument("--include-candidates", action="store_true")
     sp.add_argument("--include-mixed", action="store_true")
     sp.add_argument("--format", choices=["json", "table"], default="table")
@@ -346,7 +349,6 @@ def build_parser():
     sp.add_argument("--k-min", type=int, required=True, dest="k_min")
     sp.add_argument("--k-max", type=int, required=True, dest="k_max")
     sp.add_argument("--max-l", type=int, default=3, dest="max_l")
-    sp.add_argument("--deg-bound", type=int, default=None, dest="deg_bound")
     sp.add_argument("--include-candidates", action="store_true")
     sp.add_argument("--out", type=str, default=None)
     sp.add_argument("--format", choices=["csv", "json"], default="csv")

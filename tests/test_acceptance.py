@@ -260,13 +260,12 @@ def test_criterion_9_determinism_and_serialization():
 def test_classify_output_already_sorted():
     # classify concatenates the enumerators' lists without re-sorting; that
     # is only correct while each list is sorted and their kinds are disjoint,
-    # increasing ranges of the kind order.  deg_bound=1 keeps the chain
-    # search cheap while still producing chains of length 3.
+    # increasing ranges of the kind order.
     for g in GRID_G:
         for r in GRID_R:
             for d in GRID_D:
                 p = derive_params(g, r, d)
                 for k in GRID_K:
                     descs = classify(p, k, include_candidates=True,
-                                     include_mixed=True, deg_bound=1).descriptors
+                                     include_mixed=True).descriptors
                     assert descs == sorted(descs, key=_sort_key)

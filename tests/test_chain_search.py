@@ -9,8 +9,8 @@ tries every twist 2..hk at every r1, and the mixed search that tries every
 torsion degree t at every r1.
 """
 
-from modulirc import derive_params, enumerate_candidates
-from modulirc.classifier import _deg_vectors
+from modulirc import classifier, derive_params, enumerate_candidates
+from modulirc.classifier import WORK_BUDGET, _deg_vectors, _Work
 from modulirc.families import MixedDatum
 
 
@@ -127,15 +127,16 @@ def _reference(p, l, hk, deg_bound):
     return sorted(out)
 
 
-def _walk(p, l, hk, deg_bound):
-    clipped = []
-    chains = sorted(_deg_vectors(p, l, hk, deg_bound, clipped))
+def _walk(p, l, hk):
+    work = _Work()
+    chains = sorted(_deg_vectors(p, l, hk, work))
+    assert work.units <= WORK_BUDGET
     for steps, twists in chains:
         ranks, degs = zip(*steps)
         coeffs = _prefix_coeffs(ranks, degs, p.d)
         assert min(coeffs) >= 1
         assert sum(a * c for a, c in zip(twists, coeffs)) == hk
-    return chains, bool(clipped)
+    return chains
 
 
 def _grid(ks):
@@ -149,29 +150,21 @@ def _grid(ks):
 
 
 def test_window_equals_box_search_at_small_bounds():
-    clips = {"lost a chain": 0, "lost none": 0}
+    # the box search at a bound finds the chains whose degree entries all
+    # lie within it
     for p, l, hk in _grid(range(1, 7)):
-        full, full_clipped = _walk(p, l, hk, 10**9)
-        assert not full_clipped
+        chains = _walk(p, l, hk)
         for deg_bound in range(4):
-            chains, clipped = _walk(p, l, hk, deg_bound)
-            assert chains == _reference(p, l, hk, deg_bound)
-            # a search the bound did not clip misses nothing
-            assert clipped or chains == full
-            if clipped:
-                clips["lost a chain" if chains != full else "lost none"] += 1
-    # the last entry is reached only after the last twist completes, so a
-    # clip there always loses a chain; a clip that loses nothing cut an
-    # earlier entry at values that no chain completes
-    assert clips == {"lost a chain": 246, "lost none": 216}
+            boxed = [c for c in chains if all(abs(di) <= deg_bound for _, di in c[0])]
+            assert boxed == _reference(p, l, hk, deg_bound)
 
 
 def test_window_equals_box_search_at_analytic_bound():
-    for p, l, hk in _grid(range(1, 4)):
+    # no degree entry of a chain of degree hk leaves [-bound, bound], so the
+    # box search at this bound is exhaustive
+    for p, l, hk in _grid(range(1, 7)):
         bound = p.r * abs(p.d) + hk + 1
-        chains, clipped = _walk(p, l, hk, bound)
-        assert not clipped
-        assert chains == _reference(p, l, hk, bound)
+        assert _walk(p, l, hk) == _reference(p, l, hk, bound)
 
 
 def test_two_step_divisors_equal_linear_search():
@@ -198,3 +191,46 @@ def test_mixed_solutions_equal_linear_search():
                              if isinstance(c.datum, MixedDatum)]
                     assert sorted(found) == sorted(_linear_mixed(p, p.h * k))
     assert shapes == {"h = 1", "1 < h < r", "h = r"}
+
+
+def test_budget_boundary(monkeypatch):
+    # at exactly the work a search needs, the budget cuts nothing; one unit
+    # less refuses only the last charge, so the search names the budget and
+    # loses at most the family that charge was for.  It loses one whenever
+    # the last charge is a descriptor's: always when the search ends with
+    # two-step families (max_l 2) or mixed ones
+    def search(budget):
+        monkeypatch.setattr(classifier, "WORK_BUDGET", budget)
+        return enumerate_candidates(p, k, max_l=max_l, include_mixed=mixed)
+
+    lost = {"two-step": 0, "mixed": 0, "chain": 0, "none": 0}
+    for g in (2, 3):
+        for r in range(2, 6):
+            for d in range(-3, 4):
+                p = derive_params(g, r, d)
+                for k in (1, 4, 9):
+                    for max_l, mixed in ((2, False), (2, True), (4, False), (4, True)):
+                        full = search(WORK_BUDGET)
+                        assert full.work <= WORK_BUDGET
+                        if full.work == 0:
+                            continue
+                        assert search(full.work) == full
+                        cut = search(full.work - 1)
+                        assert cut.reasons == [f"candidate-search-incomplete: work budget "
+                                               f"of {full.work - 1} units spent",
+                                               *full.reasons]
+                        missing = set(full.descriptors) - set(cut.descriptors)
+                        assert set(cut.descriptors) <= set(full.descriptors)
+                        assert len(missing) == len(full.descriptors) - len(cut.descriptors)
+                        has_mixed = any(isinstance(c.datum, MixedDatum)
+                                        for c in full.descriptors)
+                        if max_l == 2 or has_mixed:
+                            assert len(missing) == 1
+                        assert len(missing) <= 1
+                        if missing:
+                            datum = missing.pop().datum
+                            lost["mixed" if isinstance(datum, MixedDatum)
+                                 else "chain" if datum.length > 2 else "two-step"] += 1
+                        else:
+                            lost["none"] += 1
+    assert all(lost.values()), lost

@@ -125,39 +125,30 @@ class TestCandidates:
                    for d in search.descriptors)
         assert len(enumerate_obstructed_expected(p, 2)[0]) == 1
 
-    def test_incomplete_flag(self):
+    def test_incomplete_flag(self, monkeypatch):
         p = derive_params(2, 3, 1)
-        search = enumerate_candidates(p, 9, max_l=3, deg_bound=1)
-        assert search.reasons == ["candidate-search-incomplete: deg_bound=1 "
-                                  "below analytic bound 13"]
+        monkeypatch.setattr(modulirc.classifier, "WORK_BUDGET", 30)
+        search = enumerate_candidates(p, 9, max_l=3)
+        assert search.reasons == ["candidate-search-incomplete: work budget "
+                                  "of 30 units spent"]
+        assert search.work > 30
 
-    def test_bound_that_cuts_nothing_is_complete(self):
-        # at (2, 3, 1, 3) no chain of length 3 has degree hk = 3; at
-        # (2, 3, 5, 10) the bound cuts only prefixes no twist vector completes
-        for (g, r, d, k), deg_bound in (((2, 3, 1, 3), 0), ((2, 3, 5, 10), 2)):
-            p = derive_params(g, r, d)
-            search = enumerate_candidates(p, k, max_l=3, deg_bound=deg_bound)
-            assert not search.reasons, (g, r, d, k)
-            assert search.descriptors == \
-                enumerate_candidates(p, k, max_l=3, deg_bound=10**9).descriptors
-        assert enumerate_candidates(derive_params(2, 3, 1), 3).longest_l == 2
-
-    def test_deg_bound_only_clips(self):
-        p = derive_params(2, 3, 1)
-        full = enumerate_candidates(p, 9, max_l=3, deg_bound=10**9)
-        assert not full.reasons
-        assert enumerate_candidates(p, 9, max_l=3, deg_bound=2).descriptors == \
-            full.descriptors
-        cut = enumerate_candidates(p, 9, max_l=3, deg_bound=1)
-        assert cut.reasons and set(cut.descriptors) < set(full.descriptors)
-        assert any(len(_datum(d).get("steps", ())) == 3
-                   for d in set(full.descriptors) - set(cut.descriptors))
+    def test_bound_that_cuts_nothing_is_complete(self, monkeypatch):
+        # at (2, 3, 1, 3) no chain of length 3 has degree hk = 3, so a max_l
+        # of 3 cuts nothing; at (2, 3, 5, 10) neither does a budget of
+        # exactly the search's work
+        short = enumerate_candidates(derive_params(2, 3, 1), 3, max_l=3)
+        assert short.longest_l == 2 and not short.reasons
+        p = derive_params(2, 3, 5)
+        full = enumerate_candidates(p, 10, max_l=3)
+        assert not full.reasons and full.work < modulirc.classifier.WORK_BUDGET
+        monkeypatch.setattr(modulirc.classifier, "WORK_BUDGET", full.work)
+        assert enumerate_candidates(p, 10, max_l=3) == full
 
     def test_short_max_l_incomplete(self):
         # chains of length up to 5 can have degree hk = 30 >= C(6, 3)
         p = derive_params(2, 5, 1)
         short = enumerate_candidates(p, 30, max_l=3)
-        assert short.deg_bound >= short.analytic_bound
         assert short.longest_l == 5
         assert short.reasons == ["candidate-search-incomplete: max_l=3 below "
                                  "longest feasible chain length 5"]

@@ -83,9 +83,14 @@ class TestClassify:
     ["sweep", "--g", "2", "--r", "3", "--d", "1", "--k-min", "1", "--k-max", "9"],
 ])
 def test_negative_deg_bound_rejected(argv, capsys):
-    # a negative bound would search no chain of length >= 3
-    assert _run(argv + ["--include-candidates", "--deg-bound", "-3"]) == (1, "")
-    assert "deg_bound must be >= 0, got -3" in capsys.readouterr().err
+    # the work budget bounds the candidate search, so --deg-bound, of any
+    # value, is not a flag of classify or sweep
+    with pytest.raises(SystemExit) as exc:
+        _run(argv + ["--include-candidates", "--deg-bound", "-3"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --deg-bound -3" in captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -93,11 +98,11 @@ def test_negative_deg_bound_rejected(argv, capsys):
     ["sweep", "--g", "2", "--r", "3", "--d", "1", "--k-min", "1", "--k-max", "9"],
 ])
 @pytest.mark.parametrize("bound, message", [
-    (["--deg-bound", "-3"], "deg_bound must be >= 0, got -3"),
+    (["--max-l", "-1"], "max_l must be >= 2, got -1"),
     (["--max-l", "1"], "max_l must be >= 2, got 1"),
 ])
 def test_search_bounds_checked_without_candidates(argv, bound, message, capsys):
-    # the bounds are echoed in the inputs, so they are checked even when no
+    # the bound is echoed in the inputs, so it is checked even when no
     # candidate search runs
     assert _run(argv + bound) == (1, "")
     assert message in capsys.readouterr().err
@@ -174,8 +179,8 @@ class TestSweep:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_each_row_written_before_the_next_is_built(self, fmt):
         args = argparse.Namespace(format=fmt, g=2, r=4, d=2, k_min=1, k_max=5,
-                                  max_l=3, deg_bound=None, include_candidates=False)
-        rows = list(_sweep_rows(derive_params(2, 4, 2), 1, 5, False, 3, None))
+                                  max_l=3, include_candidates=False)
+        rows = list(_sweep_rows(derive_params(2, 4, 2), 1, 5, False, 3))
         fh = io.StringIO()
 
         def pulled():
@@ -190,7 +195,7 @@ class TestSweep:
             assert fh.getvalue().count("\n") == len(rows) + 1
         else:  # the streamed text is the whole document's
             inputs = {"g": 2, "r": 4, "d": 2, "kMin": 1, "kMax": 5, "maxL": 3,
-                      "degBound": None, "includeCandidates": False}
+                      "includeCandidates": False}
             assert fh.getvalue() == _dumps(_envelope("sweep", inputs, {"rows": rows}, []))
 
 

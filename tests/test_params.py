@@ -97,7 +97,7 @@ def _samples():
         (min_connecting_degree(p), min_connecting_degree(q)),
         tuple(report.descriptors[:2]),
         tuple(report.thm_b),
-        (report.candidate_search, enumerate_candidates(p, 9, deg_bound=2)),
+        (report.candidate_search, enumerate_candidates(p, 9, max_l=2)),
         (report, other),
         (VerificationReport(suite="a", trials=2, failures=1, counterexamples=[[1]]),
          VerificationReport(suite="a", trials=2, failures=0, counterexamples=[],

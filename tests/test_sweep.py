@@ -5,16 +5,16 @@ oracle: it runs `classify` at every k and tallies the report's totals,
 descriptor dimensions, cross-check rows and search reasons.
 """
 
-from modulirc import derive_params, expected_dimension
+from modulirc import classifier, derive_params, expected_dimension
 from modulirc.classifier import classify
 from modulirc.cli import _sweep_rows
 
 
-def _classified_rows(p, k_min, k_max, include_candidates, max_l, deg_bound):
+def _classified_rows(p, k_min, k_max, include_candidates, max_l):
     rows = []
     for k in range(k_min, k_max + 1):
         report = classify(p, k, include_candidates=include_candidates,
-                          max_l=max_l, deg_bound=deg_bound)
+                          max_l=max_l)
         counts = report.totals
         dims = [d.dimension for d in report.descriptors]
         flags = []
@@ -40,7 +40,7 @@ def _classified_rows(p, k_min, k_max, include_candidates, max_l, deg_bound):
 def _compare_grid(gs, rs, ds, k_max, **search):
     """Compare both builders on every (g, r, d) of the grid over k 1..k_max;
     returns what the grid covered, so a test can assert that it is not thin."""
-    options = {"include_candidates": False, "max_l": 3, "deg_bound": None, **search}
+    options = {"include_candidates": False, "max_l": 3, **search}
     seen = set()
     for g in gs:
         for r in rs:
@@ -71,9 +71,11 @@ def test_candidate_rows_equal_classified_rows():
             "obstructed-expected"} <= seen
 
 
-def test_clipped_candidate_rows_equal_classified_rows():
+def test_clipped_candidate_rows_equal_classified_rows(monkeypatch):
+    # a budget this small stops many of the searches short
+    monkeypatch.setattr(classifier, "WORK_BUDGET", 60)
     seen = _compare_grid((2, 3), range(2, 6), range(-4, 5), 6,
-                         include_candidates=True, max_l=4, deg_bound=1)
+                         include_candidates=True, max_l=4)
     assert "incomplete" in seen
 
 
@@ -84,9 +86,9 @@ def test_rank_1000_rows_equal_classified_rows_at_sampled_k():
     seen = set()
     for d in (0, 500):
         p = derive_params(2, 1000, d)
-        rows = list(_sweep_rows(p, 1, 20000, False, 3, None))
+        rows = list(_sweep_rows(p, 1, 20000, False, 3))
         for k in sample:
-            assert [rows[k - 1]] == _classified_rows(p, k, k, False, 3, None), (d, k)
+            assert [rows[k - 1]] == _classified_rows(p, k, k, False, 3), (d, k)
             seen.add((rows[k - 1]["obstructedExpected"] > 0, rows[k - 1]["flags"]))
     assert {(False, ""), (False, "divisibility-disagreement"),
             (True, "divisibility-disagreement")} <= seen
