@@ -2,11 +2,12 @@
 curves in the moduli space.
 
 Given (g, r, d, k) this lists the h unobstructed components, the obstructed
-components of expected dimension (constructive test), and optionally an
-exhaustive enumeration of obstructed candidate families (two-step with twist
->= 2 and longer chains), each labeled with its proof status.
+components of expected dimension (constructive test), and optionally the
+obstructed candidate families (two-step with twist >= 2 and longer chains,
+exhaustive within a fixed work budget), each labeled with its proof status.
 """
 
+from contextlib import suppress
 from enum import Enum
 from itertools import accumulate
 from math import comb, isqrt
@@ -189,38 +190,19 @@ def _check_k(k):
 
 
 def _check_max_l(max_l):
-    """The length bound of the candidate search, checked wherever it is
-    given: below 2 the search would be no search at all."""
+    """Checked wherever max_l is given: below 2 there is nothing to search."""
     if max_l < 2:
         raise ParameterError(f"max_l must be >= 2, got {max_l}")
 
 
-# The work budget of one candidate search, in units: a window value that
-# `_deg_vectors` visits costs 1 and a descriptor built DESCRIPTOR_COST, since
-# a descriptor takes far more time and memory than a window value.  A search
-# that would spend more keeps what it found and names the budget among its
-# reasons, so every search ends in bounded time and memory.
+# The work budget of one candidate search, in units; a descriptor takes about
+# 50 times the time of a window value of `_deg_vectors`, and far more memory.
 WORK_BUDGET = 10**6
 DESCRIPTOR_COST = 50
 
 
 class _Spent(Exception):
-    """The candidate search asked for more work than WORK_BUDGET."""
-
-
-class _Work:
-    """The units a candidate search has charged.  The first charge past
-    WORK_BUDGET is the last one counted, and it and every later one raise
-    `_Spent`."""
-
-    def __init__(self):
-        self.units = 0
-
-    def charge(self, units):
-        if self.units <= WORK_BUDGET:
-            self.units += units
-        if self.units > WORK_BUDGET:
-            raise _Spent
+    """Raised by each charge once the work is past WORK_BUDGET."""
 
 
 def enumerate_unobstructed(p, k):
@@ -299,10 +281,9 @@ def sieve_obstructed_expected(p, k_min, k_max):
     return counts, disagree
 
 
-def _deg_vectors(p, l, hk, work):
+def _deg_vectors(p, l, hk, charge):
     """(steps, twists) of every chain of length l and degree hk: ranks
-    summing to r, degrees summing to d with strictly increasing slopes, and
-    twists >= 1.
+    summing to r, degrees summing to d with strictly increasing slopes.
 
     The walk picks, entry by entry, the rank r_j, then the prefix degree D_j,
     then the twist a_j.  Prefix rank R_j and prefix degree D_j give the
@@ -311,12 +292,10 @@ def _deg_vectors(p, l, hk, work):
     is the sum of the a_j*c_j.  So each D_j lies in a finite window of the
     spare degree hk minus the a_i*c_i placed, and the last twist is the one
     value that uses up the spare: the search is complete by construction.
-    The tables cost l units of `work`, each window tried and each value in
-    it one, and each chain found DESCRIPTOR_COST.  Once the budget is spent
-    the walk stops: it returns the chains found so far, or, when the budget
-    was spent before it began, raises `_Spent`."""
+    It charges l units for its tables, one per window tried and per value in
+    it, and DESCRIPTOR_COST per chain; when the budget runs out, it returns
+    the chains found so far (or raises, if it ran out before the walk)."""
     r, d = p.r, p.d
-    charge = work.charge
     charge(l)
     # floors[j]: least value of the coefficient chosen with the (j+1)-th
     # entry; rests[j]: least sum of the a_m*c_m chosen after it
@@ -346,9 +325,7 @@ def _deg_vectors(p, l, hk, work):
                     charge(DESCRIPTOR_COST)  # the descriptor this chain becomes
                     results.append((step, twists))
                     continue
-                c = next_r * d - next_d * r
-                if c < 1:
-                    raise ConsistencyError("non-positive telescoped coefficient")
+                c = next_r * d - next_d * r  # >= floors[j] by the window
                 if j == l - 2:  # the last twist uses up the spare
                     if spare % c == 0:
                         rec(step, twists + (spare // c,), next_r, next_d, 0)
@@ -356,10 +333,8 @@ def _deg_vectors(p, l, hk, work):
                 for a in range(1, (spare - rests[j]) // c + 1):
                     rec(step, twists + (a,), next_r, next_d, spare - a * c)
 
-    try:
+    with suppress(_Spent):
         rec((), (), 0, 0, hk)
-    except _Spent:
-        pass
     return results
 
 
@@ -367,19 +342,14 @@ class CandidateSearch(Record):
     descriptors: tuple
     max_l: int
     longest_l: int  # no chain of degree k is longer than this
-    work: int  # units charged, past the budget when it ran out
-
-    def __post_init__(self):
-        # the budget the search ran under
-        object.__setattr__(self, "budget", WORK_BUDGET)
+    work: int  # units charged; past WORK_BUDGET when the budget ran out
 
     @property
     def reasons(self):
         """Why the search may have missed families; empty when it is exhaustive."""
         out = []
-        if self.work > self.budget:
-            out.append(f"candidate-search-incomplete: work budget of {self.budget} "
-                       "units spent")
+        if self.work > WORK_BUDGET:
+            out.append(f"candidate-search-incomplete: work budget of {WORK_BUDGET} units spent")
         if self.max_l < self.longest_l:
             out.append(f"candidate-search-incomplete: max_l={self.max_l} "
                        f"below longest feasible chain length {self.longest_l}")
@@ -394,11 +364,18 @@ def enumerate_candidates(p, k, max_l=3, include_mixed=False):
     _check_k(k)
     _check_max_l(max_l)
     hk = p.h * k
-    out, work = [], _Work()
+    out, work = [], 0
+
+    def charge(units):
+        nonlocal work
+        work += units
+        if work > WORK_BUDGET:
+            raise _Spent
+
     # a chain of length l has l ranks summing to r and hk >= C(l+1, 3): every
     # pairwise term r_i*d_j - r_j*d_i is >= 1 and carries weight >= j - i
     longest_l = max(l for l in range(1, p.r + 1) if comb(l + 1, 3) <= hk)
-    try:
+    with suppress(_Spent):  # the search keeps what it found
         # two-step, twist a >= 2: h divides r1*d - r*d1, so hk = a*(r1*d - r*d1)
         # asks a | k and (r1, d1) solving the degree equation at k/a; the
         # equality case is routed to enumerate_obstructed_expected instead
@@ -406,12 +383,12 @@ def enumerate_candidates(p, k, max_l=3, include_mixed=False):
         for a in sorted({*small, *(k // q for q in small)} - {1}):
             for r1, d1 in solve_dioph(p, k // a):
                 if r1 >= 1 and hk // a != r1 * (p.r - r1) * (p.g - 1):
-                    work.charge(DESCRIPTOR_COST)
+                    charge(DESCRIPTOR_COST)
                     out.append(ComponentDescriptor(datum=two_step_chain(p, r1, d1, a), k=k))
 
         # chains of length >= 3, charged by the walk
         for l in range(3, min(max_l, longest_l) + 1):
-            for steps, twists in _deg_vectors(p, l, hk, work):
+            for steps, twists in _deg_vectors(p, l, hk, charge):
                 chain = ExtensionChain(params=p, steps=steps, twists=twists)
                 out.append(ComponentDescriptor(datum=chain, k=k))
 
@@ -420,15 +397,12 @@ def enumerate_candidates(p, k, max_l=3, include_mixed=False):
             # d1 = y + t; its slopes increase exactly when (r + r1)*t < hk
             for r1, y in solve_dioph(p, k):
                 for t in range(1, -(-hk // (p.r + r1)) if r1 >= 1 else 1):
-                    work.charge(DESCRIPTOR_COST)
+                    charge(DESCRIPTOR_COST)
                     datum = MixedDatum(params=p, r1=r1, d1=y + t, t=t)
                     out.append(ComponentDescriptor(datum=datum, k=k))
-    except _Spent:
-        pass
 
     out.sort(key=_sort_key)
-    return CandidateSearch(descriptors=tuple(out), max_l=max_l, longest_l=longest_l,
-                           work=work.units)
+    return CandidateSearch(descriptors=tuple(out), max_l=max_l, longest_l=longest_l, work=work)
 
 
 class ClassificationReport(Record):
@@ -474,20 +448,16 @@ class ClassificationReport(Record):
             "warnings": self.warnings,
         }
         if self.candidate_search is not None:
-            data["candidateSearch"] = {
-                "maxL": self.candidate_search.max_l,
-                "incomplete": bool(self.candidate_search.reasons),
-            }
+            data["candidateSearch"] = {"maxL": self.candidate_search.max_l,
+                                       "incomplete": bool(self.candidate_search.reasons)}
         return data
 
 
-def classify(p, k, include_candidates=False, include_mixed=False,
-             max_l=3):
+def classify(p, k, include_candidates=False, include_mixed=False, max_l=3):
     """Full classification at degree k.  Merges the unobstructed and
     obstructed-expected enumerations, optionally the candidate sweep, and
     reports the divisibility cross-check with any discrepancies flagged.
-    It rejects k outside [1, MAX_K] and a max_l that
-    `enumerate_candidates` rejects, whether or not the search runs."""
+    It rejects a k or max_l out of range, whether or not the search runs."""
     _check_k(k)
     _check_max_l(max_l)
     descriptors = enumerate_unobstructed(p, k)

@@ -82,15 +82,12 @@ def _classify_table(report):
 
 def _cmd_classify(args, out):
     p = derive_params(args.g, args.r, args.d)
-    report = classify(p, args.k,
-                      include_candidates=args.include_candidates,
-                      include_mixed=args.include_mixed,
-                      max_l=args.max_l)
+    report = classify(p, args.k, include_candidates=args.include_candidates,
+                      include_mixed=args.include_mixed, max_l=args.max_l)
     if args.format == "json":
         out.write(_dumps(_envelope(
             "classify",
-            {"g": args.g, "r": args.r, "d": args.d, "k": args.k,
-             "maxL": args.max_l,
+            {"g": args.g, "r": args.r, "d": args.d, "k": args.k, "maxL": args.max_l,
              "includeCandidates": args.include_candidates,
              "includeMixed": args.include_mixed},
             report.to_dict(), report.warnings)))
@@ -164,8 +161,7 @@ def _write_sweep(args, rows, fh):
         return
     _write_streamed(fh, "sweep",
                     {"g": args.g, "r": args.r, "d": args.d,
-                     "kMin": args.k_min, "kMax": args.k_max,
-                     "maxL": args.max_l,
+                     "kMin": args.k_min, "kMax": args.k_max, "maxL": args.max_l,
                      "includeCandidates": args.include_candidates},
                     "rows", rows)
 
@@ -290,17 +286,14 @@ def _segre_rows(p, r_primes):
 def _cmd_segre(args, out):
     p = derive_params(args.g, args.r, args.d)
     r_primes = [args.r_prime] if args.r_prime is not None else range(1, p.r)
-    # a row's strata step by r from the least positive s up to the generic one
+    # r' has a stratum per s = r'd (mod r) in (0, generic s]; the count checks r' too
     strata = sum(-(-generic_segre(p, rp) // p.r) for rp in r_primes)
     if strata > MAX_STRATA:
         raise ParameterError(f"the table has {strata} strata, more than {MAX_STRATA}; "
                              "ask for one --r-prime")
-    rows = _segre_rows(p, r_primes)
-    # the first row is built before anything is written, so that a rejected
-    # r' exits with no output
     _write_streamed(out, "segre",
                     {"g": args.g, "r": args.r, "d": args.d, "rPrime": args.r_prime},
-                    "table", chain([next(rows)], rows))
+                    "table", _segre_rows(p, r_primes))
     return EXIT_OK
 
 
