@@ -286,7 +286,7 @@ def _segre_rows(p, r_primes):
 def _cmd_segre(args, out):
     p = derive_params(args.g, args.r, args.d)
     r_primes = [args.r_prime] if args.r_prime is not None else range(1, p.r)
-    # r' has a stratum per s = r'd (mod r) in (0, generic s]; the count checks r' too
+    # a stratum per s = r'd (mod r) in (0, generic s]; a bad r' fails here, before output
     strata = sum(-(-generic_segre(p, rp) // p.r) for rp in r_primes)
     if strata > MAX_STRATA:
         raise ParameterError(f"the table has {strata} strata, more than {MAX_STRATA}; "

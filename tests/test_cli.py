@@ -299,6 +299,17 @@ class TestSegre:
                         "--r-prime", "3"])
         assert code == 1
 
+    @pytest.mark.parametrize("g, r, strata", [(100, 400, 2640178), (1000, 1000, 166500362)])
+    def test_table_over_strata_cap_rejected(self, g, r, strata, capsys):
+        assert _run(["segre", "--g", str(g), "--r", str(r), "--d", "0"]) == (1, "")
+        assert capsys.readouterr().err == (
+            f"modulirc: error: the table has {strata} strata, more than 1000000; "
+            "ask for one --r-prime\n")
+        # one r' of the same table is under the cap
+        code, data = _run_json(["segre", "--g", str(g), "--r", str(r), "--d", "0",
+                                "--r-prime", "1"])
+        assert code == 0 and len(data["results"]["table"][0]["strata"]) == g - 1
+
 
 class TestConnect:
     def test_agreeing_case(self):
