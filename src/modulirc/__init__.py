@@ -14,12 +14,6 @@ from .families import (
     MixedDatum,
     TorsionDatum,
     chain_dimension_excess_certificate,
-    is_unobstructed_splitting,
-    mixed_dimension,
-    multi_step_degree,
-    multi_step_dimension,
-    torsion_degree,
-    torsion_dimension,
     two_step_chain,
 )
 from .classifier import (
@@ -38,6 +32,7 @@ from .segre import (
     SegreStratum,
     generic_segre,
     min_connecting_degree,
+    segre_bound,
     stratum_codimension,
 )
 

@@ -14,18 +14,8 @@ from math import comb, isqrt
 
 from .params import (MAX_K, ConsistencyError, ModuliParams, ParameterError, Record,
                      expected_dimension, solve_dioph)
-from .families import (
-    ExtensionChain,
-    MixedDatum,
-    TorsionDatum,
-    is_unobstructed_splitting,
-    mixed_dimension,
-    multi_step_degree,
-    multi_step_dimension,
-    torsion_degree,
-    torsion_dimension,
-    two_step_chain,
-)
+from .families import ExtensionChain, MixedDatum, TorsionDatum, two_step_chain
+from .segre import segre_bound
 
 
 class Kind(Enum):
@@ -71,31 +61,23 @@ class ComponentDescriptor(Record):
 
     def __post_init__(self):
         datum, k = self.datum, self.k
-        p = datum.params
-        if isinstance(datum, MixedDatum):
-            degree, dim = mixed_dimension(p, datum)
-        elif isinstance(datum, TorsionDatum):
-            degree, dim = torsion_degree(p, datum), torsion_dimension(p, datum)
-        else:
-            degree, dim = multi_step_degree(datum), multi_step_dimension(datum)
-        if degree != k:
+        if datum.degree != k:
             raise ConsistencyError(
-                f"{type(datum).__name__} has degree {degree}, not k = {k}")
-        exp = expected_dimension(p, k)
-        if isinstance(datum, MixedDatum) or not is_unobstructed_splitting(datum):
-            if dim < exp:
-                kind = Kind.NOT_COMPONENT
-            elif isinstance(datum, MixedDatum):
-                raise ConsistencyError("mixed family is not below the expected dimension")
-            elif dim == exp and isinstance(datum, ExtensionChain) and datum.length == 2:
-                kind = Kind.OBSTRUCTED_EXPECTED
-            else:
-                kind = Kind.OBSTRUCTED_CANDIDATE
-        elif dim != exp:
-            raise ConsistencyError("twist-1 family does not have the expected dimension")
-        else:
+                f"{type(datum).__name__} has degree {datum.degree}, not k = {k}")
+        dim, exp = datum.dimension, expected_dimension(datum.params, k)
+        if datum.balanced:
+            if dim != exp:
+                raise ConsistencyError("twist-1 family does not have the expected dimension")
             kind = (Kind.UNOBSTRUCTED_TORSION if isinstance(datum, TorsionDatum)
                     else Kind.UNOBSTRUCTED_EXT)
+        elif dim < exp:
+            kind = Kind.NOT_COMPONENT
+        elif isinstance(datum, MixedDatum):
+            raise ConsistencyError("mixed family is not below the expected dimension")
+        elif dim == exp and isinstance(datum, ExtensionChain) and datum.length == 2:
+            kind = Kind.OBSTRUCTED_EXPECTED
+        else:
+            kind = Kind.OBSTRUCTED_CANDIDATE
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "dimension", dim)
         object.__setattr__(self, "expected_dim", exp)
@@ -112,19 +94,17 @@ class ComponentDescriptor(Record):
     def status(self):
         # a candidate has dim >= expected and special image bundles;
         # componenthood is proved only at rank 2 (every chain is two-step
-        # there) and only when d - 2*d1 < g - 1
-        datum = self.datum
-        if (self.kind is Kind.OBSTRUCTED_CANDIDATE
-                and isinstance(datum, ExtensionChain) and datum.params.r == 2):
-            p = datum.params
-            if p.d - 2 * datum.steps[0][1] < p.g - 1:
-                return Status.PROVED_COMPONENT
+        # there) and only when d - 2*d1 < g - 1; only a chain is a candidate
+        p = self.datum.params
+        if (self.kind is Kind.OBSTRUCTED_CANDIDATE and p.r == 2
+                and p.d - 2 * self.datum.steps[0][1] < p.g - 1):
+            return Status.PROVED_COMPONENT
         return _LABELS[self.kind][1]
 
     def to_dict(self):
         return {
             "kind": self.kind.value,
-            "datum": _datum_to_dict(self.datum),
+            "datum": self.datum.to_dict(),
             "k": self.k,
             "dimension": self.dimension,
             "expectedDim": self.expected_dim,
@@ -132,20 +112,6 @@ class ComponentDescriptor(Record):
             "genericImage": self.generic_image.value,
             "status": self.status.value,
         }
-
-
-def _datum_to_dict(datum):
-    if isinstance(datum, ExtensionChain):
-        return {
-            "type": "chain",
-            "steps": [[ri, di] for ri, di in datum.steps],
-            "twists": list(datum.twists),
-        }
-    if isinstance(datum, TorsionDatum):
-        return {"type": "torsion", "t": datum.t, "a": datum.a}
-    if isinstance(datum, MixedDatum):
-        return {"type": "mixed", "r1": datum.r1, "d1": datum.d1, "t": datum.t}
-    raise ParameterError(f"unsupported datum type {type(datum).__name__}")
 
 
 def _datum_sort_key(datum):
@@ -234,7 +200,7 @@ def enumerate_obstructed_expected(p, k):
     hk = p.h * k
     out, rows = [], []
     for r1 in range(1, p.r):
-        divisor = r1 * (p.r - r1) * (p.g - 1)
+        divisor = segre_bound(p, r1)
         r_d1 = r1 * p.d - divisor
         a, rest = divmod(hk, divisor)
         constructive = r_d1 % p.r == 0 and rest == 0 and a >= 2
@@ -267,7 +233,7 @@ def sieve_obstructed_expected(p, k_min, k_max):
     n = k_max - k_min + 1
     counts, disagree = [0] * n, [False] * n
     for r1 in range(1, p.r):
-        divisor = r1 * (p.r - r1) * (p.g - 1)
+        divisor = segre_bound(p, r1)
         if (r1 * p.d - divisor) % p.r == 0:
             step = divisor // p.h
             low = 2 * step
@@ -382,7 +348,7 @@ def enumerate_candidates(p, k, max_l=3, include_mixed=False):
         small = [q for q in range(1, isqrt(k) + 1) if k % q == 0]
         for a in sorted({*small, *(k // q for q in small)} - {1}):
             for r1, d1 in solve_dioph(p, k // a):
-                if r1 >= 1 and hk // a != r1 * (p.r - r1) * (p.g - 1):
+                if r1 >= 1 and hk // a != segre_bound(p, r1):
                     charge(DESCRIPTOR_COST)
                     out.append(ComponentDescriptor(datum=two_step_chain(p, r1, d1, a), k=k))
 

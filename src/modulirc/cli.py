@@ -36,6 +36,9 @@ MAX_CHAINS = 5 * 10**7        # rank tuples times degree vectors
 MAX_CELLS = 10**9
 # strata in one `segre` table; the all-r' table grows like r^2*g
 MAX_STRATA = 10**6
+# candidate-search work units in one `sweep`, ten search budgets: once the
+# rows have spent more, the later rows are not searched and read `incomplete`
+MAX_SWEEP_WORK = 10**7
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,16 +103,20 @@ def _sweep_rows(p, k_min, k_max, include_candidates, max_l):
     """One row per k in [k_min, k_max].  The expected-dimension counts are
     arithmetic: h unobstructed components, one of them torsion exactly when
     r_bar | k, and the obstructed ones from one sieve over r1.  Only the
-    candidate search runs per k."""
+    candidate search runs per k, until the sweep has spent MAX_SWEEP_WORK."""
     obstructed, disagree = sieve_obstructed_expected(p, k_min, k_max)
+    work = 0
     for k, n_obstructed, disagrees in zip(range(k_min, k_max + 1), obstructed, disagree):
         torsion = int(k % p.r_bar == 0)
         exp_dim = expected_dimension(p, k)
         dims = [exp_dim]
         kinds = []
         flags = ["divisibility-disagreement"] if disagrees else []
-        if include_candidates:
+        if include_candidates and work > MAX_SWEEP_WORK:
+            flags.append("incomplete")
+        elif include_candidates:
             search = enumerate_candidates(p, k, max_l=max_l)
+            work += search.work
             dims += [d.dimension for d in search.descriptors]
             kinds = [d.kind for d in search.descriptors]
             if search.reasons:

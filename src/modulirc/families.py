@@ -7,8 +7,10 @@ Four shapes of family data appear:
 * mixed families (a two-step split plus a torsion part of degree t),
 * multi-step extension chains of length l >= 2 with twists a_1..a_{l-1}.
 
-All returns are plain integers; any non-integrality raises ConsistencyError
-instead of rounding.
+Each datum computes its degree k and the dimension of its family once, at
+construction, and says whether its generic splitting type is balanced.  All
+values are plain integers; any non-integrality raises ConsistencyError instead
+of rounding.
 """
 
 from .params import ConsistencyError, ModuliParams, ParameterError, Record
@@ -17,6 +19,16 @@ from .params import ConsistencyError, ModuliParams, ParameterError, Record
 def _check_slope_increasing(r_lo, d_lo, r_hi, d_hi):
     # strict inequality d_lo/r_lo < d_hi/r_hi by cross-multiplication
     return d_lo * r_hi < d_hi * r_lo
+
+
+def _set_derived(datum, hk, dimension):
+    """Store k = hk/h and the family's dimension, derived values that are not
+    fields (as ModuliParams stores h)."""
+    h = datum.params.h
+    if hk % h != 0:
+        raise ConsistencyError(f"h does not divide the degree sum of {type(datum).__name__}")
+    object.__setattr__(datum, "degree", hk // h)
+    object.__setattr__(datum, "dimension", dimension)
 
 
 class ExtensionChain(Record):
@@ -48,10 +60,35 @@ class ExtensionChain(Record):
             if not _check_slope_increasing(r_lo, d_lo, r_hi, d_hi):
                 raise ParameterError(
                     f"slopes must strictly increase: {d_lo}/{r_lo} !< {d_hi}/{r_hi}")
+        # one pass over the pairs i < j, with T_ij = r_i d_j - r_j d_i and
+        # w_ij = a_i + ... + a_{j-1}: hk = sum T_ij w_ij, and the dimension is
+        # dim M + sum T_ij (w_ij + 1) + (g-1) sum r_i r_j (w_ij - 1); for l = 2
+        # these are the two-step degree and dimension
+        hk = lin = quad = 0
+        for i, (ri, di) in enumerate(steps):
+            w = 0
+            for (rj, dj), a in zip(steps[i + 1:], twists[i:]):
+                w += a
+                t = ri * dj - rj * di
+                hk += t * w
+                lin += t * (w + 1)
+                quad += ri * rj * (w - 1)
+        _set_derived(self, hk, p.dim_m + lin + quad * (p.g - 1))
 
     @property
     def length(self):
         return len(self.steps)
+
+    @property
+    def balanced(self):
+        """Whether the generic splitting type is balanced within 1: only a
+        two-step chain with twist 1; longer chains and twists >= 2 are
+        obstructed."""
+        return self.twists == (1,)
+
+    def to_dict(self):
+        return {"type": "chain", "steps": [[ri, di] for ri, di in self.steps],
+                "twists": list(self.twists)}
 
 
 class TorsionDatum(Record):
@@ -66,6 +103,18 @@ class TorsionDatum(Record):
             raise ParameterError(f"divisor degree must be >= 1, got {self.t}")
         if self.a < 1:
             raise ParameterError(f"twist must be >= 1, got {self.a}")
+        # k = a * r_bar * t, and dim M + hk + r*t: the expected dimension at
+        # a = 1 (hk = r*t), strictly below it at a >= 2
+        p = self.params
+        hk = p.h * self.a * p.r_bar * self.t
+        _set_derived(self, hk, p.dim_m + hk + p.r * self.t)
+
+    @property
+    def balanced(self):
+        return self.a == 1
+
+    def to_dict(self):
+        return {"type": "torsion", "t": self.t, "a": self.a}
 
 
 class MixedDatum(Record):
@@ -84,6 +133,15 @@ class MixedDatum(Record):
             raise ParameterError(f"divisor degree must be >= 1, got {self.t}")
         if not _check_slope_increasing(self.r1, self.d1, self.r2, self.d2):
             raise ParameterError("sub slope must be strictly below quotient slope")
+        # hk = r1*d - r*d1 + r*t and dim M + 2hk - 2*r1*t, always strictly
+        # below the expected dimension
+        hk = self.r1 * p.d - p.r * self.d1 + p.r * self.t
+        _set_derived(self, hk, p.dim_m + 2 * hk - 2 * self.r1 * self.t)
+
+    balanced = False  # a mixed family is always obstructed
+
+    def to_dict(self):
+        return {"type": "mixed", "r1": self.r1, "d1": self.d1, "t": self.t}
 
     @property
     def r2(self):
@@ -92,79 +150,6 @@ class MixedDatum(Record):
     @property
     def d2(self):
         return self.params.d - self.d1 - self.t
-
-
-def torsion_degree(p, td):
-    """Degree k = a * r_bar * t of the torsion-extension family."""
-    return td.a * p.r_bar * td.t
-
-
-def torsion_dimension(p, td):
-    """Dimension dim M + hk + r*t of the torsion-extension family.
-
-    For a = 1 this equals the expected dimension (hk = r*t); for a >= 2 it
-    falls strictly below it, so the family is never a component.
-    """
-    hk = p.h * torsion_degree(p, td)
-    return p.dim_m + hk + p.r * td.t
-
-
-def mixed_dimension(p, m):
-    """(degree, dimension) of a mixed family.
-
-    hk = r1*d - r*d1 + r*t and dim = dim M + 2hk - 2*r1*t, which is always
-    strictly below the expected dimension.
-    """
-    hk = m.r1 * p.d - p.r * m.d1 + p.r * m.t
-    if hk % p.h != 0:
-        raise ConsistencyError("h does not divide the mixed degree sum")
-    return hk // p.h, p.dim_m + 2 * hk - 2 * m.r1 * m.t
-
-
-def multi_step_degree(c):
-    """Degree of a chain: h*k = sum over i<j of (r_i d_j - r_j d_i)(a_i+...+a_{j-1})."""
-    p = c.params
-    hk = 0
-    for i, (ri, di) in enumerate(c.steps):
-        w = 0
-        for j, (rj, dj) in enumerate(c.steps[i + 1:], i + 1):
-            w += c.twists[j - 1]
-            hk += (ri * dj - rj * di) * w
-    if hk % p.h != 0:
-        raise ConsistencyError("h does not divide the chain degree sum")
-    return hk // p.h
-
-
-def multi_step_dimension(c):
-    """Dimension of the chain family.
-
-    dim M + sum (r_i d_j - r_j d_i)(w_ij + 1) + (g-1) * sum r_i r_j (w_ij - 1)
-    with w_ij = a_i + ... + a_{j-1}.  For l = 2 this is the two-step
-    dimension.
-    """
-    p = c.params
-    lin = 0
-    quad = 0
-    for i, (ri, di) in enumerate(c.steps):
-        w = 0
-        for j, (rj, dj) in enumerate(c.steps[i + 1:], i + 1):
-            w += c.twists[j - 1]
-            lin += (ri * dj - rj * di) * (w + 1)
-            quad += ri * rj * (w - 1)
-    return p.dim_m + lin + quad * (p.g - 1)
-
-
-def is_unobstructed_splitting(datum):
-    """Whether the generic splitting type of the family is balanced within 1.
-
-    True exactly for two-step chains with twist 1 and torsion data with
-    twist 1; chains of length >= 3 or any twist >= 2 are obstructed.
-    """
-    if isinstance(datum, TorsionDatum):
-        return datum.a == 1
-    if isinstance(datum, ExtensionChain):
-        return datum.length == 2 and datum.twists == (1,)
-    raise ParameterError(f"unsupported datum type {type(datum).__name__}")
 
 
 def chain_dimension_excess_certificate(c):

@@ -19,10 +19,6 @@ from .families import (
     MixedDatum,
     TorsionDatum,
     chain_dimension_excess_certificate,
-    mixed_dimension,
-    multi_step_degree,
-    multi_step_dimension,
-    torsion_dimension,
     two_step_chain,
 )
 from .rng import randint, splitmix64
@@ -280,11 +276,9 @@ def _scalar_dimension_check(g, ranks, degs, twists):
     the certificate."""
     p = derive_params(g, sum(ranks), sum(degs))
     chain = ExtensionChain(params=p, steps=tuple(zip(ranks, degs)), twists=twists)
-    k = multi_step_degree(chain)
-    dim = multi_step_dimension(chain)
     cert = chain_dimension_excess_certificate(chain)
-    want = expected_dimension(p, k)
-    return (dim >= want) == (cert <= 0) and dim - want == -cert
+    want = expected_dimension(p, chain.degree)
+    return (chain.dimension >= want) == (cert <= 0) and chain.dimension - want == -cert
 
 
 def _slope_walk(degs, rank_bound, rows, ranks=(), t=0):
@@ -324,8 +318,8 @@ def _pairs(l):
 
 
 def _pairwise_route(rk, degs):
-    """expected - dim, summed over the pairs i < j as multi_step_dimension
-    sums it: with T_ij = r_i·d_j - r_j·d_i and w_ij = a_i + ... + a_{j-1},
+    """expected - dim, summed over the pairs i < j as ExtensionChain sums
+    its dimension: with T_ij = r_i·d_j - r_j·d_i and w_ij = a_i + ... + a_{j-1},
     expected - dim = Σ T_ij·(w_ij - 1) - (g-1)·Σ r_i·r_j·(w_ij - 1), and a_k
     lies in w_ij for the pairs that span split k (i <= k < j)."""
     i, j, spans = _pairs(len(rk))
@@ -476,9 +470,8 @@ def verify_dimension_laws():
                         for a in range(1, 4):
                             trials += 1
                             chain = two_step_chain(p, r1, d1, a)
-                            k = multi_step_degree(chain)
-                            dim = multi_step_dimension(chain)
-                            want = expected_dimension(p, k)
+                            dim = chain.dimension
+                            want = expected_dimension(p, chain.degree)
                             if a == 1:
                                 if dim != want:
                                     fail("two-step-a1", g, r, d, r1, d1)
@@ -491,8 +484,7 @@ def verify_dimension_laws():
                 for t in range(1, 4):
                     for a in range(1, 4):
                         trials += 1
-                        td = TorsionDatum(params=p, t=t, a=a)
-                        dim = torsion_dimension(p, td)
+                        dim = TorsionDatum(params=p, t=t, a=a).dimension
                         want = expected_dimension(p, p.r_bar * t * a)
                         if a == 1 and dim != want:
                             fail("torsion-a1", g, r, d, t)
@@ -505,8 +497,7 @@ def verify_dimension_laws():
                                 continue
                             trials += 1
                             m = MixedDatum(params=p, r1=r1, d1=d1, t=t)
-                            k, dim = mixed_dimension(p, m)
-                            if not dim < expected_dimension(p, k):
+                            if not m.dimension < expected_dimension(p, m.degree):
                                 fail("mixed", g, r, d, r1, d1, t)
     return _report("dimension_laws", trials, failures, cex,
                    notes="expected-dimension equalities and strict bounds")

@@ -8,7 +8,8 @@ with step r along the congruence class s = r'd (mod r).
 from .params import ConsistencyError, ModuliParams, ParameterError, Record
 
 
-def _bound(p, r_prime):
+def segre_bound(p, r_prime):
+    """r'(r-r')(g-1): the generic r'-Segre invariant up to its residue mod r."""
     return r_prime * (p.r - r_prime) * (p.g - 1)
 
 
@@ -23,7 +24,7 @@ class SegreStratum(Record):
     s: int
 
     def __post_init__(self):
-        bound = _bound(self.params, self.r_prime)
+        bound = segre_bound(self.params, self.r_prime)
         object.__setattr__(self, "codim", max(bound - self.s, 0))
         # inclusion-chain neighbor s + r, or -1 once the stratum is dense
         object.__setattr__(self, "next_s", self.s + self.params.r if self.s < bound else -1)
@@ -33,7 +34,7 @@ def generic_segre(p, r_prime):
     """The Segre invariant of the generic bundle: the unique value in
     [r'(r-r')(g-1), r'(r-r')(g-1) + r) congruent to r'd mod r."""
     _check_r_prime(p, r_prime)
-    lo = _bound(p, r_prime)
+    lo = segre_bound(p, r_prime)
     return lo + (r_prime * p.d - lo) % p.r
 
 
@@ -75,7 +76,7 @@ def min_connecting_degree(p):
     """
     best = None
     for r_prime in range(1, p.r):
-        lo = (p.r * p.r - 1 - r_prime * (p.r - r_prime)) * (p.g - 1)
+        lo = p.dim_m - segre_bound(p, r_prime)
         hk = lo + (r_prime * p.d - lo) % p.r
         if best is None or hk < best[0]:
             d_prime = (r_prime * p.d - hk) // p.r

@@ -12,12 +12,7 @@ import itertools
 
 import numpy as np
 
-from modulirc.families import (
-    ExtensionChain,
-    chain_dimension_excess_certificate,
-    multi_step_degree,
-    multi_step_dimension,
-)
+from modulirc.families import ExtensionChain, chain_dimension_excess_certificate
 from modulirc.oracle import COUNTEREXAMPLE_CAP, _a_term, _report
 from modulirc.params import derive_params, expected_dimension
 
@@ -227,10 +222,9 @@ def verify_chain_dimension_equivalence(max_l=4, rank_bound=3, deg_bound=6,
                                 params=p,
                                 steps=tuple(zip(ranks, (int(x) for x in row))),
                                 twists=twists)
-                            k = multi_step_degree(chain)
-                            scalar_dim = multi_step_dimension(chain)
+                            scalar_dim = chain.dimension
                             scalar_cert = chain_dimension_excess_certificate(chain)
-                            want = expected_dimension(p, k)
+                            want = expected_dimension(p, chain.degree)
                             if ((scalar_dim >= want) != (scalar_cert <= 0)
                                     or scalar_dim - want != -scalar_cert):
                                 failures += 1

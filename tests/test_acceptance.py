@@ -22,11 +22,6 @@ from modulirc import (
     enumerate_unobstructed,
     expected_dimension,
     min_connecting_degree,
-    mixed_dimension,
-    multi_step_degree,
-    multi_step_dimension,
-    torsion_degree,
-    torsion_dimension,
     two_step_chain,
 )
 from modulirc.classifier import _sort_key
@@ -84,21 +79,19 @@ def test_criterion_2_expected_dimension_laws():
                             if r1 * d - r * d1 <= 0:
                                 continue
                             chain = two_step_chain(p, r1, d1, 1)
-                            assert multi_step_dimension(chain) == \
-                                expected_dimension(p, multi_step_degree(chain))
+                            assert chain.dimension == \
+                                expected_dimension(p, chain.degree)
                             # mixed families are strictly below expected
                             for t in range(1, 4):
                                 md = MixedDatum(params=p, r1=r1,
                                                 d1=d1 - t, t=t)
-                                km, dim = mixed_dimension(p, md)
-                                assert dim < expected_dimension(p, km)
+                                assert md.dimension < expected_dimension(p, md.degree)
                     # torsion: a = 1 at expected dimension, a >= 2 strictly
                     # below, matching the exact law dim = dimM + hk + rt
                     for t in range(1, 5):
                         for a in range(1, 4):
                             td = TorsionDatum(params=p, t=t, a=a)
-                            k = torsion_degree(p, td)
-                            dim = torsion_dimension(p, td)
+                            k, dim = td.degree, td.dimension
                             if a == 1:
                                 assert dim == expected_dimension(p, k)
                             else:
@@ -131,7 +124,7 @@ def test_criterion_3_obstructed_expected_characterization():
                     for k in GRID_K:
                         exp = expected_dimension(p, k)
                         for r1, d1, a in _two_step_a_ge_2(p, k):
-                            dim = multi_step_dimension(two_step_chain(p, r1, d1, a))
+                            dim = two_step_chain(p, r1, d1, a).dimension
                             lhs = r1 * d - r * d1
                             eq_val = r1 * (r - r1) * (g - 1)
                             assert (dim == exp) == (lhs == eq_val)

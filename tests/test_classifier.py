@@ -21,8 +21,6 @@ from modulirc import (
     enumerate_obstructed_expected,
     enumerate_unobstructed,
     expected_dimension,
-    mixed_dimension,
-    multi_step_dimension,
     two_step_chain,
 )
 
@@ -242,20 +240,19 @@ class TestDerivedValues:
         with pytest.raises(TypeError):
             ModuliParams(g=2, r=3, d=1, h=3, r_bar=1, d_bar=0, dim_m=8, fano_index=6)
 
-    def test_twist_one_dimension_checked(self, monkeypatch):
+    def test_twist_one_dimension_checked(self):
         chain = two_step_chain(derive_params(2, 3, 1), 1, 0, 1)
-        monkeypatch.setattr(modulirc.classifier, "multi_step_dimension",
-                            lambda c: multi_step_dimension(c) + 1)
+        # a wrong dimension formula, injected into the datum's derived value
+        object.__setattr__(chain, "dimension", chain.dimension + 1)
         with pytest.raises(ConsistencyError, match="twist-1 family"):
             ComponentDescriptor(datum=chain, k=1)
 
-    def test_mixed_dimension_checked(self, monkeypatch):
+    def test_mixed_dimension_checked(self):
         p = derive_params(2, 2, 2)
         datum = MixedDatum(params=p, r1=1, d1=0, t=1)
-        k = mixed_dimension(p, datum)[0]
+        k = datum.degree
         assert ComponentDescriptor(datum=datum, k=k).kind is Kind.NOT_COMPONENT
-        monkeypatch.setattr(modulirc.classifier, "mixed_dimension",
-                            lambda p, m: (k, expected_dimension(p, k)))
+        object.__setattr__(datum, "dimension", expected_dimension(p, k))
         with pytest.raises(ConsistencyError, match="mixed family"):
             ComponentDescriptor(datum=datum, k=k)
 

@@ -1,5 +1,7 @@
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from modulirc import (
     ExtensionChain,
@@ -9,14 +11,37 @@ from modulirc import (
     chain_dimension_excess_certificate,
     derive_params,
     expected_dimension,
-    is_unobstructed_splitting,
-    mixed_dimension,
-    multi_step_degree,
-    multi_step_dimension,
-    torsion_degree,
-    torsion_dimension,
     two_step_chain,
 )
+
+
+def _ref_chain_degree(c):
+    """h*k = sum over i<j of (r_i d_j - r_j d_i)(a_i+...+a_{j-1}), divided by
+    h: the chain degree in its own pair loop, as the reference for
+    ExtensionChain.degree."""
+    hk = 0
+    for i, (ri, di) in enumerate(c.steps):
+        w = 0
+        for j, (rj, dj) in enumerate(c.steps[i + 1:], i + 1):
+            w += c.twists[j - 1]
+            hk += (ri * dj - rj * di) * w
+    assert hk % c.params.h == 0
+    return hk // c.params.h
+
+
+def _ref_chain_dimension(c):
+    """dim M + sum (r_i d_j - r_j d_i)(w_ij + 1) + (g-1) * sum r_i r_j (w_ij - 1)
+    in its own pair loop, as the reference for ExtensionChain.dimension."""
+    p = c.params
+    lin = 0
+    quad = 0
+    for i, (ri, di) in enumerate(c.steps):
+        w = 0
+        for j, (rj, dj) in enumerate(c.steps[i + 1:], i + 1):
+            w += c.twists[j - 1]
+            lin += (ri * dj - rj * di) * (w + 1)
+            quad += ri * rj * (w - 1)
+    return p.dim_m + lin + quad * (p.g - 1)
 
 
 def _ref_two_step_degree(p, r1, d1, a):
@@ -38,51 +63,53 @@ P231 = derive_params(2, 3, 1)
 
 class TestTwoStep:
     def test_degree_examples(self):
-        assert multi_step_degree(two_step_chain(P221, 1, 0, 1)) == 1
-        assert multi_step_degree(two_step_chain(P221, 1, 0, 3)) == 3
-        assert multi_step_degree(two_step_chain(derive_params(2, 4, 2), 1, -1, 1)) == 3
+        assert two_step_chain(P221, 1, 0, 1).degree == 1
+        assert two_step_chain(P221, 1, 0, 3).degree == 3
+        assert two_step_chain(derive_params(2, 4, 2), 1, -1, 1).degree == 3
 
     def test_dimension_examples(self):
-        dim = lambda p, a: multi_step_dimension(two_step_chain(p, 1, 0, a))
+        dim = lambda p, a: two_step_chain(p, 1, 0, a).dimension
         assert dim(P221, 1) == 5 == expected_dimension(P221, 1)
         assert dim(P221, 2) == 7 == expected_dimension(P221, 2)
         assert dim(P321, 2) == 11 > expected_dimension(P321, 2)
 
     def test_slope_violation_rejected(self):
         with pytest.raises(ParameterError, match="slope"):
-            multi_step_degree(two_step_chain(P221, 1, 1, 1))
+            two_step_chain(P221, 1, 1, 1)
         with pytest.raises(ParameterError):
-            multi_step_dimension(two_step_chain(P221, 1, 2, 1))
+            two_step_chain(P221, 1, 2, 1)
 
     def test_bad_r1_rejected(self):
         with pytest.raises(ParameterError):
-            multi_step_degree(two_step_chain(P221, 0, 0, 1))
+            two_step_chain(P221, 0, 0, 1)
         with pytest.raises(ParameterError):
-            multi_step_degree(two_step_chain(P221, 2, 0, 1))
+            two_step_chain(P221, 2, 0, 1)
 
 
 class TestTorsion:
     def test_degree(self):
-        assert torsion_degree(P221, TorsionDatum(params=P221, t=1, a=1)) == 2
-        assert torsion_degree(P221, TorsionDatum(params=P221, t=1, a=2)) == 4
+        assert TorsionDatum(params=P221, t=1, a=1).degree == 2
+        assert TorsionDatum(params=P221, t=1, a=2).degree == 4
 
     def test_degenerate_divisor_rejected(self):
         with pytest.raises(ParameterError):
             TorsionDatum(params=P221, t=0, a=1)
 
     def test_dimension(self):
-        assert torsion_dimension(P221, TorsionDatum(params=P221, t=1, a=1)) == 7
-        assert torsion_dimension(P221, TorsionDatum(params=P221, t=1, a=2)) == 9
+        assert TorsionDatum(params=P221, t=1, a=1).dimension == 7
+        assert TorsionDatum(params=P221, t=1, a=2).dimension == 9
         p = derive_params(2, 3, 1)
-        assert torsion_dimension(p, TorsionDatum(params=p, t=1, a=1)) == 14
+        assert TorsionDatum(params=p, t=1, a=1).dimension == 14
         assert expected_dimension(p, 3) == 14
 
 
 class TestMixed:
     def test_examples(self):
         p = derive_params(2, 2, 2)
-        assert mixed_dimension(p, MixedDatum(params=p, r1=1, d1=0, t=1)) == (2, 9)
-        assert mixed_dimension(P231, MixedDatum(params=P231, r1=1, d1=-1, t=1)) == (7, 20)
+        m = MixedDatum(params=p, r1=1, d1=0, t=1)
+        assert (m.degree, m.dimension) == (2, 9)
+        m = MixedDatum(params=P231, r1=1, d1=-1, t=1)
+        assert (m.degree, m.dimension) == (7, 20)
 
     def test_t_zero_rejected(self):
         with pytest.raises(ParameterError):
@@ -97,28 +124,29 @@ class TestMixed:
         d2 = d - d1 - t
         if r1 * d2 - (r - r1) * d1 <= 0:
             return
-        k, dim = mixed_dimension(p, MixedDatum(params=p, r1=r1, d1=d1, t=t))
-        assert dim < expected_dimension(p, k)
+        m = MixedDatum(params=p, r1=r1, d1=d1, t=t)
+        assert m.dimension < expected_dimension(p, m.degree)
+        assert not m.balanced
 
 
 class TestChains:
     def test_degree_examples(self):
         c = ExtensionChain(params=P231, steps=((1, -1), (1, 0), (1, 2)), twists=(1, 1))
-        assert multi_step_degree(c) == 9
+        assert c.degree == 9
         c = ExtensionChain(params=P231, steps=((1, -1), (1, 0), (1, 2)), twists=(2, 1))
-        assert multi_step_degree(c) == 13
+        assert c.degree == 13
 
     def test_dimension_examples(self):
         c = ExtensionChain(params=P231, steps=((1, -1), (1, 0), (1, 2)), twists=(1, 1))
-        assert multi_step_dimension(c) == 24 < expected_dimension(P231, 9)
+        assert c.dimension == 24 < expected_dimension(P231, 9)
         c = ExtensionChain(params=P231, steps=((1, -1), (1, 0), (1, 2)), twists=(2, 1))
-        assert multi_step_dimension(c) == 30 < expected_dimension(P231, 13)
+        assert c.dimension == 30 < expected_dimension(P231, 13)
 
     def test_two_step_consistency_examples(self):
         c = ExtensionChain(params=P221, steps=((1, 0), (1, 1)), twists=(1,))
-        assert multi_step_degree(c) == 1 == _ref_two_step_degree(P221, 1, 0, 1)
+        assert c.degree == 1 == _ref_two_step_degree(P221, 1, 0, 1)
         c = ExtensionChain(params=P321, steps=((1, 0), (1, 1)), twists=(2,))
-        assert multi_step_dimension(c) == 11 == _ref_two_step_dimension(P321, 1, 0, 2)
+        assert c.dimension == 11 == _ref_two_step_dimension(P321, 1, 0, 2)
 
     @given(g=st.integers(2, 5), r=st.integers(2, 6), r1=st.integers(1, 5),
            d1=st.integers(-6, 6), d=st.integers(-6, 6), a=st.integers(1, 4))
@@ -129,8 +157,8 @@ class TestChains:
         if r1 * d - r * d1 <= 0:
             return
         c = ExtensionChain(params=p, steps=((r1, d1), (r - r1, d - d1)), twists=(a,))
-        assert multi_step_degree(c) == _ref_two_step_degree(p, r1, d1, a)
-        assert multi_step_dimension(c) == _ref_two_step_dimension(p, r1, d1, a)
+        assert c.degree == _ref_two_step_degree(p, r1, d1, a)
+        assert c.dimension == _ref_two_step_dimension(p, r1, d1, a)
         assert two_step_chain(p, r1, d1, a) == c
 
     def test_invariant_violations_rejected(self):
@@ -146,26 +174,46 @@ class TestChains:
     def test_certificate_matches_dimension_gap(self):
         c = ExtensionChain(params=P231, steps=((1, -1), (1, 0), (1, 2)), twists=(1, 1))
         assert chain_dimension_excess_certificate(c) == 2
-        assert multi_step_dimension(c) - expected_dimension(P231, 9) == -2
+        assert c.dimension - expected_dimension(P231, 9) == -2
 
 
 class TestSplittingPredicate:
     def test_examples(self):
         two = ExtensionChain(params=P221, steps=((1, 0), (1, 1)), twists=(1,))
-        assert is_unobstructed_splitting(two)
+        assert two.balanced
         twisted = ExtensionChain(params=P221, steps=((1, 0), (1, 1)), twists=(2,))
-        assert not is_unobstructed_splitting(twisted)
+        assert not twisted.balanced
         long = ExtensionChain(params=P231, steps=((1, -1), (1, 0), (1, 2)),
                               twists=(1, 1))
-        assert not is_unobstructed_splitting(long)
+        assert not long.balanced
 
     def test_torsion(self):
-        assert is_unobstructed_splitting(TorsionDatum(params=P221, t=1, a=1))
-        assert not is_unobstructed_splitting(TorsionDatum(params=P221, t=1, a=2))
+        assert TorsionDatum(params=P221, t=1, a=1).balanced
+        assert not TorsionDatum(params=P221, t=1, a=2).balanced
 
-    def test_unsupported_type(self):
-        with pytest.raises(ParameterError):
-            is_unobstructed_splitting(object())
+
+@st.composite
+def _chains(draw):
+    """A valid chain: l pieces of rank 1..4 and degree -10..10 put in slope
+    order, distinct slopes, twists 1..4 and g 2..5."""
+    l = draw(st.integers(2, 6))
+    pieces = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(-10, 10)),
+                           min_size=l, max_size=l))
+    pieces.sort(key=lambda piece: Fraction(piece[1], piece[0]))
+    assume(all(d0 * r1 < d1 * r0 for (r0, d0), (r1, d1) in zip(pieces, pieces[1:])))
+    twists = draw(st.lists(st.integers(1, 4), min_size=l - 1, max_size=l - 1))
+    p = derive_params(draw(st.integers(2, 5)), sum(r for r, _ in pieces),
+                      sum(d for _, d in pieces))
+    return ExtensionChain(params=p, steps=pieces, twists=twists)
+
+
+@given(_chains())
+def test_chain_values_match_the_reference_loops(c):
+    assert c.degree == _ref_chain_degree(c)
+    assert c.dimension == _ref_chain_dimension(c)
+    assert (c.dimension - expected_dimension(c.params, c.degree)
+            == -chain_dimension_excess_certificate(c))
+    assert c.balanced == (c.length == 2 and c.twists == (1,))
 
 
 @given(g=st.integers(2, 4), r=st.integers(2, 5), d=st.integers(-5, 5),
@@ -177,7 +225,7 @@ def test_twist_one_families_have_expected_dimension(g, r, d, r1, d1):
     if r1 * d - r * d1 <= 0:
         return
     chain = two_step_chain(p, r1, d1, 1)
-    assert multi_step_dimension(chain) == expected_dimension(p, multi_step_degree(chain))
+    assert chain.dimension == expected_dimension(p, chain.degree)
 
 
 @given(g=st.integers(2, 4), r=st.integers(2, 5), d=st.integers(-5, 5),
@@ -185,4 +233,4 @@ def test_twist_one_families_have_expected_dimension(g, r, d, r1, d1):
 def test_twist_one_torsion_has_expected_dimension(g, r, d, t):
     p = derive_params(g, r, d)
     td = TorsionDatum(params=p, t=t, a=1)
-    assert torsion_dimension(p, td) == expected_dimension(p, torsion_degree(p, td))
+    assert td.dimension == expected_dimension(p, td.degree)

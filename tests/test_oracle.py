@@ -8,12 +8,7 @@ import pytest
 
 import oracle_reference as reference
 from modulirc import oracle
-from modulirc.families import (
-    ExtensionChain,
-    chain_dimension_excess_certificate,
-    multi_step_degree,
-    multi_step_dimension,
-)
+from modulirc.families import ExtensionChain, chain_dimension_excess_certificate
 from modulirc.oracle import (
     COUNTEREXAMPLE_CAP,
     VerificationReport,
@@ -295,8 +290,7 @@ def _dimension_cells(max_l, rank_bound, deg_bound, twist_bound, g_bound):
                         p = derive_params(g, sum(ranks), sum(degs))
                         chain = ExtensionChain(params=p, steps=tuple(zip(ranks, degs)),
                                                twists=twists)
-                        excess = (multi_step_dimension(chain)
-                                  - expected_dimension(p, multi_step_degree(chain)))
+                        excess = chain.dimension - expected_dimension(p, chain.degree)
                         yield (excess, chain_dimension_excess_certificate(chain),
                                twists, g, ranks + degs + twists + (g,))
 

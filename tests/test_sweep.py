@@ -5,7 +5,9 @@ oracle: it runs `classify` at every k and tallies the report's totals,
 descriptor dimensions, cross-check rows and search reasons.
 """
 
-from modulirc import classifier, derive_params, expected_dimension
+from itertools import accumulate
+
+from modulirc import classifier, cli, derive_params, enumerate_candidates, expected_dimension
 from modulirc.classifier import classify
 from modulirc.cli import _sweep_rows
 
@@ -77,6 +79,24 @@ def test_clipped_candidate_rows_equal_classified_rows(monkeypatch):
     seen = _compare_grid((2, 3), range(2, 6), range(-4, 5), 6,
                          include_candidates=True, max_l=4)
     assert "incomplete" in seen
+
+
+def test_sweep_work_cap(monkeypatch):
+    # the rows search until their work passes the cap; later rows are not searched
+    monkeypatch.setattr(cli, "MAX_SWEEP_WORK", 2000)
+    p = derive_params(2, 3, 1)
+    spent = list(accumulate(enumerate_candidates(p, k, max_l=3).work for k in range(1, 31)))
+    searched = next(i for i, total in enumerate(spent) if total > 2000) + 1
+    assert 1 < searched < 30
+    rows = list(_sweep_rows(p, 1, 30, True, 3))
+    assert rows[:searched] == _classified_rows(p, 1, searched, True, 3)
+    count_only = _classified_rows(p, searched + 1, 30, False, 3)
+    for row, reference in zip(rows[searched:], count_only, strict=True):
+        assert "incomplete" in row["flags"].split(";")
+        assert row["obstructedCandidate"] == row["notComponent"] == 0
+        assert row["minDim"] == row["maxDim"] == row["expectedDim"]
+        assert row["flags"] == ";".join(filter(None, (reference["flags"], "incomplete")))
+        assert {**row, "flags": ""} == {**reference, "flags": ""}
 
 
 def test_rank_1000_rows_equal_classified_rows_at_sampled_k():
