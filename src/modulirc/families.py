@@ -103,10 +103,10 @@ class TorsionDatum(Record):
             raise ParameterError(f"divisor degree must be >= 1, got {self.t}")
         if self.a < 1:
             raise ParameterError(f"twist must be >= 1, got {self.a}")
-        # k = a * r_bar * t, and dim M + hk + r*t: the expected dimension at
-        # a = 1 (hk = r*t), strictly below it at a >= 2
+        # hk = a*r*t (k = a * r_bar * t), and dim M + hk + r*t: the expected
+        # dimension at a = 1, strictly below it at a >= 2
         p = self.params
-        hk = p.h * self.a * p.r_bar * self.t
+        hk = self.a * p.r * self.t
         _set_derived(self, hk, p.dim_m + hk + p.r * self.t)
 
     @property
