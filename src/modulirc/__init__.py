@@ -1,6 +1,13 @@
 """Exact-arithmetic calculator for components of the space of rational
 curves on moduli of semistable bundles with fixed determinant."""
 
+import os
+
+# set before anything here loads numpy: the verification suites use int64
+# arithmetic only, which never calls BLAS, so an OpenBLAS thread pool would
+# sit idle; a user's own setting is kept
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .params import (
     ConsistencyError,
     ModuliParams,

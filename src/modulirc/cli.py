@@ -7,6 +7,7 @@ the table format is human-oriented only.
 """
 
 import argparse
+import atexit
 import csv
 import json
 import os
@@ -393,5 +394,24 @@ def main(argv=None, out=None):
         return EXIT_FAILURE
 
 
+def run():
+    """Process entry point: `main()` on sys.argv, then exit with its code.
+
+    Once the atexit handlers have run and both streams are flushed, the
+    process ends without interpreter teardown, which would only free memory
+    that the OS reclaims at exit; every file `main()` writes is closed before
+    it returns.  A stream that is missing or fails to flush takes the
+    `sys.exit` path, which reports the failure as a normal exit does.
+    Tests and other in-process callers use `main()`."""
+    code = main()
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -342,10 +342,9 @@ def _golden_case(name):
     return next(case for case in cases if case["name"] == name)
 
 
-def _python(args):
-    env = {**os.environ, "PYTHONPATH": _SRC}
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          check=False)
+def _python(args, env=os.environ):
+    return subprocess.run([sys.executable, *args], env={**env, "PYTHONPATH": _SRC},
+                          capture_output=True, check=False)
 
 
 def test_cli_import_leaves_numpy_to_verify():
@@ -371,10 +370,83 @@ def test_commands_start_without_heavy_imports(name):
     assert (done.returncode, done.stdout) == (0, b"[]\n")
 
 
-@pytest.mark.parametrize("name", _STARTUP_CASES)
-def test_module_entry_point_matches_golden(name):
-    # `python -m modulirc.cli` runs cli as __main__, the form a shell call takes
+@pytest.mark.parametrize("name", _STARTUP_CASES + (
+    "classify_bad_k", "segre_bad_r_prime", "verify_counts", "sweep_out_csv"))
+def test_module_entry_point_matches_golden(name, tmp_path):
+    # `python -m modulirc.cli` runs cli as __main__, the form a shell call
+    # takes; it ends in cli.run(), which skips interpreter teardown
     case = _golden_case(name)
-    done = _python(["-m", "modulirc.cli", *case["argv"]])
+    out = tmp_path / "out.txt"
+    done = _python(["-m", "modulirc.cli",
+                    *(arg.replace("{out}", str(out)) for arg in case["argv"])])
+    golden = (_GOLDEN / f"{name}.txt").read_bytes()
     assert done.returncode == case["exit"]
-    assert done.stdout == (_GOLDEN / f"{name}.txt").read_bytes()
+    if "{out}" in case["argv"]:
+        assert (done.stdout, out.read_bytes()) == (b"", golden)
+        assert list(tmp_path.iterdir()) == [out]  # no .tmp file left
+    else:
+        assert done.stdout == golden
+    assert done.stderr.startswith(b"modulirc: error: ") == (case["exit"] == 1)
+
+
+@pytest.mark.parametrize("name", ["connect_mismatch", "classify_bad_k", "main_returns_2"])
+def test_run_keeps_atexit_handlers_and_exit_code(name):
+    if name == "main_returns_2":
+        setup, code, stdout, stderr = "cli.main = lambda: 2", 2, b"", b""
+    else:
+        case = _golden_case(name)
+        setup, code = f"sys.argv[1:] = {case['argv']!r}", case["exit"]
+        stdout = (_GOLDEN / f"{name}.txt").read_bytes()
+        stderr = b"modulirc: error: k must lie in [1, 1000000]\n" if code else b""
+    script = ("import atexit, sys\n"
+              "from modulirc import cli\n"
+              "atexit.register(print, 'atexit handler ran', file=sys.stderr)\n"
+              f"{setup}\n"
+              "cli.run()\n")
+    done = _python(["-c", script])
+    assert (done.returncode, done.stdout) == (code, stdout)
+    assert done.stderr == stderr + b"atexit handler ran\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_run_leaves_a_failed_flush_to_teardown():
+    # the buffered output cannot be written, so run() takes the sys.exit
+    # path, whose teardown reports the error and exits 120 as before
+    argv = _golden_case("connect_mismatch")["argv"]
+    script = ("import sys\n"
+              "from modulirc import cli\n"
+              "sys.stdout = open('/dev/full', 'w')\n"
+              f"sys.argv[1:] = {argv!r}\n"
+              "cli.run()\n")
+    done = _python(["-c", script])
+    assert done.returncode == 120
+    assert b"OSError: [Errno 28] No space left on device" in done.stderr
+
+
+def test_module_entry_point_help_and_usage_error():
+    done = _python(["-m", "modulirc.cli", "--help"])
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.startswith(b"usage: modulirc ")
+    done = _python(["-m", "modulirc.cli", "classify", "--g", "2"])
+    assert (done.returncode, done.stdout) == (1, b"")
+    assert done.stderr.startswith(b"usage: modulirc classify ")
+    assert b"error: the following arguments are required: --r, --d, --k" in done.stderr
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+@pytest.mark.parametrize("module", ["modulirc.rng", "modulirc.oracle"])
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_numpy_loads_without_blas_thread_pool(module, preset):
+    # the suites use int64 arithmetic only, so OpenBLAS threads would idle;
+    # a user's own setting is kept
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    script = (f"import os, {module}\n"
+              "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+              "print(len(os.listdir('/proc/self/task')))\n")
+    done = _python(["-c", script], env)
+    value, threads = done.stdout.split()
+    assert value == (preset or "1").encode()
+    if preset is None:
+        assert threads == b"1"
