@@ -3,8 +3,9 @@ curves in the moduli space.
 
 Given (g, r, d, k) this lists the h unobstructed components, the obstructed
 components of expected dimension (constructive test), and optionally the
-obstructed candidate families (two-step with twist >= 2 and longer chains,
-exhaustive within a fixed work budget), each labeled with its proof status.
+obstructed candidate families, those of at least the expected dimension
+(two-step with twist >= 2 and longer chains, exhaustive within a fixed work
+budget), and the mixed families, each labeled with its proof status.
 """
 
 from contextlib import suppress
@@ -248,8 +249,9 @@ def sieve_obstructed_expected(p, k_min, k_max):
 
 
 def _deg_vectors(p, l, hk, charge):
-    """(steps, twists) of every chain of length l and degree hk: ranks
-    summing to r, degrees summing to d with strictly increasing slopes.
+    """(steps, twists) of every chain of length l >= 3 and degree hk whose
+    family has at least the expected dimension: ranks summing to r, degrees
+    summing to d with strictly increasing slopes, and certificate <= 0.
 
     The walk picks, entry by entry, the rank r_j, then the prefix degree D_j,
     then the twist a_j.  Prefix rank R_j and prefix degree D_j give the
@@ -257,50 +259,106 @@ def _deg_vectors(p, l, hk, charge):
     terms r_i*d_m - r_m*d_i (i <= j < m), each >= 1, and the chain's degree
     is the sum of the a_j*c_j.  So each D_j lies in a finite window of the
     spare degree hk minus the a_i*c_i placed, and the last twist is the one
-    value that uses up the spare: the search is complete by construction.
-    It charges l units for its tables, one per window tried and per value in
-    it, and DESCRIPTOR_COST per chain; when the budget runs out, it returns
-    the chains found so far (or raises, if it ran out before the walk)."""
-    r, d = p.r, p.d
+    value that uses up the spare: the walk is complete by construction.
+
+    It prunes with the split form of the certificate.  With
+    e_j = c_j - (g-1)*R_j*(r - R_j), the prefix's excess over the Segre
+    bound, and e3 the third elementary symmetric polynomial of the ranks,
+    r*cert = sum_j (r*a_j - r_j - r_{j+1})*e_j + (g-1)*e3.  Each weight
+    r*a_j - r_j - r_{j+1} is >= 1 at l >= 3, so a split not yet placed lowers
+    r*cert only when its e_m < 0, and then by at most
+    r*a_m*(G_m - c_m) <= r*a_m*c_m*(G_m/c_m - 1), where G_m >= (g-1)*R_m*(r - R_m)
+    and c_m is at least floors[m] and, c being concave in R, at least the
+    chord c_j*(r - R_m)/(r - R_j).  As the a_m*c_m of those splits sum to the
+    spare, together they lower r*cert by at most r*spare*steep, steep being
+    the largest ceil(G_m/c_m) - 1 >= 0 that those bounds allow.  A node is
+    pruned once the terms placed, the least the pending -r_{j+1}*e_j can be,
+    that bound and (g-1)*e3 of the ranks placed sum to > 0.  That sum is
+    linear in the twist, so the twist loop runs toward larger sums and stops
+    at the first pruned twist; at a = 1 and e_j >= 0 it grows with c_j, so
+    the window runs toward larger c_j and stops there too.  At the last split
+    the sum is r*cert itself.
+
+    It charges l units for its tables, one per window tried and per value
+    visited, and DESCRIPTOR_COST per chain; when the budget runs out, it
+    returns the chains found so far (or raises, if it ran out before the
+    walk)."""
+    r, d, gm = p.r, p.d, p.g - 1
     charge(l)
     # floors[j]: least value of the coefficient chosen with the (j+1)-th
     # entry; rests[j]: least sum of the a_m*c_m chosen after it
     floors = [(j + 1) * (l - 1 - j) for j in range(l)]
     rests = list(accumulate(floors[:0:-1], initial=0))[::-1]
+    # steeps[j]: steep over the splits after the (j+1)-th from the floors,
+    # G_m taking the R nearest r/2 among those feasible at split m
+    steep = []
+    for m in range(l - 1):
+        big = min(max(r // 2, m + 1), r - l + m + 1)
+        steep.append(max(0, -(-gm * big * (r - big) // floors[m]) - 1))
+    steeps = [max(steep[j + 1:], default=0) for j in range(l - 1)]
     results = []
 
-    def rec(steps, twists, prefix_r, prefix_d, spare):
+    def rec(steps, twists, prefix_r, prefix_d, spare, placed, pending, e2, e3):
+        # placed: the terms of r*cert placed, but for -r_{j+1}*pending of the
+        # split before this entry; e2, e3: symmetric sums of the ranks placed
         j = len(steps)
-        last = j == l - 1  # the last entry closes rank and degree
+        last = j == l - 2  # the last split: its twist uses up the spare
         # each entry after this one keeps rank >= 1
-        for rank in (r - prefix_r,) if last else range(1, r - prefix_r - (l - 2 - j)):
+        for rank in range(1, r - prefix_r - (l - 2 - j)):
             charge(1)
             next_r = prefix_r + rank
-            if last:
-                lo = hi = d
-            else:  # floor <= c_j <= spare minus the floors still to place
-                lo = -((spare - rests[j] - next_r * d) // r)
-                hi = (next_r * d - floors[j]) // r
+            # floor <= c_j <= spare minus the floors still to place
+            lo = -((spare - rests[j] - next_r * d) // r)
+            hi = (next_r * d - floors[j]) // r
             if steps:  # the slope must strictly increase
                 prev_r, prev_d = steps[-1]
                 lo = max(lo, prefix_d + prev_d * rank // prev_r + 1)
-            for next_d in range(lo, hi + 1):
+            base = placed - rank * pending
+            next_e2, next_e3 = e2 + prefix_r * rank, e3 + e2 * rank
+            segre = gm * next_r * (r - next_r)
+            # the next rank lies in [low_r, high_r]
+            high_r = r - next_r - (l - 2 - j)
+            if last:
+                # the closing entry, of rank high_r and degree d - D_j, has
+                # the larger slope
+                hi = min(hi, (d * rank + prefix_d * high_r - 1) // (rank + high_r))
+                # r*cert = known - (rank + high_r)*e + r*a*e
+                known = base + gm * (next_e3 + next_e2 * high_r)
+                for next_d in range(hi, lo - 1, -1):  # c_j ascending
+                    charge(1)
+                    c = next_r * d - next_d * r
+                    e = c - segre
+                    fixed = known - (rank + high_r) * e
+                    if e >= 0 and fixed + r * e > 0:
+                        break  # and so is every larger c_j
+                    a, rest = divmod(spare, c)
+                    if not rest and fixed + r * a * e <= 0:
+                        charge(DESCRIPTOR_COST)  # the descriptor this chain becomes
+                        results.append((steps + ((rank, next_d - prefix_d),
+                                                 (high_r, d - next_d)), twists + (a,)))
+                continue
+            known = base + gm * next_e3
+            chord = gm * (r - 1) * (r - next_r)  # c_j times the chord's G_m/c_m
+            for next_d in range(hi, lo - 1, -1):  # c_j ascending
                 charge(1)
-                step = steps + ((rank, next_d - prefix_d),)
-                if last:  # the last coefficient, r*d - d*r = 0, carries no twist
-                    charge(DESCRIPTOR_COST)  # the descriptor this chain becomes
-                    results.append((step, twists))
-                    continue
                 c = next_r * d - next_d * r  # >= floors[j] by the window
-                if j == l - 2:  # the last twist uses up the spare
-                    if spare % c == 0:
-                        rec(step, twists + (spare // c,), next_r, next_d, 0)
-                    continue
-                for a in range(1, (spare - rests[j]) // c + 1):
-                    rec(step, twists + (a,), next_r, next_d, spare - a * c)
+                e = c - segre
+                steep = min(steeps[j], max(0, -(-chord // c) - 1))
+                # the bound at twist a is fixed + r*a*slope
+                fixed = known - (rank + (high_r if e >= 0 else 1)) * e - r * spare * steep
+                slope = e + c * steep
+                if e >= 0 and fixed + r * slope > 0:
+                    break  # and so is every larger c_j
+                step = steps + ((rank, next_d - prefix_d),)
+                top = (spare - rests[j]) // c
+                for a in range(1, top + 1) if slope >= 0 else range(top, 0, -1):
+                    if fixed + r * a * slope > 0:
+                        break  # and so is every later twist
+                    rec(step, twists + (a,), next_r, next_d, spare - a * c,
+                        base + (r * a - rank) * e, e, next_e2, next_e3)
 
     with suppress(_Spent):
-        rec((), (), 0, 0, hk)
+        rec((), (), 0, 0, hk, 0, 0, 0, 0)
     return results
 
 
@@ -323,10 +381,12 @@ class CandidateSearch(Record):
 
 
 def enumerate_candidates(p, k, max_l=3, include_mixed=False):
-    """Exhaustively enumerate obstructed families of degree k: two-step data
-    with twist >= 2, chains of length 3..max_l, and (optionally) mixed
-    families.  The result names the reasons the search may be incomplete:
-    the work budget running out, or max_l below the longest chain."""
+    """Exhaustively enumerate the obstructed families of degree k that can be
+    components, those of at least the expected dimension: two-step data with
+    twist >= 2 and chains of length 3..max_l; and, optionally, the mixed
+    families, which all fall below it.  The result names the reasons the
+    search may be incomplete: the work budget running out, or max_l below the
+    longest chain."""
     _check_k(k)
     _check_max_l(max_l)
     hk = p.h * k
@@ -343,16 +403,18 @@ def enumerate_candidates(p, k, max_l=3, include_mixed=False):
     longest_l = max(l for l in range(1, p.r + 1) if comb(l + 1, 3) <= hk)
     with suppress(_Spent):  # the search keeps what it found
         # two-step, twist a >= 2: h divides r1*d - r*d1, so hk = a*(r1*d - r*d1)
-        # asks a | k and (r1, d1) solving the degree equation at k/a; the
-        # equality case is routed to enumerate_obstructed_expected instead
+        # asks a | k and (r1, d1) solving the degree equation at k/a.  By law
+        # (c) the family is below the expected dimension when hk/a is above
+        # the Segre bound; the equality case is routed to
+        # enumerate_obstructed_expected instead
         small = [q for q in range(1, isqrt(k) + 1) if k % q == 0]
         for a in sorted({*small, *(k // q for q in small)} - {1}):
             for r1, d1 in solve_dioph(p, k // a):
-                if r1 >= 1 and hk // a != segre_bound(p, r1):
+                if r1 >= 1 and hk // a < segre_bound(p, r1):
                     charge(DESCRIPTOR_COST)
                     out.append(ComponentDescriptor(datum=two_step_chain(p, r1, d1, a), k=k))
 
-        # chains of length >= 3, charged by the walk
+        # chains of length >= 3 with certificate <= 0, charged by the walk
         for l in range(3, min(max_l, longest_l) + 1):
             for steps, twists in _deg_vectors(p, l, hk, charge):
                 chain = ExtensionChain(params=p, steps=steps, twists=twists)

@@ -20,7 +20,7 @@ from .classifier import (Kind, _check_max_l, classify, enumerate_candidates,
                          sieve_obstructed_expected)
 from .segre import generic_segre, min_connecting_degree, stratum_codimension
 
-SCHEMA_VERSION = "2.0"
+SCHEMA_VERSION = "3.0"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -380,6 +380,21 @@ def build_parser():
     return parser
 
 
+def _drop_buffered(out):
+    """Point the file descriptor under `out` at the null device, so that the
+    output still buffered for it is dropped when it is flushed, instead of
+    failing again at exit."""
+    try:
+        fd = out.fileno()
+    except (AttributeError, OSError, ValueError):  # no descriptor, nothing to flush to
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(null, fd)
+    finally:
+        os.close(null)
+
+
 def main(argv=None, out=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -392,6 +407,12 @@ def main(argv=None, out=None):
     except ConsistencyError as exc:
         print(f"modulirc: internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_FAILURE
+    except OSError as exc:
+        # a write to `out` failed (a closed pipe, a full disk; `sweep --out`
+        # reports its own file): the output is cut short, and the rest is dropped
+        _drop_buffered(out)
+        print(f"modulirc: error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def run():

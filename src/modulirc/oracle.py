@@ -2,8 +2,8 @@
 
 Each suite evaluates its claim over exhaustive small ranges or seeded random
 instances, by routes independent of the formulas it cross-checks.  The
-chain-dimension suite evaluates each chain once, by two routes, and covers its
-twist vectors and genera by linearity; it evaluates cell by cell only the
+chain-dimension suite evaluates each chain once, by three routes, and covers
+its twist vectors and genera by linearity; it evaluates cell by cell only the
 chains where the routes disagree.  All comparisons are exact; rational
 factors are cleared by cross-multiplication.
 """
@@ -199,9 +199,25 @@ def _rank_tuples(l, rank_bound):
     return _product(rank_bound, l, 0, rank_bound ** l) + 1
 
 
+def _e3(ranks_all):
+    """The third elementary symmetric polynomial of each row's ranks."""
+    e1 = e2 = e3 = 0
+    for col in ranks_all.T:
+        e1, e2, e3 = e1 + col, e2 + e1 * col, e3 + e2 * col
+    return e3
+
+
 def verify_claim_inequality(max_l=4, rank_bound=3, deg_bound=6, g_bound=4):
     """Exhaustive check of the summed inequality over all chains satisfying
     the per-split positivity hypothesis.
+
+    The inequality, r·Σ A_ij·(j-i-1) >= (g-1)·e₃ with e₃ the third
+    elementary symmetric polynomial of the ranks, is a corollary of the split
+    form of the certificate that `verify_chain_dimension_equivalence` checks:
+    at twists all 1 the form reads
+    r·Σ A_ij·(j-i-1) = Σ_k (r - r_k - r_{k+1})·e_k + (g-1)·e₃, where
+    e_k = c_k - (g-1)·R_k·(r - R_k) is >= 0 under the hypothesis and every
+    weight r - r_k - r_{k+1} is >= 0.
 
     The rational factor (g-1)/r is cleared by multiplying through by the
     total rank.  For each rank tuple, the hypothesis
@@ -226,12 +242,8 @@ def verify_claim_inequality(max_l=4, rank_bound=3, deg_bound=6, g_bound=4):
         weight = np.triu(idx - idx[:, None] - 1, 1)
         coef = ranks_all @ weight - ranks_all @ weight.T
         quad = ((ranks_all @ weight) * ranks_all).sum(axis=1)
-        # e3, the elementary symmetric sum of degree 3 of the ranks
-        e1 = e2 = e3 = 0
-        for col in ranks_all.T:
-            e1, e2, e3 = e1 + col, e2 + e1 * col, e3 + e2 * col
         # so the inequality fails where r·(degs·coef) < (g-1)·slack
-        slack = e3 + r_tot * quad
+        slack = _e3(ranks_all) + r_tot * quad
         tuples = ranks_all.tolist()
         for start, grid in _grid_blocks(l, deg_bound):
             degs = grid.T
@@ -342,6 +354,17 @@ def _prefix_route(rk, degs):
     return u, s, prefix_r[:-1] * (r - prefix_r[:-1]), (r * r - int(rk @ rk)) // 2
 
 
+def _split_route(weight, e3, cert):
+    """r·s and r·q, the constant of r·cert, by the split form
+    r·(s - (g-1)·q) = Σ_k (r_k + r_{k+1})·e_k - (g-1)·e₃ from the prefix
+    route's coefficients e_k = u_k - (g-1)·v_k of the twists; `weight` holds
+    the r_k + r_{k+1} and e₃ is the third elementary symmetric polynomial of
+    the ranks.  The route shares the prefix route's coefficients, so it
+    checks that route's constant."""
+    u, _, v, _ = cert
+    return weight @ u, int(weight @ v) + e3
+
+
 def _routes_agree(expected_less_dim, cert):
     """Per chain, whether both routes give the same coefficients, so that
     dim - expected = -cert at every twist vector and genus."""
@@ -350,13 +373,15 @@ def _routes_agree(expected_less_dim, cert):
     return agree if q == q2 and (v == v2).all() else np.zeros_like(agree)
 
 
-def _bad_cells(l, twist_bound, g_bound, expected_less_dim, cert, chains):
-    """Evaluate (dim >= expected) == (cert <= 0) cell by cell from both
-    routes' coefficients, one cell per chain of `chains` (column indices),
+def _bad_cells(l, twist_bound, g_bound, routes, chains):
+    """Evaluate (dim >= expected) == (cert <= 0) cell by cell from the
+    routes' coefficients, expected - dim first and then the certificate by
+    each of its routes, one cell per chain of `chains` (column indices),
     twist vector and genus.  Yields (g, failures, cells) per block and genus:
-    the number of cells where it fails, and the first COUNTEREXAMPLE_CAP of
-    them as (twist vector index, chain index, twist vector)."""
-    forms = [(u[:, chains], s[chains], v, q) for u, s, v, q in (expected_less_dim, cert)]
+    the number of cells where it fails by some route, and the first
+    COUNTEREXAMPLE_CAP of them as (twist vector index, chain index, twist
+    vector)."""
+    forms = [(u[:, chains], s[chains], v, q) for u, s, v, q in routes]
     for w0, w1 in _blocks(twist_bound ** (l - 1), _BLOCK):
         twists = _product(twist_bound, l - 1, w0, w1) + 1
         for c0, c1 in _blocks(len(chains), _BLOCK // (w1 - w0)):
@@ -364,8 +389,8 @@ def _bad_cells(l, twist_bound, g_bound, expected_less_dim, cert, chains):
             # at g is twists·u - s - (g-1)·(twists·v - q)
             at = [(twists @ u[:, c0:c1] - s[c0:c1], twists @ v - q) for u, s, v, q in forms]
             for g in range(2, g_bound + 1):
-                below, negative = (lin - (g - 1) * quad[:, None] <= 0 for lin, quad in at)
-                bad = np.argwhere(below != negative)
+                below, *negative = (lin - (g - 1) * quad[:, None] <= 0 for lin, quad in at)
+                bad = np.argwhere(np.logical_or.reduce([below != n for n in negative]))
                 if len(bad):
                     yield g, len(bad), [(w0 + tw, int(chains[c0 + c]), twists[tw].tolist())
                                         for tw, c in bad[:COUNTEREXAMPLE_CAP].tolist()]
@@ -382,10 +407,17 @@ def verify_chain_dimension_equivalence(max_l=4, rank_bound=3, deg_bound=6,
     prefix kept.  Both expected - dim and the certificate are linear in the
     twists and in g - 1, so each chain is evaluated once, by two routes that
     share only its ranks and degrees: the pairwise A-terms of the dimension
-    formula and the prefix sums of the certificate.  Where their coefficients
-    agree, dim - expected = -cert holds at every twist vector and genus by
-    linearity, and the chain counts one passing trial per cell.  A chain
-    whose coefficients disagree is evaluated cell by cell from both routes.
+    formula and the prefix sums of the certificate.  A third route takes the
+    prefix route's coefficients of the twists, e_k, and gives r·cert with the
+    constant of the split form
+    r·cert = Σ_k (r·a_k - r_k - r_{k+1})·e_k + (g-1)·e₃, so it checks that
+    route's constant.  Where the coefficients agree, dim - expected = -cert
+    holds at every twist vector and genus by linearity, and the chain counts
+    one passing trial per cell.  A chain whose coefficients disagree is
+    evaluated cell by cell from all three routes.  The split form proves the
+    claim inequality of `verify_claim_inequality` (its case of twists all 1),
+    and, since each weight r·a_k - r_k - r_{k+1} is >= 1 at length >= 3, that
+    a chain of at least the expected dimension has a split with e_k < 0.
     A deterministic sample of 50 chains is pushed through the scalar formulas
     as well to tie the library functions in.
     """
@@ -395,6 +427,9 @@ def verify_chain_dimension_equivalence(max_l=4, rank_bound=3, deg_bound=6,
     spot_done = 0
     for l in range(3, max_l + 1):
         ranks_all = _rank_tuples(l, rank_bound)
+        r_tot = ranks_all.sum(axis=1).tolist()
+        weights = ranks_all[:, :-1] + ranks_all[:, 1:]
+        e3s = _e3(ranks_all).tolist()
         cells = twist_bound ** (l - 1) * (g_bound - 1)
         firsts = {}  # rank tuple -> its first two slope-increasing degree vectors
         for start, grid in _grid_blocks(l, deg_bound):
@@ -407,11 +442,17 @@ def verify_chain_dimension_equivalence(max_l=4, rank_bound=3, deg_bound=6,
                 sub = degs[:, rows]
                 expected_less_dim = _pairwise_route(rk, sub)
                 cert = _prefix_route(rk, sub)
-                off = np.flatnonzero(~_routes_agree(expected_less_dim, cert))
+                (u, s, v, q), r = cert, r_tot[t]
+                split_s, split_q = _split_route(weights[t], e3s[t], cert)
+                off = np.flatnonzero(~(_routes_agree(expected_less_dim, cert)
+                                       & (split_s == r * s) & (split_q == r * q)))
                 if not len(off):
                     continue
+                # r·cert by the split form: r times the prefix route's
+                # coefficients, with the split form's constant
+                split = (r * u, split_s, r * v, split_q)
                 for g, n_bad, found in _bad_cells(l, twist_bound, g_bound,
-                                                  expected_less_dim, cert, off):
+                                                  (expected_less_dim, cert, split), off):
                     failures += n_bad
                     _keep_first(cands, (
                         ((l, t, g, tw, 0, start + rows[c]),

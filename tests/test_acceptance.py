@@ -11,6 +11,7 @@ import sys
 import time
 
 from modulirc import (
+    ComponentDescriptor,
     Kind,
     MixedDatum,
     Status,
@@ -151,19 +152,25 @@ def test_criterion_4_rank_two_labels():
                             key = (dd["steps"][0][1], dd["twists"][0])
                             by_datum[key] = desc
                     for (r1, d1, a) in _two_step_a_ge_2(p, k):
-                        desc = by_datum.pop((d1, a))
                         c = d - 2 * d1
+                        if c > g - 1:
+                            # below the expected dimension: proved not to be
+                            # a component, so the search does not list it
+                            assert (d1, a) not in by_datum
+                            desc = ComponentDescriptor(
+                                datum=two_step_chain(p, r1, d1, a), k=k)
+                            assert desc.status is Status.PROVED_NOT_COMPONENT
+                            assert desc.dimension < desc.expected_dim
+                            continue
+                        desc = by_datum.pop((d1, a))
                         if c < g - 1:
                             # strict case: proved extra component
                             assert desc.status is Status.PROVED_COMPONENT
                             assert desc.kind is Kind.OBSTRUCTED_CANDIDATE
                             assert desc.dimension > desc.expected_dim
-                        elif c == g - 1:
+                        else:
                             assert desc.kind is Kind.OBSTRUCTED_EXPECTED
                             assert desc.dimension == desc.expected_dim
-                        else:
-                            assert desc.status is Status.PROVED_NOT_COMPONENT
-                            assert desc.dimension < desc.expected_dim
                     assert not by_datum
         # for d = 1 the equality case occurs only when g is even
         for g in range(2, 7):

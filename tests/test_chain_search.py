@@ -1,17 +1,69 @@
-"""The one-pass chain walk against the enumerators it replaced.
+"""The pruned chain walk against the enumerators it replaced.
 
-`_compositions`, `_box_deg_vectors`, `_twist_vectors`, `_linear_two_step`
-and `_linear_mixed` are the former enumerators, kept as reference oracles:
-the rank compositions, the box search that walks every degree entry over
--deg_bound..deg_bound and prunes with the chain's least possible degree, the
-twist vectors of each degree vector's coefficients, the two-step search that
-tries every twist 2..hk at every r1, and the mixed search that tries every
-torsion degree t at every r1.
+`_full_deg_vectors`, `_compositions`, `_box_deg_vectors`, `_twist_vectors`,
+`_linear_two_step` and `_linear_mixed` are the former enumerators, kept as
+reference oracles: the full walk, which lists every chain of a length and
+degree whatever its dimension, the rank compositions, the box search that
+walks every degree entry over -deg_bound..deg_bound and prunes with the
+chain's least possible degree, the twist vectors of each degree vector's
+coefficients, the two-step search that tries every twist 2..hk at every r1,
+and the mixed search that tries every torsion degree t at every r1.
 """
 
-from modulirc import classifier, derive_params, enumerate_candidates
-from modulirc.classifier import WORK_BUDGET, _deg_vectors
-from modulirc.families import MixedDatum
+from contextlib import suppress
+from itertools import accumulate
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from modulirc import classifier, derive_params, enumerate_candidates, expected_dimension
+from modulirc.classifier import DESCRIPTOR_COST, WORK_BUDGET, _deg_vectors, _Spent, classify
+from modulirc.families import (ExtensionChain, MixedDatum, chain_dimension_excess_certificate,
+                               two_step_chain)
+
+
+def _full_deg_vectors(p, l, hk, charge):
+    """(steps, twists) of every chain of length l and degree hk, whatever
+    its dimension: the walk before it pruned by the certificate, charging
+    what it charged."""
+    r, d = p.r, p.d
+    charge(l)
+    floors = [(j + 1) * (l - 1 - j) for j in range(l)]
+    rests = list(accumulate(floors[:0:-1], initial=0))[::-1]
+    results = []
+
+    def rec(steps, twists, prefix_r, prefix_d, spare):
+        j = len(steps)
+        last = j == l - 1
+        for rank in (r - prefix_r,) if last else range(1, r - prefix_r - (l - 2 - j)):
+            charge(1)
+            next_r = prefix_r + rank
+            if last:
+                lo = hi = d
+            else:
+                lo = -((spare - rests[j] - next_r * d) // r)
+                hi = (next_r * d - floors[j]) // r
+            if steps:
+                prev_r, prev_d = steps[-1]
+                lo = max(lo, prefix_d + prev_d * rank // prev_r + 1)
+            for next_d in range(lo, hi + 1):
+                charge(1)
+                step = steps + ((rank, next_d - prefix_d),)
+                if last:
+                    charge(DESCRIPTOR_COST)
+                    results.append((step, twists))
+                    continue
+                c = next_r * d - next_d * r
+                if j == l - 2:
+                    if spare % c == 0:
+                        rec(step, twists + (spare // c,), next_r, next_d, 0)
+                    continue
+                for a in range(1, (spare - rests[j]) // c + 1):
+                    rec(step, twists + (a,), next_r, next_d, spare - a * c)
+
+    with suppress(_Spent):
+        rec((), (), 0, 0, hk)
+    return results
 
 
 def _compositions(total, parts):
@@ -129,7 +181,7 @@ def _reference(p, l, hk, deg_bound):
 
 def _walk(p, l, hk):
     # a charge that never runs out
-    chains = sorted(_deg_vectors(p, l, hk, lambda units: None))
+    chains = sorted(_full_deg_vectors(p, l, hk, lambda units: None))
     for steps, twists in chains:
         ranks, degs = zip(*steps)
         coeffs = _prefix_coeffs(ranks, degs, p.d)
@@ -167,6 +219,7 @@ def test_window_equals_box_search_at_analytic_bound():
 
 
 def test_two_step_divisors_equal_linear_search():
+    # the search lists the two-step data of at least the expected dimension
     for g in (2, 3):
         for r in range(2, 6):
             for d in range(-4, 5):
@@ -174,7 +227,10 @@ def test_two_step_divisors_equal_linear_search():
                 for k in range(1, 40):
                     found = [(c.datum.steps[0][0], c.datum.steps[0][1], c.datum.twists[0])
                              for c in enumerate_candidates(p, k, max_l=2).descriptors]
-                    assert sorted(found) == sorted(_linear_two_step(p, p.h * k))
+                    want = [(r1, d1, a) for r1, d1, a in _linear_two_step(p, p.h * k)
+                            if two_step_chain(p, r1, d1, a).dimension
+                            >= expected_dimension(p, k)]
+                    assert sorted(found) == sorted(want)
 
 
 def test_mixed_solutions_equal_linear_search():
@@ -207,7 +263,7 @@ def test_budget_boundary(monkeypatch):
         for r in range(2, 6):
             for d in range(-3, 4):
                 p = derive_params(g, r, d)
-                for k in (1, 4, 9):
+                for k in (1, 2, 4, 9):
                     for max_l, mixed in ((2, False), (2, True), (4, False), (4, True)):
                         full = search(WORK_BUDGET)
                         assert full.work <= WORK_BUDGET
@@ -234,3 +290,76 @@ def test_budget_boundary(monkeypatch):
                         else:
                             lost["none"] += 1
     assert all(lost.values()), lost
+
+
+def _charged(walk, p, l, hk):
+    """The sorted chains of `walk` and the units it charged, with no budget."""
+    spent = 0
+
+    def charge(units):
+        nonlocal spent
+        spent += units
+
+    return sorted(walk(p, l, hk, charge)), spent
+
+
+def _check_pruned_walk(p, l, hk):
+    # the pruned walk lists exactly the full walk's chains whose family has
+    # at least the expected dimension, and charges no more than the full walk
+    full, full_work = _charged(_full_deg_vectors, p, l, hk)
+    pruned, work = _charged(_deg_vectors, p, l, hk)
+    want = []
+    for steps, twists in full:
+        chain = ExtensionChain(params=p, steps=steps, twists=twists)
+        if chain.dimension >= expected_dimension(p, chain.degree):
+            want.append((steps, twists))
+    assert pruned == want, (p, l, hk)
+    assert work <= full_work, (p, l, hk)
+    return len(full), len(want)
+
+
+def test_pruned_walk_lists_the_components_of_the_full_walk():
+    # every residue of d mod r, so each gcd class h = gcd(r, d) occurs
+    listed = dropped = 0
+    for g in range(2, 6):
+        for r in range(3, 7):
+            for d in range(r):
+                p = derive_params(g, r, d)
+                for k in (1, 2, 3, 4, 6, 9, 13, 19, 30):
+                    for l in range(3, min(r, 5) + 1):
+                        chains, kept = _check_pruned_walk(p, l, p.h * k)
+                        listed += kept
+                        dropped += chains - kept
+    assert listed and dropped
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=st.integers(2, 7), r=st.integers(3, 7), d=st.integers(-30, 30),
+       k=st.integers(1, 24), l=st.integers(3, 5))
+def test_pruned_walk_property(g, r, d, k, l):
+    p = derive_params(g, r, d)
+    _check_pruned_walk(p, min(l, r), p.h * k)
+
+
+def test_search_lists_only_families_that_can_be_components():
+    # with mixed families, NOT_COMPONENT counts only them; the totals keep
+    # all five kinds and count the descriptors listed
+    kinds = {kind.value for kind in classifier.Kind}
+    for g in (2, 3):
+        for r in range(2, 6):
+            for d in range(-3, 4):
+                p = derive_params(g, r, d)
+                for k in (1, 4, 9):
+                    for mixed in (False, True):
+                        report = classify(p, k, include_candidates=True,
+                                          include_mixed=mixed, max_l=4)
+                        counts = {kind: 0 for kind in kinds}
+                        for desc in report.descriptors:
+                            counts[desc.kind.value] += 1
+                            if not isinstance(desc.datum, MixedDatum):
+                                assert desc.dimension >= desc.expected_dim
+                        totals = report.to_dict()["totals"]
+                        assert set(totals) == kinds | {"EXPECTED_DIM_COMPONENTS"}
+                        assert {kind: totals[kind] for kind in kinds} == counts
+                        assert counts["NOT_COMPONENT"] == sum(
+                            isinstance(desc.datum, MixedDatum) for desc in report.descriptors)

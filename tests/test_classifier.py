@@ -8,6 +8,7 @@ from modulirc import (
     ComponentDescriptor,
     ConnectivityResult,
     ConsistencyError,
+    ExtensionChain,
     GenericImage,
     Kind,
     MixedDatum,
@@ -103,18 +104,19 @@ class TestCandidates:
         assert desc.status is Status.PROVED_COMPONENT
 
     def test_three_step_chain_found(self):
-        p = derive_params(2, 3, 1)
-        search = enumerate_candidates(p, 9, max_l=3)
-        assert not search.reasons
-        chains = [d for d in search.descriptors
-                  if _datum(d)["type"] == "chain" and len(_datum(d)["steps"]) == 3]
-        target = [d for d in chains
-                  if _datum(d)["steps"] == [[1, -1], [1, 0], [1, 2]]
-                  and _datum(d)["twists"] == [1, 1]]
-        assert len(target) == 1
-        assert target[0].kind is Kind.NOT_COMPONENT
-        assert target[0].dimension == 24 < target[0].expected_dim == 26
-        assert target[0].status is Status.PROVED_NOT_COMPONENT
+        # the same chain is a candidate at g = 4 and below the expected
+        # dimension at g = 2, where the search does not list it
+        steps, twists = ((1, -1), (1, 0), (1, 2)), (1, 1)
+        for g, kind, dim, exp in ((4, Kind.OBSTRUCTED_CANDIDATE, 42, 42),
+                                  (2, Kind.NOT_COMPONENT, 24, 26)):
+            p = derive_params(g, 3, 1)
+            search = enumerate_candidates(p, 9, max_l=3)
+            assert not search.reasons
+            desc = ComponentDescriptor(
+                datum=ExtensionChain(params=p, steps=steps, twists=twists), k=9)
+            assert (desc.kind, desc.dimension, desc.expected_dim) == (kind, dim, exp)
+            assert (desc in search.descriptors) == (kind is Kind.OBSTRUCTED_CANDIDATE)
+        assert desc.status is Status.PROVED_NOT_COMPONENT
 
     def test_equality_case_routed_to_obstructed_expected(self):
         p = derive_params(2, 2, 1)
@@ -145,7 +147,7 @@ class TestCandidates:
 
     def test_short_max_l_incomplete(self):
         # chains of length up to 5 can have degree hk = 30 >= C(6, 3)
-        p = derive_params(2, 5, 1)
+        p = derive_params(3, 5, -4)
         short = enumerate_candidates(p, 30, max_l=3)
         assert short.longest_l == 5
         assert short.reasons == ["candidate-search-incomplete: max_l=3 below "

@@ -423,6 +423,35 @@ def test_run_leaves_a_failed_flush_to_teardown():
     assert b"OSError: [Errno 28] No space left on device" in done.stderr
 
 
+# a sweep whose CSV is far larger than a stream's buffer, so that writing it
+# fails inside main() rather than at the final flush
+_LONG_SWEEP = ["-m", "modulirc.cli", "sweep", "--g", "2", "--r", "4", "--d", "2",
+               "--k-min", "1", "--k-max", "100000"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_write_error_exits_one_with_a_reason():
+    # the output is cut short; what is still buffered is dropped, so no
+    # traceback and no second report at exit
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run([sys.executable, *_LONG_SWEEP], stdout=full,
+                              stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": _SRC},
+                              check=False, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr == b"modulirc: error: cannot write output: No space left on device\n"
+
+
+def test_closed_pipe_exits_one_with_a_reason():
+    with subprocess.Popen([sys.executable, *_LONG_SWEEP], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE,
+                          env={**os.environ, "PYTHONPATH": _SRC}) as proc:
+        assert proc.stdout.read(10) == b"k,unobstru"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    assert stderr == b"modulirc: error: cannot write output: Broken pipe\n"
+
+
 def test_module_entry_point_help_and_usage_error():
     done = _python(["-m", "modulirc.cli", "--help"])
     assert (done.returncode, done.stderr) == (0, b"")

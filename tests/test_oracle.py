@@ -275,9 +275,9 @@ def test_dimension_suite_frees_each_block():
 
 
 def _dimension_cells(max_l, rank_bound, deg_bound, twist_bound, g_bound):
-    """(dim - expected, cert, twists, g, cell) for every cell of the dimension
-    suite in the loop order of the scalar suite, through the library
-    formulas."""
+    """(dim - expected, cert, ranks, twists, g, cell) for every cell of the
+    dimension suite in the loop order of the scalar suite, through the
+    library formulas."""
     side = range(-deg_bound, deg_bound + 1)
     for l in range(3, max_l + 1):
         for ranks in itertools.product(range(1, rank_bound + 1), repeat=l):
@@ -292,13 +292,12 @@ def _dimension_cells(max_l, rank_bound, deg_bound, twist_bound, g_bound):
                                                twists=twists)
                         excess = chain.dimension - expected_dimension(p, chain.degree)
                         yield (excess, chain_dimension_excess_certificate(chain),
-                               twists, g, ranks + degs + twists + (g,))
+                               ranks, twists, g, ranks + degs + twists + (g,))
 
 
 def _with_fault(route, fault):
-    def faulty(rk, degs):
-        u, s, v, q = route(rk, degs)
-        return fault(u.copy(), s.copy(), v.copy(), q)
+    def faulty(*args):
+        return fault(*(x.copy() if isinstance(x, np.ndarray) else x for x in route(*args)))
     return faulty
 
 
@@ -316,34 +315,62 @@ def _add_to_first_genus_split(u, s, v, q):
     return u, s, v, q
 
 
-# a one-unit fault in one route, and how it moves dim - expected and cert
+def _add_to_split_genus_constant(s, q):
+    return s, q + 1
+
+
+# a fault in one route, and how it moves dim - expected, cert and r·cert by
+# the split form (r times the prefix route's coefficients, whatever their
+# fault, and the constant (r_k + r_{k+1})·e_k summed less (g-1)·e₃)
 FAULTS = {
     "prefix a_1": ("_prefix_route", _add_to_first_split,
-                   lambda excess, cert, twists, g: (excess, cert + twists[0])),
+                   lambda excess, cert, split, ranks, twists, g:
+                   (excess, cert + twists[0], split + sum(ranks) * twists[0] - ranks[0] - ranks[1])),
     "prefix genus a_1": ("_prefix_route", _add_to_first_genus_split,
-                         lambda excess, cert, twists, g: (excess, cert - (g - 1) * twists[0])),
+                         lambda excess, cert, split, ranks, twists, g:
+                         (excess, cert - (g - 1) * twists[0],
+                          split - (g - 1) * (sum(ranks) * twists[0] - ranks[0] - ranks[1]))),
     "pairwise constant": ("_pairwise_route", _add_to_constant,
-                          lambda excess, cert, twists, g: (excess + 1, cert)),
+                          lambda excess, cert, split, ranks, twists, g: (excess + 1, cert, split)),
+    "split genus constant": ("_split_route", _add_to_split_genus_constant,
+                             lambda excess, cert, split, ranks, twists, g:
+                             (excess, cert, split + g - 1)),
 }
 
 
 @pytest.mark.parametrize("block", (8, 1 << 16))
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_route_fault_fails_the_bulk_pass(fault, block, monkeypatch):
-    # the routes are independent: a fault in either one is reported, with the
-    # failing cells counted and listed in the loop order of the scalar suite
+    # a fault in any route is reported, with the failing cells counted and
+    # listed in the loop order of the scalar suite: a cell fails where the
+    # sign of dim - expected disagrees with that of cert or of r·cert
     name, change, moved = FAULTS[fault]
     monkeypatch.setattr(oracle, name, _with_fault(getattr(oracle, name), change))
     monkeypatch.setattr(oracle, "_BLOCK", block)
     case = (4, 2, 2, 2, 3)
     want = []
-    for excess, cert, twists, g, cell in _dimension_cells(*case):
-        excess, cert = moved(excess, cert, twists, g)
-        if (excess >= 0) != (cert <= 0):
+    for excess, cert, ranks, twists, g, cell in _dimension_cells(*case):
+        excess, cert, split = moved(excess, cert, sum(ranks) * cert, ranks, twists, g)
+        if (excess >= 0) != (cert <= 0) or (excess >= 0) != (split <= 0):
             want.append(cell)
     report = _dimension_report(oracle, *case)
     assert report["failures"] == len(want) > COUNTEREXAMPLE_CAP
     assert report["counterexamples"] == [list(c) for c in want[:COUNTEREXAMPLE_CAP]]
+
+
+def test_split_form_is_r_times_the_certificate_constant():
+    # the identity the split route relies on, through the library
+    # certificate: r·cert = Σ_k (r·a_k - r_k - r_{k+1})·e_k + (g-1)·e₃
+    for excess, cert, ranks, twists, g, cell in _dimension_cells(5, 2, 2, 2, 4):
+        degs = cell[len(ranks):2 * len(ranks)]
+        r, d = sum(ranks), sum(degs)
+        e3 = sum(a * b * c for a, b, c in itertools.combinations(ranks, 3))
+        total = (g - 1) * e3
+        for k in range(1, len(ranks)):
+            big = sum(ranks[:k])
+            e = big * d - r * sum(degs[:k]) - (g - 1) * big * (r - big)
+            total += (r * twists[k - 1] - ranks[k - 1] - ranks[k]) * e
+        assert r * cert == total == -r * excess
 
 
 @pytest.mark.parametrize("block", (8, 1 << 16))

@@ -84,7 +84,7 @@ def test_clipped_candidate_rows_equal_classified_rows(monkeypatch):
 def test_sweep_work_cap(monkeypatch):
     # the rows search until their work passes the cap; later rows are not searched
     monkeypatch.setattr(cli, "MAX_SWEEP_WORK", 2000)
-    p = derive_params(2, 3, 1)
+    p = derive_params(3, 3, 1)
     spent = list(accumulate(enumerate_candidates(p, k, max_l=3).work for k in range(1, 31)))
     searched = next(i for i, total in enumerate(spent) if total > 2000) + 1
     assert 1 < searched < 30
