@@ -264,16 +264,18 @@ def _deg_vectors(p, l, hk, charge):
     It prunes with the split form of the certificate.  With
     e_j = c_j - (g-1)*R_j*(r - R_j), the prefix's excess over the Segre
     bound, and e3 the third elementary symmetric polynomial of the ranks,
-    r*cert = sum_j (r*a_j - r_j - r_{j+1})*e_j + (g-1)*e3.  Each weight
-    r*a_j - r_j - r_{j+1} is >= 1 at l >= 3, so a split not yet placed lowers
-    r*cert only when its e_m < 0, and then by at most
-    r*a_m*(G_m - c_m) <= r*a_m*c_m*(G_m/c_m - 1), where G_m >= (g-1)*R_m*(r - R_m)
-    and c_m is at least floors[m] and, c being concave in R, at least the
-    chord c_j*(r - R_m)/(r - R_j).  As the a_m*c_m of those splits sum to the
-    spare, together they lower r*cert by at most r*spare*steep, steep being
-    the largest ceil(G_m/c_m) - 1 >= 0 that those bounds allow.  A node is
-    pruned once the terms placed, the least the pending -r_{j+1}*e_j can be,
-    that bound and (g-1)*e3 of the ranks placed sum to > 0.  That sum is
+    r*cert = sum_j (r*a_j - r_j - r_{j+1})*e_j + (g-1)*e3, and the family has
+    at least the expected dimension exactly when cert <= 0.  Each weight
+    r*a_j - r_j - r_{j+1} is >= 1 at l >= 3, so a split m not yet placed
+    lowers r*cert only when e_m < 0, and then by at most
+    r*a_m*(G_m - c_m) = r*a_m*c_m*(G_m/c_m - 1) for any
+    G_m >= (g-1)*R_m*(r - R_m).  Here c_m is at least floors[m] and, c being
+    concave in R, at least the chord c_j*(r - R_m)/(r - R_j) from the split j
+    just placed; and the a_m*c_m of the splits not yet placed sum to the
+    spare.  So together they lower r*cert by at most r*spare*steep, steep
+    being the largest ceil(G_m/c_m) - 1 >= 0 that those bounds allow.  A node
+    is pruned once the terms placed, the least the pending -r_{j+1}*e_j can
+    be, that bound and (g-1)*e3 of the ranks placed sum to > 0.  That sum is
     linear in the twist, so the twist loop runs toward larger sums and stops
     at the first pruned twist; at a = 1 and e_j >= 0 it grows with c_j, so
     the window runs toward larger c_j and stops there too.  At the last split
@@ -289,13 +291,13 @@ def _deg_vectors(p, l, hk, charge):
     # entry; rests[j]: least sum of the a_m*c_m chosen after it
     floors = [(j + 1) * (l - 1 - j) for j in range(l)]
     rests = list(accumulate(floors[:0:-1], initial=0))[::-1]
-    # steeps[j]: steep over the splits after the (j+1)-th from the floors,
+    # steeps[j]: steep over the splits after the (j+1)-th by their floors,
     # G_m taking the R nearest r/2 among those feasible at split m
-    steep = []
+    by_floor = []
     for m in range(l - 1):
         big = min(max(r // 2, m + 1), r - l + m + 1)
-        steep.append(max(0, -(-gm * big * (r - big) // floors[m]) - 1))
-    steeps = [max(steep[j + 1:], default=0) for j in range(l - 1)]
+        by_floor.append(max(0, -(-gm * big * (r - big) // floors[m]) - 1))
+    steeps = [max(by_floor[j + 1:], default=0) for j in range(l - 1)]
     results = []
 
     def rec(steps, twists, prefix_r, prefix_d, spare, placed, pending, e2, e3):
@@ -316,11 +318,10 @@ def _deg_vectors(p, l, hk, charge):
             base = placed - rank * pending
             next_e2, next_e3 = e2 + prefix_r * rank, e3 + e2 * rank
             segre = gm * next_r * (r - next_r)
-            # the next rank lies in [low_r, high_r]
+            # the next entry's rank is at most high_r, and at the last split
+            # it is high_r, closing rank and degree
             high_r = r - next_r - (l - 2 - j)
-            if last:
-                # the closing entry, of rank high_r and degree d - D_j, has
-                # the larger slope
+            if last:  # the closing entry has the larger slope
                 hi = min(hi, (d * rank + prefix_d * high_r - 1) // (rank + high_r))
                 # r*cert = known - (rank + high_r)*e + r*a*e
                 known = base + gm * (next_e3 + next_e2 * high_r)

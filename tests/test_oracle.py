@@ -358,7 +358,7 @@ def test_route_fault_fails_the_bulk_pass(fault, block, monkeypatch):
     assert report["counterexamples"] == [list(c) for c in want[:COUNTEREXAMPLE_CAP]]
 
 
-def test_split_form_is_r_times_the_certificate_constant():
+def test_split_form_of_the_certificate():
     # the identity the split route relies on, through the library
     # certificate: r·cert = Σ_k (r·a_k - r_k - r_{k+1})·e_k + (g-1)·e₃
     for excess, cert, ranks, twists, g, cell in _dimension_cells(5, 2, 2, 2, 4):
