@@ -188,25 +188,36 @@ def enumerate_unobstructed(p, k):
     return out
 
 
-def enumerate_obstructed_expected(p, k):
-    """Obstructed components of exactly the expected dimension, and the
-    per-r1 cross-check of the two readings of the divisibility criterion.
-
-    At each r1 the constructive test asks for an integer d1 with r1*d - r*d1
-    equal to the equality-case value r1*(r-r1)*(g-1), and an integer a >= 2
-    with hk = a times that value; when it passes, the two-step family
-    (r1, d1, a) is a component.  The literal reading is that value | k.
-    """
-    _check_k(k)
-    hk = p.h * k
-    out, rows = [], []
+def _thm_b_tests(p):
+    """(r1, divisor, step, low) per r1: the two readings of the divisibility
+    criterion.  The constructive one asks for an integer d1 with
+    r1*d - r*d1 = divisor = r1*(r-r1)*(g-1) and an integer a >= 2 with
+    hk = a*divisor; then the two-step family (r1, d1, a) is a component.  Its
+    congruence r | r1*d - divisor does not depend on k; when it holds, h
+    divides divisor, and the test passes exactly at the multiples k of
+    step = divisor/h with k >= low = 2*step.  Otherwise it never passes, low
+    is None and step is divisor.  The literal reading passes at the
+    multiples of divisor, which are multiples of step."""
     for r1 in range(1, p.r):
         divisor = segre_bound(p, r1)
-        r_d1 = r1 * p.d - divisor
-        a, rest = divmod(hk, divisor)
-        constructive = r_d1 % p.r == 0 and rest == 0 and a >= 2
+        if (r1 * p.d - divisor) % p.r == 0:
+            step = divisor // p.h
+            yield r1, divisor, step, 2 * step
+        else:
+            yield r1, divisor, divisor, None
+
+
+def enumerate_obstructed_expected(p, k):
+    """Obstructed components of exactly the expected dimension, and the
+    per-r1 cross-check of the two readings of the divisibility criterion
+    (`_thm_b_tests`)."""
+    _check_k(k)
+    out, rows = [], []
+    for r1, divisor, step, low in _thm_b_tests(p):
+        constructive = low is not None and k >= low and k % step == 0
         if constructive:
-            desc = ComponentDescriptor(datum=two_step_chain(p, r1, r_d1 // p.r, a), k=k)
+            d1 = (r1 * p.d - divisor) // p.r
+            desc = ComponentDescriptor(datum=two_step_chain(p, r1, d1, k // step), k=k)
             if desc.kind is not Kind.OBSTRUCTED_EXPECTED:
                 raise ConsistencyError(
                     "equality-case family does not have expected dimension")
@@ -222,29 +233,16 @@ def sieve_obstructed_expected(p, k_min, k_max):
     expected dimension and whether the literal and constructive readings of
     the divisibility criterion disagree at some r1: what
     `enumerate_obstructed_expected` finds at each k, for a range at once.
-
-    This restates that test per r1.  With divisor = r1*(r-r1)*(g-1), the
-    congruence r | r1*d - divisor does not depend on k; when it holds, h
-    divides divisor (h divides r and d), and the test passes exactly at the k
-    that are multiples of step = divisor/h (so that divisor | hk) with
-    k >= 2*step.  The literal reading passes at the multiples of divisor,
-    which are among those k.  So each r1 visits only its multiples of step in
-    the range.
+    Both readings pass only at multiples of an r1's step (`_thm_b_tests`),
+    so each r1 visits only those in the range.
     """
     n = k_max - k_min + 1
     counts, disagree = [0] * n, [False] * n
-    for r1 in range(1, p.r):
-        divisor = segre_bound(p, r1)
-        if (r1 * p.d - divisor) % p.r == 0:
-            step = divisor // p.h
-            low = 2 * step
-        else:  # the constructive test never passes
-            step, low = divisor, k_max + 1
+    for _, divisor, step, low in _thm_b_tests(p):
         for k in range(-(-k_min // step) * step, k_max + 1, step):
-            constructive = k >= low
+            constructive = low is not None and k >= low
             counts[k - k_min] += constructive
-            if constructive != (k % divisor == 0):
-                disagree[k - k_min] = True
+            disagree[k - k_min] |= constructive != (k % divisor == 0)
     return counts, disagree
 
 
@@ -304,6 +302,10 @@ def _deg_vectors(p, l, hk, charge):
         # placed: the terms of r*cert placed, but for -r_{j+1}*pending of the
         # split before this entry; e2, e3: symmetric sums of the ranks placed
         j = len(steps)
+        if j == l - 1:  # the closing entry takes the rank and degree left
+            charge(DESCRIPTOR_COST)  # the descriptor this chain becomes
+            results.append((steps + ((r - prefix_r, d - prefix_d),), twists))
+            return
         last = j == l - 2  # the last split: its twist uses up the spare
         # each entry after this one keeps rank >= 1
         for rank in range(1, r - prefix_r - (l - 2 - j)):
@@ -318,41 +320,30 @@ def _deg_vectors(p, l, hk, charge):
             base = placed - rank * pending
             next_e2, next_e3 = e2 + prefix_r * rank, e3 + e2 * rank
             segre = gm * next_r * (r - next_r)
+            known = base + gm * next_e3
             # the next entry's rank is at most high_r, and at the last split
             # it is high_r, closing rank and degree
             high_r = r - next_r - (l - 2 - j)
-            if last:  # the closing entry has the larger slope
+            if last:  # the closing entry has the larger slope, and e3 is known
                 hi = min(hi, (d * rank + prefix_d * high_r - 1) // (rank + high_r))
-                # r*cert = known - (rank + high_r)*e + r*a*e
-                known = base + gm * (next_e3 + next_e2 * high_r)
-                for next_d in range(hi, lo - 1, -1):  # c_j ascending
-                    charge(1)
-                    c = next_r * d - next_d * r
-                    e = c - segre
-                    fixed = known - (rank + high_r) * e
-                    if e >= 0 and fixed + r * e > 0:
-                        break  # and so is every larger c_j
-                    a, rest = divmod(spare, c)
-                    if not rest and fixed + r * a * e <= 0:
-                        charge(DESCRIPTOR_COST)  # the descriptor this chain becomes
-                        results.append((steps + ((rank, next_d - prefix_d),
-                                                 (high_r, d - next_d)), twists + (a,)))
-                continue
-            known = base + gm * next_e3
+                known += gm * next_e2 * high_r
             chord = gm * (r - 1) * (r - next_r)  # c_j times the chord's G_m/c_m
             for next_d in range(hi, lo - 1, -1):  # c_j ascending
                 charge(1)
                 c = next_r * d - next_d * r  # >= floors[j] by the window
                 e = c - segre
                 steep = min(steeps[j], max(0, -(-chord // c) - 1))
-                # the bound at twist a is fixed + r*a*slope
-                fixed = known - (rank + (high_r if e >= 0 else 1)) * e - r * spare * steep
+                # the bound at twist a is fixed + r*a*slope (r*cert at the last split)
+                fixed = known - (rank + (high_r if e >= 0 or last else 1)) * e - r * spare * steep
                 slope = e + c * steep
                 if e >= 0 and fixed + r * slope > 0:
                     break  # and so is every larger c_j
-                step = steps + ((rank, next_d - prefix_d),)
                 top = (spare - rests[j]) // c
-                for a in range(1, top + 1) if slope >= 0 else range(top, 0, -1):
+                if last and spare % c:
+                    continue  # no twist uses up the spare
+                low = top if last else 1
+                step = steps + ((rank, next_d - prefix_d),)
+                for a in range(low, top + 1) if slope >= 0 else range(top, low - 1, -1):
                     if fixed + r * a * slope > 0:
                         break  # and so is every later twist
                     rec(step, twists + (a,), next_r, next_d, spare - a * c,

@@ -58,6 +58,15 @@ def _envelope(command, inputs, results, warnings):
     }
 
 
+def _inputs(args):
+    """The `inputs` of the envelope: every parsed option but the output's
+    format and file, in the order the subparser declares them, camelCased."""
+    # "max_l".title() is "Max_L"; a regex would cost a compile on every call
+    return {name[0] + name.title().replace("_", "")[1:]: value
+            for name, value in vars(args).items()
+            if name not in ("command", "func", "format", "out")}
+
+
 def _dumps(obj):
     return json.dumps(obj, indent=2) + "\n"
 
@@ -89,12 +98,8 @@ def _cmd_classify(args, out):
     report = classify(p, args.k, include_candidates=args.include_candidates,
                       include_mixed=args.include_mixed, max_l=args.max_l)
     if args.format == "json":
-        out.write(_dumps(_envelope(
-            "classify",
-            {"g": args.g, "r": args.r, "d": args.d, "k": args.k, "maxL": args.max_l,
-             "includeCandidates": args.include_candidates,
-             "includeMixed": args.include_mixed},
-            report.to_dict(), report.warnings)))
+        out.write(_dumps(_envelope("classify", _inputs(args), report.to_dict(),
+                                   report.warnings)))
     else:
         out.write(_classify_table(report))
     return EXIT_OK
@@ -167,11 +172,7 @@ def _write_sweep(args, rows, fh):
         writer.writeheader()
         writer.writerows(rows)
         return
-    _write_streamed(fh, "sweep",
-                    {"g": args.g, "r": args.r, "d": args.d,
-                     "kMin": args.k_min, "kMax": args.k_max, "maxL": args.max_l,
-                     "includeCandidates": args.include_candidates},
-                    "rows", rows)
+    _write_streamed(fh, "sweep", _inputs(args), "rows", rows)
 
 
 def _cmd_sweep(args, out):
@@ -267,11 +268,7 @@ def _cmd_verify(args, out):
     expected_pass = [r for r in reports if r.suite != "three_term_printed"]
     ok = expected_fail_ok and all(r.passed for r in expected_pass)
     out.write(_dumps(_envelope(
-        "verify",
-        {"suite": suite, "trials": args.trials, "seed": args.seed,
-         "maxL": args.max_l, "rankBound": args.rank_bound,
-         "degBound": args.deg_bound, "gBound": args.g_bound,
-         "twistBound": args.twist_bound},
+        "verify", _inputs(args),
         {"reports": [r.to_dict() for r in reports], "allExpectedPass": ok},
         warnings)))
     return EXIT_OK if ok else EXIT_FAILURE
@@ -299,9 +296,7 @@ def _cmd_segre(args, out):
     if strata > MAX_STRATA:
         raise ParameterError(f"the table has {strata} strata, more than {MAX_STRATA}; "
                              "ask for one --r-prime")
-    _write_streamed(out, "segre",
-                    {"g": args.g, "r": args.r, "d": args.d, "rPrime": args.r_prime},
-                    "table", _segre_rows(p, r_primes))
+    _write_streamed(out, "segre", _inputs(args), "table", _segre_rows(p, r_primes))
     return EXIT_OK
 
 
@@ -315,7 +310,7 @@ def _cmd_connect(args, out):
             f"{res.derived_k} differs from the closed form {res.paper_k}; "
             "both are reported, neither is reconciled")
     out.write(_dumps(_envelope(
-        "connect", {"g": args.g, "r": args.r, "d": args.d},
+        "connect", _inputs(args),
         {"derivedK": res.derived_k, "closedFormK": res.paper_k,
          "witness": {"rPrime": res.witness_r_prime,
                      "dPrime": res.witness_d_prime},

@@ -16,11 +16,6 @@ of rounding.
 from .params import ConsistencyError, ModuliParams, ParameterError, Record
 
 
-def _check_slope_increasing(r_lo, d_lo, r_hi, d_hi):
-    # strict inequality d_lo/r_lo < d_hi/r_hi by cross-multiplication
-    return d_lo * r_hi < d_hi * r_lo
-
-
 def _set_derived(datum, hk, dimension):
     """Store k = hk/h and the family's dimension, derived values that are not
     fields (as ModuliParams stores h)."""
@@ -57,7 +52,7 @@ class ExtensionChain(Record):
         if sum(di for _, di in steps) != p.d:
             raise ParameterError("step degrees must sum to d")
         for (r_lo, d_lo), (r_hi, d_hi) in zip(steps, steps[1:]):
-            if not _check_slope_increasing(r_lo, d_lo, r_hi, d_hi):
+            if d_lo * r_hi >= d_hi * r_lo:
                 raise ParameterError(
                     f"slopes must strictly increase: {d_lo}/{r_lo} !< {d_hi}/{r_hi}")
         # one pass over the pairs i < j, with T_ij = r_i d_j - r_j d_i and
@@ -131,7 +126,7 @@ class MixedDatum(Record):
             raise ParameterError(f"r1 must lie in [1, r-1], got {self.r1}")
         if self.t < 1:
             raise ParameterError(f"divisor degree must be >= 1, got {self.t}")
-        if not _check_slope_increasing(self.r1, self.d1, self.r2, self.d2):
+        if self.d1 * (p.r - self.r1) >= (p.d - self.d1 - self.t) * self.r1:
             raise ParameterError("sub slope must be strictly below quotient slope")
         # hk = r1*d - r*d1 + r*t and dim M + 2hk - 2*r1*t, always strictly
         # below the expected dimension
@@ -142,14 +137,6 @@ class MixedDatum(Record):
 
     def to_dict(self):
         return {"type": "mixed", "r1": self.r1, "d1": self.d1, "t": self.t}
-
-    @property
-    def r2(self):
-        return self.params.r - self.r1
-
-    @property
-    def d2(self):
-        return self.params.d - self.d1 - self.t
 
 
 def chain_dimension_excess_certificate(c):

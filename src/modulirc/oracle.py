@@ -207,6 +207,15 @@ def _e3(ranks_all):
     return e3
 
 
+def _prefix_sums(degs):
+    """The prefix sums D_k of the degree rows, entry by entry: np.cumsum
+    along the short axis of a block is several times slower."""
+    prefix_d = degs.copy()
+    for k in range(1, len(degs)):
+        prefix_d[k] += prefix_d[k - 1]
+    return prefix_d
+
+
 def verify_claim_inequality(max_l=4, rank_bound=3, deg_bound=6, g_bound=4):
     """Exhaustive check of the summed inequality over all chains satisfying
     the per-split positivity hypothesis.
@@ -247,11 +256,7 @@ def verify_claim_inequality(max_l=4, rank_bound=3, deg_bound=6, g_bound=4):
         tuples = ranks_all.tolist()
         for start, grid in _grid_blocks(l, deg_bound):
             degs = grid.T
-            # prefix sums entry by entry: np.cumsum along the short axis of
-            # a block is several times slower
-            prefix_d = degs.copy()
-            for k in range(1, l):
-                prefix_d[k] += prefix_d[k - 1]
+            prefix_d = _prefix_sums(degs)
             for r, group in by_total.items():
                 quotients = {}  # (j, R_j) -> c_j // ((r - R_j)·R_j)
                 for t in group:
@@ -346,9 +351,7 @@ def _prefix_route(rk, degs):
     the constant is Σ_m (2R_m - r_m - r)·d_m less (g-1)·(r² - Σ r_m²)/2."""
     prefix_r = np.cumsum(rk)
     r = int(prefix_r[-1])
-    prefix_d = degs.copy()
-    for k in range(1, len(rk)):
-        prefix_d[k] += prefix_d[k - 1]
+    prefix_d = _prefix_sums(degs)
     u = prefix_r[:-1, None] * prefix_d[-1] - r * prefix_d[:-1]
     s = (2 * prefix_r - rk - r) @ degs
     return u, s, prefix_r[:-1] * (r - prefix_r[:-1]), (r * r - int(rk @ rk)) // 2

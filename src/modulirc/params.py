@@ -127,11 +127,8 @@ def solve_dioph(p, k):
     """
     if k < 1:
         raise ParameterError(f"degree must be >= 1, got {k}")
-    if p.r_bar == 1:
-        x0 = 0
-    else:
-        # gcd(d_bar, r_bar) = 1, so d_bar is invertible mod r_bar
-        x0 = (k * pow(p.d_bar, -1, p.r_bar)) % p.r_bar
+    # gcd(d_bar, r_bar) = 1, so d_bar is invertible mod r_bar (as 0 when r_bar = 1)
+    x0 = (k * pow(p.d_bar, -1, p.r_bar)) % p.r_bar
     solutions = []
     for x in range(x0, p.r, p.r_bar):
         num = p.d_bar * x - k

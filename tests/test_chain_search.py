@@ -10,9 +10,12 @@ coefficients, the two-step search that tries every twist 2..hk at every r1,
 and the mixed search that tries every torsion degree t at every r1.
 """
 
+import hashlib
+import json
 from contextlib import suppress
 from itertools import accumulate
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -363,3 +366,24 @@ def test_search_lists_only_families_that_can_be_components():
                         assert {kind: totals[kind] for kind in kinds} == counts
                         assert counts["NOT_COMPONENT"] == sum(
                             isinstance(desc.datum, MixedDatum) for desc in report.descriptors)
+
+
+# (g, r, d, k, max_l) -> units charged, descriptors listed and the first 16
+# hex digits of the SHA-256 of their data as JSON.  The charges decide what a
+# search cut by the budget lists, so a refactor of the walk keeps them unit
+# for unit; (2, 12, 0, 40, 5) spends the budget.
+_PINNED_SEARCHES = {
+    (2, 6, 0, 100, 6): (505_214, 748, "3289d6057d20ac24"),
+    (2, 12, 0, 40, 5): (1_000_009, 16_500, "1b53de476afe3e8a"),
+    (2, 5, -5, 8, 4): (1_400, 21, "0d4769f5974ee632"),
+    (2, 4, 0, 200, 4): (1_298, 0, "4f53cda18c2baa0c"),
+}
+
+
+@pytest.mark.parametrize("inputs", list(_PINNED_SEARCHES))
+def test_search_charges_are_pinned(inputs):
+    g, r, d, k, max_l = inputs
+    search = enumerate_candidates(derive_params(g, r, d), k, max_l=max_l)
+    data = json.dumps([desc.datum.to_dict() for desc in search.descriptors])
+    digest = hashlib.sha256(data.encode()).hexdigest()[:16]
+    assert (search.work, len(search.descriptors), digest) == _PINNED_SEARCHES[inputs]
