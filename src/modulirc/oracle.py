@@ -51,35 +51,34 @@ class VerificationReport(Record):
         }
 
 
-def _report(suite, trials, failures, counterexamples, notes=""):
-    return VerificationReport(
-        suite=suite, trials=trials, failures=failures,
-        counterexamples=counterexamples[:COUNTEREXAMPLE_CAP], notes=notes)
-
-
 def _blocks(n, size):
     """(start, stop) pairs that cover range(n) in order, `size` at a time."""
     size = max(1, size)
     return ((i, min(i + size, n)) for i in range(0, n, size))
 
 
-def _first_rows(bad, rows, cex):
-    """The number of rows where `bad` holds; the first of them are appended
-    to `cex` as tuples, up to COUNTEREXAMPLE_CAP in all."""
-    hits = np.flatnonzero(bad)
-    cex += map(tuple, rows[hits[:COUNTEREXAMPLE_CAP - len(cex)]].tolist())
-    return len(hits)
+class _Failures:
+    """A suite's failure count and the COUNTEREXAMPLE_CAP counterexamples of
+    smallest key.  A key is the counterexample's place in the loop order of
+    the scalar suite (the trial, or the length, rank tuple, genus, twist
+    vector and degree vector; the failure count in a scalar suite), so blocks
+    may be evaluated in any order.  Keys never tie."""
 
+    def __init__(self):
+        self.count = 0
+        self.found = []
 
-def _keep_first(cands, found):
-    """Merge (key, counterexample) pairs into `cands` and keep the
-    COUNTEREXAMPLE_CAP of smallest key.  A key is the counterexample's place
-    in the loop order of the scalar suite (the trial, or the length, rank
-    tuple, genus, twist vector and degree vector), so blocks may be
-    evaluated in any order."""
-    cands += found
-    cands.sort()
-    del cands[COUNTEREXAMPLE_CAP:]
+    def add(self, count, found):
+        """Count `count` more failures, the first of which `found` yields as
+        (key, counterexample) pairs in the order of their keys."""
+        self.count += count
+        self.found += itertools.islice(found, COUNTEREXAMPLE_CAP)
+        self.found.sort()
+        del self.found[COUNTEREXAMPLE_CAP:]
+
+    def report(self, suite, trials, notes):
+        return VerificationReport(suite=suite, trials=trials, failures=self.count,
+                                  counterexamples=[c for _, c in self.found], notes=notes)
 
 
 def _a_term(r, d, g, i, k):
@@ -95,8 +94,7 @@ def verify_three_term_identities(trials=10000, seed=0):
     counterexamples; the plus-sign relation is a polynomial identity and must
     pass with zero failures.
     """
-    printed_fail, corrected_fail = 0, 0
-    printed_cex, corrected_cex = [], []
+    printed, corrected = _Failures(), _Failures()
     # a trial draws r1, r2, r3, d1, d2, d3 and g: one row of 7 draws
     for start, stop in _blocks(trials, _BLOCK // 7):
         n = stop - start
@@ -107,16 +105,14 @@ def verify_three_term_identities(trials=10000, seed=0):
         a23 = _a_term(r, d, g, 1, 2)
         a13 = _a_term(r, d, g, 0, 2)
         rhs = r[1] * a13 - r[0] * r[1] * r[2] * (g - 1)
-        printed_fail += _first_rows(r[2] * a12 - r[0] * a23 != rhs, draws, printed_cex)
-        corrected_fail += _first_rows(r[2] * a12 + r[0] * a23 != rhs, draws,
-                                      corrected_cex)
-    printed = _report(
-        "three_term_printed", trials, printed_fail, printed_cex,
-        notes="minus-sign form as displayed; expected to fail in general")
-    corrected = _report(
-        "three_term_corrected", trials, corrected_fail, corrected_cex,
-        notes="plus-sign form; polynomial identity, must hold exactly")
-    return printed, corrected
+        for fails, lhs in ((printed, r[2] * a12 - r[0] * a23),
+                           (corrected, r[2] * a12 + r[0] * a23)):
+            bad = np.flatnonzero(lhs != rhs)
+            fails.add(len(bad), ((start + i, tuple(draws[i].tolist())) for i in bad.tolist()))
+    return (printed.report("three_term_printed", trials,
+                           notes="minus-sign form as displayed; expected to fail in general"),
+            corrected.report("three_term_corrected", trials,
+                             notes="plus-sign form; polynomial identity, must hold exactly"))
 
 
 def _random_chains(trials, seed):
@@ -150,27 +146,20 @@ def verify_degree_telescoping(trials=10000, seed=0):
     """Compare the partial-sum and pairwise forms of the chain degree on
     seeded random chains: length 2..6, ranks in 1..4, degrees in -10..10,
     twists in 1..4.  No slope condition: this is a polynomial identity."""
-    failures = 0
-    cands = []
+    fails = _Failures()
     for l, trial, draws in _random_chains(trials, seed):
         ranks, degs, twists = draws[:, :l], draws[:, l:2 * l], draws[:, 2 * l:]
         pr, pd = np.cumsum(ranks, axis=1), np.cumsum(degs, axis=1)
         partial = ((pr[:, :-1] * pd[:, -1:] - pd[:, :-1] * pr[:, -1:])
                    * twists).sum(axis=1)
-        # sum(twists[i:j]) = twist_sum[:, j] - twist_sum[:, i]
-        twist_sum = np.zeros_like(ranks)
-        twist_sum[:, 1:] = np.cumsum(twists, axis=1)
-        pairwise = sum(
-            (ranks[:, i] * degs[:, j] - ranks[:, j] * degs[:, i])
-            * (twist_sum[:, j] - twist_sum[:, i])
-            for i, j in itertools.combinations(range(l), 2))
+        # w_ij = a_i + ... + a_{j-1}, the twists of the splits the pair spans
+        i, j, spans = _pairs(l)
+        pairwise = ((ranks[:, i] * degs[:, j] - ranks[:, j] * degs[:, i])
+                    * (twists @ spans)).sum(axis=1)
         bad = np.flatnonzero(partial != pairwise)
-        if len(bad):
-            failures += len(bad)
-            bad = bad[:COUNTEREXAMPLE_CAP]
-            _keep_first(cands, zip(trial[bad].tolist(), map(tuple, draws[bad].tolist())))
-    return _report("degree_telescoping", trials, failures, [c for _, c in cands],
-                   notes="partial-sum vs pairwise chain degree, exact")
+        fails.add(len(bad), ((trial[b], tuple(draws[b].tolist())) for b in bad.tolist()))
+    return fails.report("degree_telescoping", trials,
+                        notes="partial-sum vs pairwise chain degree, exact")
 
 
 def _product(side, length, start, stop):
@@ -237,8 +226,7 @@ def verify_claim_inequality(max_l=4, rank_bound=3, deg_bound=6, g_bound=4):
     only through (j, R_j, r), so the tuples of one total rank share them.
     """
     trials = 0
-    failures = 0
-    cands = []
+    fails = _Failures()
     for l in range(3, max_l + 1):
         ranks_all = _rank_tuples(l, rank_bound)
         r_tot = ranks_all.sum(axis=1)
@@ -276,15 +264,12 @@ def verify_claim_inequality(max_l=4, rank_bound=3, deg_bound=6, g_bound=4):
                     for g in range(2, min(g_bound, int(g_top.max()) + 1) + 1):
                         held = g_top >= g - 1
                         trials += int(np.count_nonzero(held))
-                        bad = np.flatnonzero(held & (lhs < (g - 1) * slack[t]))
-                        if not len(bad):
-                            continue
-                        failures += len(bad)
-                        _keep_first(cands, (
+                        bad = rows[held & (lhs < (g - 1) * slack[t])]
+                        fails.add(len(bad), (
                             ((l, t, g, start + i), tuple(tuples[t] + grid[i].tolist() + [g]))
-                            for i in rows[bad[:COUNTEREXAMPLE_CAP]].tolist()))
-    return _report("claim_inequality", trials, failures, [c for _, c in cands],
-                   notes="summed inequality over hypothesis-satisfying chains")
+                            for i in bad.tolist()))
+    return fails.report("claim_inequality", trials,
+                        notes="summed inequality over hypothesis-satisfying chains")
 
 
 def _scalar_dimension_check(g, ranks, degs, twists):
@@ -425,8 +410,7 @@ def verify_chain_dimension_equivalence(max_l=4, rank_bound=3, deg_bound=6,
     as well to tie the library functions in.
     """
     trials = 0
-    failures = 0
-    cands = []
+    fails = _Failures()
     spot_done = 0
     for l in range(3, max_l + 1):
         ranks_all = _rank_tuples(l, rank_bound)
@@ -456,8 +440,7 @@ def verify_chain_dimension_equivalence(max_l=4, rank_bound=3, deg_bound=6,
                 split = (r * u, split_s, r * v, split_q)
                 for g, n_bad, found in _bad_cells(l, twist_bound, g_bound,
                                                   (expected_less_dim, cert, split), off):
-                    failures += n_bad
-                    _keep_first(cands, (
+                    fails.add(n_bad, (
                         ((l, t, g, tw, 0, start + rows[c]),
                          tuple(rk.tolist() + grid[rows[c]].tolist() + twists + [g]))
                         for tw, c, twists in found))
@@ -473,13 +456,11 @@ def verify_chain_dimension_equivalence(max_l=4, rank_bound=3, deg_bound=6,
             ranks = tuple(ranks_all[t].tolist())
             for pos, degs in enumerate(firsts[t]):
                 if not _scalar_dimension_check(g, ranks, degs, twists):
-                    failures += 1
-                    _keep_first(cands, [((l, t, g, tw, 1, pos),
-                                         ranks + tuple(degs) + twists + (g,))])
+                    fails.add(1, [((l, t, g, tw, 1, pos),
+                                   ranks + tuple(degs) + twists + (g,))])
                 spot_done += 1
-    return _report("chain_dimension_equivalence", trials, failures,
-                   [c for _, c in cands],
-                   notes="dimension-vs-expected sign matches certificate sum")
+    return fails.report("chain_dimension_equivalence", trials,
+                        notes="dimension-vs-expected sign matches certificate sum")
 
 
 def verify_dimension_laws():
@@ -493,14 +474,10 @@ def verify_dimension_laws():
     twist >= 2 fall strictly below.
     """
     trials = 0
-    failures = 0
-    cex = []
+    fails = _Failures()
 
-    def fail(tag, *vals):
-        nonlocal failures
-        failures += 1
-        if len(cex) < COUNTEREXAMPLE_CAP:
-            cex.append((tag,) + vals)
+    def fail(*cex):
+        fails.add(1, [(fails.count, cex)])
 
     for g in range(2, 5):
         for r in range(2, 5):
@@ -543,8 +520,8 @@ def verify_dimension_laws():
                             m = MixedDatum(params=p, r1=r1, d1=d1, t=t)
                             if not m.dimension < expected_dimension(p, m.degree):
                                 fail("mixed", g, r, d, r1, d1, t)
-    return _report("dimension_laws", trials, failures, cex,
-                   notes="expected-dimension equalities and strict bounds")
+    return fails.report("dimension_laws", trials,
+                        notes="expected-dimension equalities and strict bounds")
 
 
 def verify_component_counts():
@@ -556,8 +533,7 @@ def verify_component_counts():
     extended-Euclid solver; the count must equal h everywhere.
     """
     trials = 0
-    failures = 0
-    cex = []
+    fails = _Failures()
     for g in range(2, 6):
         for r in range(2, 7):
             for d in range(-6, 7):
@@ -570,8 +546,6 @@ def verify_component_counts():
                             brute.append((x, (p.d_bar * x - k) // p.r_bar))
                     fast = solve_dioph(p, k)
                     if brute != fast or len(brute) != p.h:
-                        failures += 1
-                        if len(cex) < COUNTEREXAMPLE_CAP:
-                            cex.append((g, r, d, k))
-    return _report("component_counts", trials, failures, cex,
-                   notes="exhaustive residue scan vs extended-Euclid solver")
+                        fails.add(1, [(fails.count, (g, r, d, k))])
+    return fails.report("component_counts", trials,
+                        notes="exhaustive residue scan vs extended-Euclid solver")

@@ -5,7 +5,9 @@ their trials, rank tuples, genera and twist vectors one at a time, exactly
 as the package did before its suites drew the generator in blocks,
 evaluated each rank tuple as one array pass and evaluated each chain of the
 dimension suite once for all its twist vectors and genera.  `tests/test_oracle.py`
-compares every report of both versions with `to_dict()`.
+compares every report of both versions with `to_dict()`.  Of `modulirc.oracle`
+this module imports only `COUNTEREXAMPLE_CAP` and `VerificationReport`, so it
+shares no code with the suites it checks.
 """
 
 import itertools
@@ -13,10 +15,20 @@ import itertools
 import numpy as np
 
 from modulirc.families import ExtensionChain, chain_dimension_excess_certificate
-from modulirc.oracle import COUNTEREXAMPLE_CAP, _a_term, _report
+from modulirc.oracle import COUNTEREXAMPLE_CAP, VerificationReport
 from modulirc.params import derive_params, expected_dimension
 
 _MASK = (1 << 64) - 1
+
+
+def _report(suite, trials, failures, counterexamples, notes=""):
+    return VerificationReport(
+        suite=suite, trials=trials, failures=failures,
+        counterexamples=counterexamples[:COUNTEREXAMPLE_CAP], notes=notes)
+
+
+def _a_term(r, d, g, i, k):
+    return r[i] * d[k] - r[k] * d[i] - r[i] * r[k] * (g - 1)
 
 
 class SplitMix64:

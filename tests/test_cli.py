@@ -10,8 +10,9 @@ import sys
 import pytest
 
 import modulirc
-from modulirc import derive_params
+from modulirc import derive_params, oracle
 from modulirc.cli import SCHEMA_VERSION, _dumps, _envelope, _sweep_rows, _write_sweep, main
+from modulirc.oracle import VerificationReport
 
 
 def _run(argv):
@@ -221,6 +222,50 @@ class TestVerify:
         assert len(data["results"]["reports"]) == 1
         assert data["results"]["reports"][0]["pass"] is True
 
+    def test_printed_relation_holding_fails_the_run(self, monkeypatch):
+        # the printed relation is expected to fail; a run where it holds
+        # exits 2 and says so in place of the documented discrepancy
+        real = oracle.verify_three_term_identities
+
+        def holding(trials, seed):
+            printed, corrected = real(trials=trials, seed=seed)
+            return VerificationReport(suite=printed.suite, trials=printed.trials, failures=0,
+                                      counterexamples=[], notes=printed.notes), corrected
+
+        monkeypatch.setattr(oracle, "verify_three_term_identities", holding)
+        for suite in ("identities", "all"):
+            code, data = _run_json(["verify", "--suite", suite, "--trials", "30",
+                                    "--max-l", "3", "--rank-bound", "1", "--deg-bound", "1",
+                                    "--twist-bound", "1", "--g-bound", "2"])
+            assert code == 2
+            assert data["results"]["allExpectedPass"] is False
+            assert data["warnings"] == [
+                "three_term_printed: expected counterexamples were not found"]
+
+    @pytest.mark.parametrize("suite, name", [
+        ("counts", "verify_component_counts"),
+        ("telescoping", "verify_degree_telescoping"),
+    ])
+    def test_one_failure_fails_the_run(self, suite, name, monkeypatch):
+        def failing(**kwargs):
+            return VerificationReport(suite="x", trials=1, failures=1,
+                                      counterexamples=[(0,)])
+
+        monkeypatch.setattr(oracle, name, failing)
+        code, data = _run_json(["verify", "--suite", suite, "--trials", "30"])
+        assert code == 2
+        assert data["results"]["allExpectedPass"] is False
+        assert data["warnings"] == []
+
+    def test_suite_without_the_printed_relation_passes(self):
+        # the printed relation's expected failure is not required of a run
+        # that does not evaluate it
+        code, data = _run_json(["verify", "--suite", "telescoping", "--trials", "30"])
+        assert code == 0
+        assert data["results"]["allExpectedPass"] is True
+        assert [r["suiteName"] for r in data["results"]["reports"]] == ["degree_telescoping"]
+        assert data["warnings"] == []
+
     def test_seeded_determinism(self):
         argv = ["verify", "--suite", "identities", "--trials", "500",
                 "--seed", "11"]
@@ -233,6 +278,9 @@ class TestVerify:
         ["--suite", "claim", "--max-l", "2"],
         ["--suite", "dimensions", "--rank-bound", "0"],
         ["--suite", "claim", "--deg-bound", "-1"],
+        # every degree 0: no slopes increase and no chain meets the claim's hypothesis
+        ["--suite", "claim", "--deg-bound", "0"],
+        ["--suite", "dimensions", "--deg-bound", "0"],
         ["--suite", "claim", "--g-bound", "1"],
         ["--suite", "dimensions", "--twist-bound", "0"],
     ])
@@ -251,22 +299,22 @@ class TestVerify:
           "--twist-bound", "1"],
          ["--g-bound", "1001", "--max-l", "3", "--rank-bound", "1", "--deg-bound", "1",
           "--twist-bound", "1"], "--g-bound"),
-        (["--max-l", "12", "--rank-bound", "1", "--deg-bound", "0", "--twist-bound", "1"],
-         ["--max-l", "13", "--rank-bound", "1", "--deg-bound", "0", "--twist-bound", "1"],
+        (["--max-l", "12", "--rank-bound", "1", "--deg-bound", "1", "--twist-bound", "1"],
+         ["--max-l", "13", "--rank-bound", "1", "--deg-bound", "1", "--twist-bound", "1"],
          "--max-l"),
         # 46^3 = 97 336 and 47^3 = 103 823 rank tuples
-        (["--max-l", "3", "--rank-bound", "46", "--deg-bound", "0", "--twist-bound", "1"],
-         ["--max-l", "3", "--rank-bound", "47", "--deg-bound", "0", "--twist-bound", "1"],
+        (["--max-l", "3", "--rank-bound", "46", "--deg-bound", "1", "--twist-bound", "1"],
+         ["--max-l", "3", "--rank-bound", "47", "--deg-bound", "1", "--twist-bound", "1"],
          "--rank-bound"),
         # 367^3 = 49 430 863 and 369^3 = 50 243 409 chains
         (["--max-l", "3", "--rank-bound", "1", "--deg-bound", "183", "--twist-bound", "1",
           "--g-bound", "2"],
          ["--max-l", "3", "--rank-bound", "1", "--deg-bound", "184", "--twist-bound", "1",
           "--g-bound", "2"], "--deg-bound"),
-        # 31 622^2 = 999 950 884 and 31 623^2 = 1 000 014 129 cells
-        (["--max-l", "3", "--rank-bound", "1", "--deg-bound", "0", "--twist-bound", "31622",
+        # 27·6085^2 = 999 735 075 and 27·6086^2 = 1 000 063 692 cells
+        (["--max-l", "3", "--rank-bound", "1", "--deg-bound", "1", "--twist-bound", "6085",
           "--g-bound", "2"],
-         ["--max-l", "3", "--rank-bound", "1", "--deg-bound", "0", "--twist-bound", "31623",
+         ["--max-l", "3", "--rank-bound", "1", "--deg-bound", "1", "--twist-bound", "6086",
           "--g-bound", "2"], "--twist-bound"),
     ])
     def test_upper_bounds(self, at, past, flag, capsys):

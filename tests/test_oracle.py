@@ -168,12 +168,18 @@ def test_random_chains_are_the_scalar_draws(seed, block, monkeypatch):
     assert got == want
 
 
-def test_keep_first_keeps_the_smallest_keys_in_order():
-    cands = []
-    oracle._keep_first(cands, [((2, i), ("b", i)) for i in range(8)])
-    oracle._keep_first(cands, [((1, i), ("a", i)) for i in range(5)])
-    assert [c for _, c in cands] == ([("a", i) for i in range(5)]
-                                     + [("b", i) for i in range(5)])
+def test_failures_keep_the_smallest_keys_in_order():
+    # the counts add up whatever number of pairs each batch offers, and a
+    # batch that offers more than the cap is cut to its first pairs
+    fails = oracle._Failures()
+    fails.add(30, (((2, i), ("b", i)) for i in range(30)))
+    fails.add(7, [((3, i), ("c", i)) for i in range(7)])
+    fails.add(5, [((1, i), ("a", i)) for i in range(5)])
+    report = fails.report("suite", 100, notes="n")
+    assert report.failures == 42
+    assert report.counterexamples == ([("a", i) for i in range(5)]
+                                      + [("b", i) for i in range(5)])
+    assert report.to_dict()["pass"] is False
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -354,6 +360,45 @@ def test_route_fault_fails_the_bulk_pass(fault, block, monkeypatch):
         if (excess >= 0) != (cert <= 0) or (excess >= 0) != (split <= 0):
             want.append(cell)
     report = _dimension_report(oracle, *case)
+    assert report["failures"] == len(want) > COUNTEREXAMPLE_CAP
+    assert report["counterexamples"] == [list(c) for c in want[:COUNTEREXAMPLE_CAP]]
+
+
+def _claim_cells(max_l, rank_bound, deg_bound, g_bound, shift):
+    """(holds, cell) for every chain and genus that meets the claim's split
+    hypothesis, in the loop order of the scalar suite, with e₃ moved by
+    `shift`: whether r·Σ A_ij·(j-i-1) >= (g-1)·(e₃ + shift)."""
+    side = range(-deg_bound, deg_bound + 1)
+    for l in range(3, max_l + 1):
+        for ranks in itertools.product(range(1, rank_bound + 1), repeat=l):
+            r = sum(ranks)
+            e3 = sum(a * b * c for a, b, c in itertools.combinations(ranks, 3))
+            for g in range(2, g_bound + 1):
+                for degs in itertools.product(side, repeat=l):
+                    d = sum(degs)
+                    if any(sum(ranks[:j]) * d - r * sum(degs[:j])
+                           < (r - sum(ranks[:j])) * sum(ranks[:j]) * (g - 1)
+                           for j in range(1, l)):
+                        continue
+                    lhs = sum((j - i - 1) * (ranks[i] * degs[j] - ranks[j] * degs[i]
+                                             - ranks[i] * ranks[j] * (g - 1))
+                              for i, j in itertools.combinations(range(l), 2))
+                    yield r * lhs >= (g - 1) * (e3 + shift), ranks + degs + (g,)
+
+
+@pytest.mark.parametrize("block", (8, 1 << 16))
+def test_claim_fault_is_counted_in_loop_order(block, monkeypatch):
+    # e₃ moved up by a constant fails the claim at chains it holds at with
+    # little room; the suite counts them all and lists the first of them in
+    # the loop order of the scalar suite
+    real = oracle._e3
+    monkeypatch.setattr(oracle, "_e3", lambda ranks_all: real(ranks_all) + 6)
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    case = (4, 2, 3, 3)
+    cells = list(_claim_cells(*case, shift=6))
+    want = [cell for holds, cell in cells if not holds]
+    report = verify_claim_inequality(*case).to_dict()
+    assert report["trials"] == len(cells)
     assert report["failures"] == len(want) > COUNTEREXAMPLE_CAP
     assert report["counterexamples"] == [list(c) for c in want[:COUNTEREXAMPLE_CAP]]
 
