@@ -48,27 +48,35 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _envelope(command, inputs, results, warnings):
-    return {
-        "schemaVersion": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "warnings": list(warnings),
-    }
-
-
-def _inputs(args):
-    """The `inputs` of the envelope: every parsed option but the output's
-    format and file, in the order the subparser declares them, camelCased."""
+def _write_json(fh, args, results, warnings):
+    """Write the JSON envelope of `args.command`, the text that
+    `json.dumps(envelope, indent=2) + "\n"` would give.  Its `inputs` echo
+    every parsed option but the output's format and file, in the order the
+    subparser declares them, camelCased.  If one value of `results` is an
+    iterator, its items are written as they come, one in memory at a time;
+    there must be at least one item."""
     # "max_l".title() is "Max_L"; a regex would cost a compile on every call
-    return {name[0] + name.title().replace("_", "")[1:]: value
-            for name, value in vars(args).items()
-            if name not in ("command", "func", "format", "out")}
-
-
-def _dumps(obj):
-    return json.dumps(obj, indent=2) + "\n"
+    inputs = {name[0] + name.title().replace("_", "")[1:]: value
+              for name, value in vars(args).items()
+              if name not in ("command", "func", "format", "out")}
+    # the iterator's items take the place of a one-item placeholder, a
+    # string that no input holds (segre's inputs may hold null), each
+    # indented to the placeholder's depth
+    marker = "\0items"
+    items = ()
+    for key, value in results.items():
+        if hasattr(value, "__next__"):
+            items, results = value, {**results, key: [marker]}
+    envelope = {"schemaVersion": SCHEMA_VERSION, "command": args.command,
+                "inputs": inputs, "results": results, "warnings": warnings}
+    head, _, tail = (json.dumps(envelope, indent=2) + "\n").partition(json.dumps(marker))
+    indent = "\n" + head.rpartition("\n")[2]
+    fh.write(head)
+    for i, item in enumerate(items):
+        if i:
+            fh.write("," + indent)
+        fh.write(json.dumps(item, indent=2).replace("\n", indent))
+    fh.write(tail)
 
 
 def _classify_table(report):
@@ -98,8 +106,10 @@ def _cmd_classify(args, out):
     report = classify(p, args.k, include_candidates=args.include_candidates,
                       include_mixed=args.include_mixed, max_l=args.max_l)
     if args.format == "json":
-        out.write(_dumps(_envelope("classify", _inputs(args), report.to_dict(),
-                                   report.warnings)))
+        # written one descriptor at a time; there are h >= 1 unobstructed ones at every k
+        results = report.to_dict()
+        results["descriptors"] = iter(results["descriptors"])
+        _write_json(out, args, results, report.warnings)
     else:
         out.write(_classify_table(report))
     return EXIT_OK
@@ -141,38 +151,15 @@ def _sweep_rows(p, k_min, k_max, include_candidates, max_l):
         }
 
 
-_SWEEP_COLUMNS = ["k", "unobstructedExt", "unobstructedTorsion",
-                  "obstructedExpected", "obstructedCandidate", "notComponent",
-                  "expectedDim", "minDim", "maxDim", "flags"]
-
-
-def _write_streamed(fh, command, inputs, key, items):
-    """Write the envelope of `command` whose results are {key: items}, as
-    `_dumps` would, with one item in memory at a time.  There must be at
-    least one item."""
-    # the envelope's text around a one-item placeholder, a string that no
-    # input holds (segre's inputs may hold null); the items take its place,
-    # each indented to the placeholder's depth
-    marker = "\0items"
-    head, _, tail = _dumps(_envelope(
-        command, inputs, {key: [marker]}, [])).partition(json.dumps(marker))
-    indent = "\n" + head.rpartition("\n")[2]
-    fh.write(head)
-    for i, item in enumerate(items):
-        if i:
-            fh.write("," + indent)
-        fh.write(json.dumps(item, indent=2).replace("\n", indent))
-    fh.write(tail)
-
-
 def _write_sweep(args, rows, fh):
     """Write the rows as they come, one row in memory at a time."""
-    if args.format == "csv":
-        writer = csv.DictWriter(fh, fieldnames=_SWEEP_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+    if args.format == "json":
+        _write_json(fh, args, {"rows": rows}, [])
         return
-    _write_streamed(fh, "sweep", _inputs(args), "rows", rows)
+    writer = csv.writer(fh, lineterminator="\n")
+    first = next(rows)
+    writer.writerow(first)  # the header: the first row's keys
+    writer.writerows(row.values() for row in chain([first], rows))
 
 
 def _cmd_sweep(args, out):
@@ -181,6 +168,8 @@ def _cmd_sweep(args, out):
         raise ParameterError(
             f"need 1 <= k-min <= k-max <= {MAX_K}, got [{args.k_min}, {args.k_max}]")
     _check_max_l(args.max_l)
+    if args.out == "":
+        raise ParameterError("--out must name a file, got an empty path")
     rows = _sweep_rows(p, args.k_min, args.k_max, args.include_candidates, args.max_l)
     # the first row is built before anything is written, so that an error in
     # building it exits with no output
@@ -264,10 +253,8 @@ def _cmd_verify(args, out):
 
     # every suite must pass but the printed relation, which must fail
     ok = all(r.passed == (r.suite != "three_term_printed") for r in reports)
-    out.write(_dumps(_envelope(
-        "verify", _inputs(args),
-        {"reports": [r.to_dict() for r in reports], "allExpectedPass": ok},
-        warnings)))
+    _write_json(out, args, {"reports": [r.to_dict() for r in reports],
+                            "allExpectedPass": ok}, warnings)
     return EXIT_OK if ok else EXIT_FAILURE
 
 
@@ -293,7 +280,7 @@ def _cmd_segre(args, out):
     if strata > MAX_STRATA:
         raise ParameterError(f"the table has {strata} strata, more than {MAX_STRATA}; "
                              "ask for one --r-prime")
-    _write_streamed(out, "segre", _inputs(args), "table", _segre_rows(p, r_primes))
+    _write_json(out, args, {"table": _segre_rows(p, r_primes)}, [])
     return EXIT_OK
 
 
@@ -306,13 +293,10 @@ def _cmd_connect(args, out):
             f"connectivity-closed-form-mismatch: derived minimal degree "
             f"{res.derived_k} differs from the closed form {res.paper_k}; "
             "both are reported, neither is reconciled")
-    out.write(_dumps(_envelope(
-        "connect", _inputs(args),
-        {"derivedK": res.derived_k, "closedFormK": res.paper_k,
-         "witness": {"rPrime": res.witness_r_prime,
-                     "dPrime": res.witness_d_prime},
-         "mismatch": res.mismatch},
-        warnings)))
+    _write_json(out, args, {"derivedK": res.derived_k, "closedFormK": res.paper_k,
+                            "witness": {"rPrime": res.witness_r_prime,
+                                        "dPrime": res.witness_d_prime},
+                            "mismatch": res.mismatch}, warnings)
     return EXIT_OK
 
 

@@ -11,7 +11,8 @@ import pytest
 
 import modulirc
 from modulirc import derive_params, oracle
-from modulirc.cli import SCHEMA_VERSION, _dumps, _envelope, _sweep_rows, _write_sweep, main
+from modulirc.classifier import ClassificationReport
+from modulirc.cli import SCHEMA_VERSION, _sweep_rows, _write_sweep, main
 from modulirc.oracle import VerificationReport
 
 
@@ -77,6 +78,31 @@ class TestClassify:
         with pytest.raises(SystemExit) as exc:
             _run([])
         assert exc.value.code == 1
+
+    def test_each_descriptor_written_before_the_next_is_pulled(self, monkeypatch):
+        buf = io.StringIO()
+        pulled = []
+        to_dict = ClassificationReport.to_dict
+
+        class Descriptors(list):
+            def __iter__(self):
+                for i, desc in enumerate(list.__iter__(self)):
+                    # "status" is a descriptor's last key, and only a descriptor's
+                    assert buf.getvalue().count('"status": ') == i
+                    pulled.append(desc)
+                    yield desc
+
+        def checked(report):
+            data = to_dict(report)
+            data["descriptors"] = Descriptors(data["descriptors"])
+            return data
+
+        monkeypatch.setattr(ClassificationReport, "to_dict", checked)
+        code = main(["classify", "--g", "2", "--r", "4", "--d", "2", "--k", "8",
+                     "--include-candidates", "--format", "json"], out=buf)
+        assert code == 0
+        assert len(pulled) == 12
+        assert json.loads(buf.getvalue())["results"]["descriptors"] == pulled
 
 
 @pytest.mark.parametrize("argv", [
@@ -151,15 +177,18 @@ class TestSweep:
     @pytest.mark.parametrize("target, reason", [
         ("missing/sweep.csv", "No such file or directory"),
         ("existing-dir", "Is a directory"),
+        pytest.param("", None, id="empty"),
     ])
-    def test_unwritable_out_exit_one(self, tmp_path, capsys, target, reason):
+    def test_unwritable_out_exit_one(self, tmp_path, monkeypatch, capsys, target, reason):
+        monkeypatch.chdir(tmp_path)  # where the `.tmp` of an empty path would go
         (tmp_path / "existing-dir").mkdir()
-        out = tmp_path / target
+        out = str(tmp_path / target) if target else ""
         code, text = _run(["sweep", "--g", "2", "--r", "2", "--d", "1",
-                           "--k-min", "1", "--k-max", "3", "--out", str(out)])
+                           "--k-min", "1", "--k-max", "3", "--out", out])
         assert code == 1 and text == ""
         err = capsys.readouterr().err
-        assert err == f"modulirc: error: cannot write {out}: {reason}\n"
+        assert err == (f"modulirc: error: cannot write {out}: {reason}\n" if target else
+                       "modulirc: error: --out must name a file, got an empty path\n")
         assert not list(tmp_path.rglob("*.tmp"))
 
     def test_bad_range_exit_one(self):
@@ -179,8 +208,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_each_row_written_before_the_next_is_built(self, fmt):
-        args = argparse.Namespace(format=fmt, g=2, r=4, d=2, k_min=1, k_max=5,
-                                  max_l=3, include_candidates=False)
+        args = argparse.Namespace(command="sweep", format=fmt, g=2, r=4, d=2, k_min=1,
+                                  k_max=5, max_l=3, include_candidates=False)
         rows = list(_sweep_rows(derive_params(2, 4, 2), 1, 5, False, 3))
         fh = io.StringIO()
 
@@ -197,7 +226,9 @@ class TestSweep:
         else:  # the streamed text is the whole document's
             inputs = {"g": 2, "r": 4, "d": 2, "kMin": 1, "kMax": 5, "maxL": 3,
                       "includeCandidates": False}
-            assert fh.getvalue() == _dumps(_envelope("sweep", inputs, {"rows": rows}, []))
+            envelope = {"schemaVersion": SCHEMA_VERSION, "command": "sweep",
+                        "inputs": inputs, "results": {"rows": rows}, "warnings": []}
+            assert fh.getvalue() == json.dumps(envelope, indent=2) + "\n"
 
 
 class TestVerify:

@@ -4,13 +4,14 @@ Each argv runs twice in process, with the candidate search's work budget
 patched small so that every search that reaches it stops early; a sweep's
 window is at most 30 degrees wide so that each run stays short.  Every run
 must exit 0, 1 or 2 (writing nothing unless it exits 0), write the same
-bytes both times, and flag the search incomplete exactly when it names a
-reason.
+bytes both times, end within CAP_S seconds, and flag the search incomplete
+exactly when it names a reason.
 """
 
 import csv
 import io
 import json
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,10 @@ from modulirc.cli import main
 from modulirc.params import MAX_DEGREE, MAX_GENUS, MAX_K, MAX_RANK
 
 BUDGET = 500
+# on a shared 2-vCPU VM the slowest of 1 600 runs took 0.06 s, and hand-picked
+# extremes (r = 1000, k = 10**6) 0.17 s; a run past the cap is a loop the
+# budget does not bound, stopped by an alarm so that it fails instead of hanging
+CAP_S = 5
 
 
 def _bounded(low, high, small):
@@ -37,13 +42,23 @@ def _flags(g, r, d, max_l, candidates):
     return argv + ["--include-candidates"] * candidates
 
 
+def _overran(signum, frame):
+    raise AssertionError(f"the run took more than {CAP_S} s")
+
+
 def _run_twice(argv):
+    previous = signal.signal(signal.SIGALRM, _overran)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(classifier, "WORK_BUDGET", BUDGET)
         runs = []
-        for _ in range(2):
-            buf = io.StringIO()
-            runs.append((main(argv, out=buf), buf.getvalue()))
+        try:
+            for _ in range(2):
+                buf = io.StringIO()
+                signal.alarm(CAP_S)
+                runs.append((main(argv, out=buf), buf.getvalue()))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
     assert runs[0] == runs[1]
     code, text = runs[0]
     assert code in (0, 1, 2)
