@@ -453,7 +453,9 @@ class ClassificationReport(Record):
             out += self.candidate_search.reasons
         return out
 
-    def to_dict(self):
+    def to_dict(self, descriptors=list):
+        """The report as JSON data.  `descriptors` is given the descriptors'
+        dicts as an iterator: `iter` builds each only when it is read."""
         data = {
             "params": {
                 "g": self.params.g, "r": self.params.r, "d": self.params.d,
@@ -463,7 +465,7 @@ class ClassificationReport(Record):
             },
             "k": self.k,
             "totals": self.totals,
-            "descriptors": [d.to_dict() for d in self.descriptors],
+            "descriptors": descriptors(d.to_dict() for d in self.descriptors),
             "thmB": [row.to_dict() for row in self.thm_b],
             "warnings": self.warnings,
         }

@@ -8,17 +8,16 @@ the table format is human-oriented only.
 
 import argparse
 import atexit
-import csv
-import json
 import os
 import sys
 from itertools import chain
 
+# a command imports the layers it runs, and json or csv, when it runs, so a
+# call compiles no module it does not run (only verify loads numpy); the
+# package's exports also read as attributes of this module
+from . import __getattr__  # noqa: F401
 from .params import (MAX_GENUS, MAX_K, ConsistencyError, ParameterError,
                      derive_params, expected_dimension)
-from .classifier import (Kind, _check_max_l, classify, enumerate_candidates,
-                         sieve_obstructed_expected)
-from .segre import generic_segre, min_connecting_degree, stratum_codimension
 
 SCHEMA_VERSION = "3.0"
 
@@ -55,6 +54,7 @@ def _write_json(fh, args, results, warnings):
     subparser declares them, camelCased.  If one value of `results` is an
     iterator, its items are written as they come, one in memory at a time;
     there must be at least one item."""
+    import json
     # "max_l".title() is "Max_L"; a regex would cost a compile on every call
     inputs = {name[0] + name.title().replace("_", "")[1:]: value
               for name, value in vars(args).items()
@@ -102,14 +102,14 @@ def _classify_table(report):
 
 
 def _cmd_classify(args, out):
+    from . import classifier
     p = derive_params(args.g, args.r, args.d)
-    report = classify(p, args.k, include_candidates=args.include_candidates,
-                      include_mixed=args.include_mixed, max_l=args.max_l)
+    report = classifier.classify(p, args.k, include_candidates=args.include_candidates,
+                                 include_mixed=args.include_mixed, max_l=args.max_l)
     if args.format == "json":
-        # written one descriptor at a time; there are h >= 1 unobstructed ones at every k
-        results = report.to_dict()
-        results["descriptors"] = iter(results["descriptors"])
-        _write_json(out, args, results, report.warnings)
+        # each descriptor's dict is built as it is written; there are h >= 1
+        # unobstructed ones at every k
+        _write_json(out, args, report.to_dict(descriptors=iter), report.warnings)
     else:
         out.write(_classify_table(report))
     return EXIT_OK
@@ -120,7 +120,8 @@ def _sweep_rows(p, k_min, k_max, include_candidates, max_l):
     arithmetic: h unobstructed components, one of them torsion exactly when
     r_bar | k, and the obstructed ones from one sieve over r1.  Only the
     candidate search runs per k, until the sweep has spent MAX_SWEEP_WORK."""
-    obstructed, disagree = sieve_obstructed_expected(p, k_min, k_max)
+    from . import classifier
+    obstructed, disagree = classifier.sieve_obstructed_expected(p, k_min, k_max)
     work = 0
     for k, n_obstructed, disagrees in zip(range(k_min, k_max + 1), obstructed, disagree):
         torsion = int(k % p.r_bar == 0)
@@ -131,7 +132,7 @@ def _sweep_rows(p, k_min, k_max, include_candidates, max_l):
         if include_candidates and work > MAX_SWEEP_WORK:
             flags.append("incomplete")
         elif include_candidates:
-            search = enumerate_candidates(p, k, max_l=max_l)
+            search = classifier.enumerate_candidates(p, k, max_l=max_l)
             work += search.work
             dims += [d.dimension for d in search.descriptors]
             kinds = [d.kind for d in search.descriptors]
@@ -142,8 +143,8 @@ def _sweep_rows(p, k_min, k_max, include_candidates, max_l):
             "unobstructedExt": p.h - torsion,
             "unobstructedTorsion": torsion,
             "obstructedExpected": n_obstructed,
-            "obstructedCandidate": kinds.count(Kind.OBSTRUCTED_CANDIDATE),
-            "notComponent": kinds.count(Kind.NOT_COMPONENT),
+            "obstructedCandidate": kinds.count(classifier.Kind.OBSTRUCTED_CANDIDATE),
+            "notComponent": kinds.count(classifier.Kind.NOT_COMPONENT),
             "expectedDim": exp_dim,
             "minDim": min(dims),
             "maxDim": max(dims),
@@ -156,6 +157,7 @@ def _write_sweep(args, rows, fh):
     if args.format == "json":
         _write_json(fh, args, {"rows": rows}, [])
         return
+    import csv
     writer = csv.writer(fh, lineterminator="\n")
     first = next(rows)
     writer.writerow(first)  # the header: the first row's keys
@@ -163,11 +165,12 @@ def _write_sweep(args, rows, fh):
 
 
 def _cmd_sweep(args, out):
+    from . import classifier
     p = derive_params(args.g, args.r, args.d)
     if args.k_min < 1 or args.k_max > MAX_K or args.k_min > args.k_max:
         raise ParameterError(
             f"need 1 <= k-min <= k-max <= {MAX_K}, got [{args.k_min}, {args.k_max}]")
-    _check_max_l(args.max_l)
+    classifier._check_max_l(args.max_l)
     if args.out == "":
         raise ParameterError("--out must name a file, got an empty path")
     rows = _sweep_rows(p, args.k_min, args.k_max, args.include_candidates, args.max_l)
@@ -219,16 +222,13 @@ def _cmd_verify(args, out):
                              "and --g-bound", MAX_CELLS)):
         if count > high:
             raise ParameterError(f"{flags} give {count} {what}, more than {high}")
-    # imported here so that no other command loads numpy
-    from .oracle import (verify_chain_dimension_equivalence, verify_claim_inequality,
-                         verify_component_counts, verify_degree_telescoping,
-                         verify_dimension_laws, verify_three_term_identities)
+    from . import oracle
     reports = []
     warnings = []
     suite = args.suite
 
     if suite in ("all", "identities"):
-        printed, corrected = verify_three_term_identities(
+        printed, corrected = oracle.verify_three_term_identities(
             trials=args.trials, seed=args.seed)
         reports += [printed, corrected]
         warnings.append(
@@ -236,20 +236,20 @@ def _cmd_verify(args, out):
             "fails as displayed; the plus-sign form is the identity" if printed.failures
             else "three_term_printed: expected counterexamples were not found")
     if suite in ("all", "telescoping"):
-        reports.append(verify_degree_telescoping(
+        reports.append(oracle.verify_degree_telescoping(
             trials=args.trials, seed=args.seed))
     if suite in ("all", "claim"):
-        reports.append(verify_claim_inequality(
+        reports.append(oracle.verify_claim_inequality(
             max_l=args.max_l, rank_bound=args.rank_bound,
             deg_bound=args.deg_bound, g_bound=args.g_bound))
     if suite in ("all", "dimensions"):
-        reports.append(verify_dimension_laws())
-        reports.append(verify_chain_dimension_equivalence(
+        reports.append(oracle.verify_dimension_laws())
+        reports.append(oracle.verify_chain_dimension_equivalence(
             max_l=args.max_l, rank_bound=args.rank_bound,
             deg_bound=args.deg_bound, twist_bound=args.twist_bound,
             g_bound=args.g_bound))
     if suite in ("all", "counts"):
-        reports.append(verify_component_counts())
+        reports.append(oracle.verify_component_counts())
 
     # every suite must pass but the printed relation, which must fail
     ok = all(r.passed == (r.suite != "three_term_printed") for r in reports)
@@ -261,22 +261,24 @@ def _cmd_verify(args, out):
 def _segre_rows(p, r_primes):
     """One table row per r', with its strata from the least positive
     s = r'd (mod r) up to the dense one."""
+    from . import segre
     for rp in r_primes:
-        s_gen = generic_segre(p, rp)
+        s_gen = segre.generic_segre(p, rp)
         strata = []
         s = s_gen % p.r or p.r
         while s != -1:
-            st = stratum_codimension(p, rp, s)
+            st = segre.stratum_codimension(p, rp, s)
             strata.append({"s": st.s, "codim": st.codim, "nextS": st.next_s})
             s = st.next_s
         yield {"rPrime": rp, "genericS": s_gen, "strata": strata}
 
 
 def _cmd_segre(args, out):
+    from . import segre
     p = derive_params(args.g, args.r, args.d)
     r_primes = [args.r_prime] if args.r_prime is not None else range(1, p.r)
     # a stratum per s = r'd (mod r) in (0, generic s]; a bad r' fails here, before output
-    strata = sum(-(-generic_segre(p, rp) // p.r) for rp in r_primes)
+    strata = sum(-(-segre.generic_segre(p, rp) // p.r) for rp in r_primes)
     if strata > MAX_STRATA:
         raise ParameterError(f"the table has {strata} strata, more than {MAX_STRATA}; "
                              "ask for one --r-prime")
@@ -285,8 +287,9 @@ def _cmd_segre(args, out):
 
 
 def _cmd_connect(args, out):
+    from . import segre
     p = derive_params(args.g, args.r, args.d)
-    res = min_connecting_degree(p)
+    res = segre.min_connecting_degree(p)
     warnings = []
     if res.mismatch:
         warnings.append(

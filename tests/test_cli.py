@@ -1,5 +1,6 @@
 import argparse
 import csv
+import importlib
 import io
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 
 import modulirc
 from modulirc import derive_params, oracle
-from modulirc.classifier import ClassificationReport
+from modulirc.classifier import ComponentDescriptor
 from modulirc.cli import SCHEMA_VERSION, _sweep_rows, _write_sweep, main
 from modulirc.oracle import VerificationReport
 
@@ -80,24 +81,19 @@ class TestClassify:
         assert exc.value.code == 1
 
     def test_each_descriptor_written_before_the_next_is_pulled(self, monkeypatch):
+        # pulled means built: a descriptor's dict exists only once the ones
+        # before it are written
         buf = io.StringIO()
         pulled = []
-        to_dict = ClassificationReport.to_dict
+        to_dict = ComponentDescriptor.to_dict
 
-        class Descriptors(list):
-            def __iter__(self):
-                for i, desc in enumerate(list.__iter__(self)):
-                    # "status" is a descriptor's last key, and only a descriptor's
-                    assert buf.getvalue().count('"status": ') == i
-                    pulled.append(desc)
-                    yield desc
+        def checked(desc):
+            # "status" is a descriptor's last key, and only a descriptor's
+            assert buf.getvalue().count('"status": ') == len(pulled)
+            pulled.append(to_dict(desc))
+            return pulled[-1]
 
-        def checked(report):
-            data = to_dict(report)
-            data["descriptors"] = Descriptors(data["descriptors"])
-            return data
-
-        monkeypatch.setattr(ClassificationReport, "to_dict", checked)
+        monkeypatch.setattr(ComponentDescriptor, "to_dict", checked)
         code = main(["classify", "--g", "2", "--r", "4", "--d", "2", "--k", "8",
                      "--include-candidates", "--format", "json"], out=buf)
         assert code == 0
@@ -426,27 +422,83 @@ def _python(args, env=os.environ):
                           capture_output=True, check=False)
 
 
+def _loaded_by(argv):
+    """The modules that `import modulirc.cli` and one call of main(argv)
+    leave loaded in a fresh process."""
+    script = ("import io, sys\n"
+              "from modulirc.cli import main\n"
+              "main(sys.argv[1:], out=io.StringIO())\n"
+              "print(*sys.modules)\n")
+    done = _python(["-c", script, *argv])
+    assert done.returncode == 0
+    return set(done.stdout.decode().split())
+
+
+def _layers(modules):
+    return {m.removeprefix("modulirc.") for m in modules
+            if m.startswith("modulirc.") or m in ("json", "csv")}
+
+
 def test_cli_import_leaves_numpy_to_verify():
-    script = ("import sys, modulirc.cli\n"
+    script = ("import sys, modulirc\n"
+              "print(sorted(m for m in sys.modules if m.startswith('modulirc.')))\n"
+              "import modulirc.cli\n"
               "print(sorted({'numpy', 'modulirc.oracle'} & set(sys.modules)))\n"
               "from modulirc import VerificationReport\n"
               "print(VerificationReport.__module__)\n")
     done = _python(["-c", script])
-    assert (done.returncode, done.stdout) == (0, b"[]\nmodulirc.oracle\n")
+    assert (done.returncode, done.stdout) == (0, b"[]\n[]\nmodulirc.oracle\n")
+    # verify loads the oracle and the layers it imports, not classifier or segre
+    loaded = _loaded_by(_golden_case("verify_counts")["argv"])
+    assert "numpy" in loaded
+    assert _layers(loaded) == {"cli", "json", "params", "families", "oracle", "rng"}
 
 
-@pytest.mark.parametrize("name", _STARTUP_CASES)
+# every name the package exports, with the layer that defines it
+_EXPORTS = [(layer, name) for layer, names in (
+    ("params", "ConsistencyError ModuliParams ParameterError derive_params "
+               "expected_dimension solve_dioph"),
+    ("families", "ExtensionChain MixedDatum TorsionDatum "
+                 "chain_dimension_excess_certificate two_step_chain"),
+    ("classifier", "ClassificationReport ComponentDescriptor GenericImage Kind Status "
+                   "classify enumerate_candidates enumerate_obstructed_expected "
+                   "enumerate_unobstructed"),
+    ("segre", "ConnectivityResult SegreStratum generic_segre min_connecting_degree "
+              "segre_bound stratum_codimension"),
+    ("oracle", "VerificationReport")) for name in names.split()]
+
+
+@pytest.mark.parametrize("layer,name", _EXPORTS)
+def test_package_exports(layer, name):
+    namespace = {}
+    exec(f"from modulirc import {name}", namespace)
+    assert namespace[name] is getattr(importlib.import_module(f"modulirc.{layer}"), name)
+
+
+def test_package_exports_nothing_else():
+    assert sorted(modulirc.__all__) == sorted(name for _, name in _EXPORTS)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        modulirc.no_such_name
+    with pytest.raises(ImportError):
+        exec("from modulirc import no_such_name", {})
+
+
+# the layers of each command, and json or csv if its output needs them
+_LOADS = {"classify_json_candidates": "classifier families params segre json",
+          "classify_table_candidates": "classifier families params segre",
+          "sweep_csv": "classifier families params segre csv",
+          "segre_one_r_prime": "params segre json",
+          "connect_mismatch": "params segre json"}
+
+
+@pytest.mark.parametrize("name", _LOADS)
 def test_commands_start_without_heavy_imports(name):
     # each call is a fresh process: dataclasses (which imports inspect) and
-    # numpy would cost more than these commands compute
-    argv = _golden_case(name)["argv"]
-    script = ("import io, sys\n"
-              "from modulirc.cli import main\n"
-              "main(sys.argv[1:], out=io.StringIO())\n"
-              "print(sorted({'dataclasses', 'inspect', 'numpy', 'modulirc.oracle'}"
-              " & set(sys.modules)))\n")
-    done = _python(["-c", script, *argv])
-    assert (done.returncode, done.stdout) == (0, b"[]\n")
+    # numpy would cost more than these commands compute, and so would
+    # compiling a module the command does not run
+    loaded = _loaded_by(_golden_case(name)["argv"])
+    assert not {"dataclasses", "inspect", "numpy"} & loaded
+    assert _layers(loaded) == {"cli", *_LOADS[name].split()}
 
 
 @pytest.mark.parametrize("name", _STARTUP_CASES + (
