@@ -14,9 +14,9 @@ from itertools import accumulate
 from math import comb, isqrt
 
 from .params import (MAX_K, ConsistencyError, ModuliParams, ParameterError, Record,
-                     expected_dimension, solve_dioph)
+                     _check_max_l, expected_dimension, solve_dioph)
 from .families import ExtensionChain, MixedDatum, TorsionDatum, two_step_chain
-from .segre import segre_bound
+from .segre import _thm_b_tests, segre_bound
 
 
 class Kind(Enum):
@@ -156,12 +156,6 @@ def _check_k(k):
         raise ParameterError(f"k must lie in [1, {MAX_K}]")
 
 
-def _check_max_l(max_l):
-    """Checked wherever max_l is given: below 2 there is nothing to search."""
-    if max_l < 2:
-        raise ParameterError(f"max_l must be >= 2, got {max_l}")
-
-
 # The work budget of one candidate search, in units; a descriptor takes about
 # 50 times the time of a window value of `_deg_vectors`, and far more memory.
 WORK_BUDGET = 10**6
@@ -188,29 +182,10 @@ def enumerate_unobstructed(p, k):
     return out
 
 
-def _thm_b_tests(p):
-    """(r1, divisor, step, low) per r1: the two readings of the divisibility
-    criterion.  The constructive one asks for an integer d1 with
-    r1*d - r*d1 = divisor = r1*(r-r1)*(g-1) and an integer a >= 2 with
-    hk = a*divisor; then the two-step family (r1, d1, a) is a component.  Its
-    congruence r | r1*d - divisor does not depend on k; when it holds, h
-    divides divisor, and the test passes exactly at the multiples k of
-    step = divisor/h with k >= low = 2*step.  Otherwise it never passes, low
-    is None and step is divisor.  The literal reading passes at the
-    multiples of divisor, which are multiples of step."""
-    for r1 in range(1, p.r):
-        divisor = segre_bound(p, r1)
-        if (r1 * p.d - divisor) % p.r == 0:
-            step = divisor // p.h
-            yield r1, divisor, step, 2 * step
-        else:
-            yield r1, divisor, divisor, None
-
-
 def enumerate_obstructed_expected(p, k):
     """Obstructed components of exactly the expected dimension, and the
     per-r1 cross-check of the two readings of the divisibility criterion
-    (`_thm_b_tests`)."""
+    (`segre._thm_b_tests`)."""
     _check_k(k)
     out, rows = [], []
     for r1, divisor, step, low in _thm_b_tests(p):
@@ -226,24 +201,6 @@ def enumerate_obstructed_expected(p, k):
                             constructive=constructive))
     # no sort needed: ascending r1 is already _sort_key order
     return out, rows
-
-
-def sieve_obstructed_expected(p, k_min, k_max):
-    """Per k in [k_min, k_max], the number of obstructed components of
-    expected dimension and whether the literal and constructive readings of
-    the divisibility criterion disagree at some r1: what
-    `enumerate_obstructed_expected` finds at each k, for a range at once.
-    Both readings pass only at multiples of an r1's step (`_thm_b_tests`),
-    so each r1 visits only those in the range.
-    """
-    n = k_max - k_min + 1
-    counts, disagree = [0] * n, [False] * n
-    for _, divisor, step, low in _thm_b_tests(p):
-        for k in range(-(-k_min // step) * step, k_max + 1, step):
-            constructive = low is not None and k >= low
-            counts[k - k_min] += constructive
-            disagree[k - k_min] |= constructive != (k % divisor == 0)
-    return counts, disagree
 
 
 def _deg_vectors(p, l, hk, charge):

@@ -118,6 +118,12 @@ def expected_dimension(p, k):
     return 2 * p.h * k + p.dim_m
 
 
+def _check_max_l(max_l):
+    """Checked wherever max_l is given: below 2 there is nothing to search."""
+    if max_l < 2:
+        raise ParameterError(f"max_l must be >= 2, got {max_l}")
+
+
 def solve_dioph(p, k):
     """All solutions (x, y) of d_bar*x - r_bar*y = k with 0 <= x < r.
 

@@ -1,4 +1,5 @@
-"""Segre invariant stratification arithmetic and rational connectivity.
+"""Segre invariant stratification arithmetic, rational connectivity, and the
+divisibility criterion on the Segre bound r1(r-r1)(g-1).
 
 The stratum of bundles with r'-Segre invariant s has codimension
 r'(r-r')(g-1) - s while that quantity is positive, and the strata are nested
@@ -11,6 +12,43 @@ from .params import ConsistencyError, ModuliParams, ParameterError, Record
 def segre_bound(p, r_prime):
     """r'(r-r')(g-1): the generic r'-Segre invariant up to its residue mod r."""
     return r_prime * (p.r - r_prime) * (p.g - 1)
+
+
+def _thm_b_tests(p):
+    """(r1, divisor, step, low) per r1: the two readings of the divisibility
+    criterion.  The constructive one asks for an integer d1 with
+    r1*d - r*d1 = divisor = r1*(r-r1)*(g-1) and an integer a >= 2 with
+    hk = a*divisor; then the two-step family (r1, d1, a) is a component.  Its
+    congruence r | r1*d - divisor does not depend on k; when it holds, h
+    divides divisor, and the test passes exactly at the multiples k of
+    step = divisor/h with k >= low = 2*step.  Otherwise it never passes, low
+    is None and step is divisor.  The literal reading passes at the
+    multiples of divisor, which are multiples of step."""
+    for r1 in range(1, p.r):
+        divisor = segre_bound(p, r1)
+        if (r1 * p.d - divisor) % p.r == 0:
+            step = divisor // p.h
+            yield r1, divisor, step, 2 * step
+        else:
+            yield r1, divisor, divisor, None
+
+
+def sieve_obstructed_expected(p, k_min, k_max):
+    """Per k in [k_min, k_max], the number of obstructed components of
+    expected dimension and whether the literal and constructive readings of
+    the divisibility criterion disagree at some r1: what
+    `classifier.enumerate_obstructed_expected` finds at each k, for a range
+    at once.  Both readings pass only at multiples of an r1's step
+    (`_thm_b_tests`), so each r1 visits only those in the range.
+    """
+    n = k_max - k_min + 1
+    counts, disagree = [0] * n, [False] * n
+    for _, divisor, step, low in _thm_b_tests(p):
+        for k in range(-(-k_min // step) * step, k_max + 1, step):
+            constructive = low is not None and k >= low
+            counts[k - k_min] += constructive
+            disagree[k - k_min] |= constructive != (k % divisor == 0)
+    return counts, disagree
 
 
 def _check_r_prime(p, r_prime):

@@ -352,6 +352,17 @@ class TestVerify:
         assert text == ""
         assert flag in capsys.readouterr().err
 
+    # SplitMix64 reads a seed mod 2^64, so each seed past a bound would repeat
+    # the report of the seed at the other bound
+    @pytest.mark.parametrize("at, past", [("0", "-1"), (str(2**64 - 1), str(2**64))])
+    def test_seed_bounds(self, at, past, capsys):
+        argv = ["verify", "--suite", "identities", "--trials", "50", "--seed"]
+        code, text = _run(argv + [at])
+        assert code == 0 and json.loads(text)["inputs"]["seed"] == int(at)
+        assert _run(argv + [past]) == (1, "")
+        assert capsys.readouterr().err == (
+            f"modulirc: error: --seed must lie in [0, {2**64 - 1}], got {past}\n")
+
 
 class TestSegre:
     def test_single_r_prime(self):
@@ -483,10 +494,11 @@ def test_package_exports_nothing_else():
         exec("from modulirc import no_such_name", {})
 
 
-# the layers of each command, and json or csv if its output needs them
+# the layers of each command, and json if its output needs it; no command loads csv
 _LOADS = {"classify_json_candidates": "classifier families params segre json",
           "classify_table_candidates": "classifier families params segre",
-          "sweep_csv": "classifier families params segre csv",
+          "sweep_csv": "params segre",
+          "sweep_csv_candidates": "classifier families params segre",
           "segre_one_r_prime": "params segre json",
           "connect_mismatch": "params segre json"}
 

@@ -27,6 +27,12 @@ BUDGET = 500
 CAP_S = 5
 
 
+class _Overrun(BaseException):
+    """A run past CAP_S.  It is not an Exception, so hypothesis reports the
+    argv at once instead of shrinking it, which would wait out the cap again
+    at every step."""
+
+
 def _bounded(low, high, small):
     """Integers in [low, high], drawn from [low, small] half the time."""
     return st.one_of(st.integers(low, small), st.integers(low, high))
@@ -42,12 +48,11 @@ def _flags(g, r, d, max_l, candidates):
     return argv + ["--include-candidates"] * candidates
 
 
-def _overran(signum, frame):
-    raise AssertionError(f"the run took more than {CAP_S} s")
-
-
 def _run_twice(argv):
-    previous = signal.signal(signal.SIGALRM, _overran)
+    def overran(signum, frame):
+        raise _Overrun(f"modulirc {' '.join(argv)} took more than {CAP_S} s")
+
+    previous = signal.signal(signal.SIGALRM, overran)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(classifier, "WORK_BUDGET", BUDGET)
         runs = []
