@@ -18,7 +18,7 @@ from itertools import chain
 # package's exports also read as attributes of this module
 from . import __getattr__  # noqa: F401
 from .params import (MAX_GENUS, MAX_K, ConsistencyError, ParameterError, _check_max_l,
-                     derive_params, expected_dimension)
+                     _check_seed, derive_params, expected_dimension)
 
 SCHEMA_VERSION = "3.0"
 
@@ -35,8 +35,6 @@ MAX_CHAINS = 5 * 10**7        # rank tuples times degree vectors
 # chains times twist vectors times genera: the trial count of the dimension
 # suite, and the work of its cell-by-cell pass over chains whose routes disagree
 MAX_CELLS = 10**9
-# SplitMix64 reads a seed mod 2^64: one outside [0, MAX_SEED] repeats another's report
-MAX_SEED = 2**64 - 1
 # strata in one `segre` table; the all-r' table grows like r^2*g
 MAX_STRATA = 10**6
 # candidate-search work units in one `sweep`, ten search budgets: once the
@@ -210,8 +208,7 @@ def _cmd_verify(args, out):
         if value < low:
             flag = name.replace("_", "-")
             raise ParameterError(f"--{flag} must be >= {low}, got {value}")
-    if not 0 <= args.seed <= MAX_SEED:
-        raise ParameterError(f"--seed must lie in [0, {MAX_SEED}], got {args.seed}")
+    _check_seed(args.seed, "--seed")
     for flag, value, high in (("trials", args.trials, MAX_TRIALS),
                               ("g-bound", args.g_bound, MAX_GENUS),
                               ("max-l", args.max_l, MAX_VERIFY_L)):

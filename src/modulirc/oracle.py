@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from .params import Record, derive_params, expected_dimension, solve_dioph
+from .params import Record, _check_seed, derive_params, expected_dimension, solve_dioph
 from .families import (
     ExtensionChain,
     MixedDatum,
@@ -85,6 +85,23 @@ def _a_term(r, d, g, i, k):
     return r[i] * d[k] - r[k] * d[i] - r[i] * r[k] * (g - 1)
 
 
+# a three-term trial's row, lowest and highest draws: r1, r2, r3, d1, d2, d3 and g
+_TRIPLE = ((1, 1, 1, -10, -10, -10, 2), (6, 6, 6, 10, 10, 10, 5))
+# a telescoping trial's row: l in 2..6, then 6 ranks in 1..4, 6 degrees in
+# -10..10 and 5 twists in 1..4; its chain takes the first l, l and l - 1
+_CHAIN = ((2,) + (1,) * 6 + (-10,) * 6 + (1,) * 5, (6,) + (4,) * 6 + (10,) * 6 + (4,) * 5)
+
+
+def _trial_rows(trials, seed, lo, hi):
+    """Seeded random trials as (first trial, rows), block by block: the row
+    of trial t holds outputs t·w + 1 ... (t + 1)·w of the stream, w = len(lo),
+    with column i drawn in lo[i]..hi[i]."""
+    width = len(lo)
+    for start, stop in _blocks(trials, _BLOCK // width):
+        n = stop - start
+        yield start, randint(splitmix64(seed, width * start, width * n).reshape(n, width), lo, hi)
+
+
 def verify_three_term_identities(trials=10000, seed=0):
     """Evaluate both displayed three-term relations between the A-terms on
     seeded random triples: ranks in 1..6, degrees in -10..10, genus 2..5.
@@ -94,12 +111,9 @@ def verify_three_term_identities(trials=10000, seed=0):
     counterexamples; the plus-sign relation is a polynomial identity and must
     pass with zero failures.
     """
+    _check_seed(seed)
     printed, corrected = _Failures(), _Failures()
-    # a trial draws r1, r2, r3, d1, d2, d3 and g: one row of 7 draws
-    for start, stop in _blocks(trials, _BLOCK // 7):
-        n = stop - start
-        draws = randint(splitmix64(seed, 7 * start, 7 * n).reshape(n, 7),
-                        (1, 1, 1, -10, -10, -10, 2), (6, 6, 6, 10, 10, 10, 5))
+    for start, draws in _trial_rows(trials, seed, *_TRIPLE):
         r, d, g = draws[:, :3].T, draws[:, 3:6].T, draws[:, 6]
         a12 = _a_term(r, d, g, 0, 1)
         a23 = _a_term(r, d, g, 1, 2)
@@ -115,49 +129,28 @@ def verify_three_term_identities(trials=10000, seed=0):
                              notes="plus-sign form; polynomial identity, must hold exactly"))
 
 
-def _random_chains(trials, seed):
-    """The seeded random chains of the telescoping suite, drawn from one
-    stream: a trial draws its length l in 2..6, then l ranks in 1..4, l
-    degrees in -10..10 and l - 1 twists in 1..4.  Yields (l, trial indices,
-    draws) block by block and length by length, one row of 3l - 1 draws per
-    trial."""
-    drawn = 0
-    for start, stop in _blocks(trials, _BLOCK // 18):
-        n = stop - start
-        # a trial takes 3l draws, at most 18, so n trials lie within 18n
-        u = splitmix64(seed, drawn, 18 * n)
-        spans = (3 * randint(u, 2, 6)).tolist()
-        offsets = []
-        at = 0
-        for _ in range(n):
-            offsets.append(at)
-            at += spans[at]
-        drawn += at
-        offsets = np.array(offsets)
-        lengths = randint(u[offsets], 2, 6)
-        for l in range(2, 7):
-            trial = np.flatnonzero(lengths == l)
-            yield l, start + trial, randint(
-                u[offsets[trial, None] + np.arange(1, 3 * l)],
-                [1] * l + [-10] * l + [1] * (l - 1), [4] * l + [10] * l + [4] * (l - 1))
-
-
 def verify_degree_telescoping(trials=10000, seed=0):
     """Compare the partial-sum and pairwise forms of the chain degree on
     seeded random chains: length 2..6, ranks in 1..4, degrees in -10..10,
     twists in 1..4.  No slope condition: this is a polynomial identity."""
+    _check_seed(seed)
     fails = _Failures()
-    for l, trial, draws in _random_chains(trials, seed):
-        ranks, degs, twists = draws[:, :l], draws[:, l:2 * l], draws[:, 2 * l:]
-        pr, pd = np.cumsum(ranks, axis=1), np.cumsum(degs, axis=1)
-        partial = ((pr[:, :-1] * pd[:, -1:] - pd[:, :-1] * pr[:, -1:])
-                   * twists).sum(axis=1)
-        # w_ij = a_i + ... + a_{j-1}, the twists of the splits the pair spans
-        i, j, spans = _pairs(l)
-        pairwise = ((ranks[:, i] * degs[:, j] - ranks[:, j] * degs[:, i])
-                    * (twists @ spans)).sum(axis=1)
-        bad = np.flatnonzero(partial != pairwise)
-        fails.add(len(bad), ((trial[b], tuple(draws[b].tolist())) for b in bad.tolist()))
+    for start, draws in _trial_rows(trials, seed, *_CHAIN):
+        for l in range(2, 7):
+            # the trials of length l, and the l ranks, l degrees and l - 1 twists of each
+            trial = np.flatnonzero(draws[:, 0] == l)
+            chains = draws[np.ix_(trial, np.r_[1:1 + l, 7:7 + l, 13:12 + l])]
+            ranks, degs, twists = chains[:, :l], chains[:, l:2 * l], chains[:, 2 * l:]
+            pr, pd = np.cumsum(ranks, axis=1), np.cumsum(degs, axis=1)
+            partial = ((pr[:, :-1] * pd[:, -1:] - pd[:, :-1] * pr[:, -1:])
+                       * twists).sum(axis=1)
+            # w_ij = a_i + ... + a_{j-1}, the twists of the splits the pair spans
+            i, j, spans = _pairs(l)
+            pairwise = ((ranks[:, i] * degs[:, j] - ranks[:, j] * degs[:, i])
+                        * (twists @ spans)).sum(axis=1)
+            bad = np.flatnonzero(partial != pairwise)
+            fails.add(len(bad), ((start + trial[b], tuple(chains[b].tolist()))
+                                 for b in bad.tolist()))
     return fails.report("degree_telescoping", trials,
                         notes="partial-sum vs pairwise chain degree, exact")
 

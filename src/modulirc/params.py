@@ -12,6 +12,8 @@ MAX_GENUS = 1000
 MAX_RANK = 1000
 MAX_DEGREE = 10**6
 MAX_K = 10**6
+# SplitMix64 reads a seed mod 2^64: one outside [0, MAX_SEED] would draw another's trials
+MAX_SEED = 2**64 - 1
 
 
 class ParameterError(ValueError):
@@ -122,6 +124,12 @@ def _check_max_l(max_l):
     """Checked wherever max_l is given: below 2 there is nothing to search."""
     if max_l < 2:
         raise ParameterError(f"max_l must be >= 2, got {max_l}")
+
+
+def _check_seed(seed, name="seed"):
+    """Checked wherever a random suite reads its seed."""
+    if not 0 <= seed <= MAX_SEED:
+        raise ParameterError(f"{name} must lie in [0, {MAX_SEED}], got {seed}")
 
 
 def solve_dioph(p, k):

@@ -1,13 +1,16 @@
 """The scalar oracle suites that `modulirc.oracle` replaced by array code.
 
 `SplitMix64` draws one output at a time, and the four suites below walk
-their trials, rank tuples, genera and twist vectors one at a time, exactly
-as the package did before its suites drew the generator in blocks,
-evaluated each rank tuple as one array pass and evaluated each chain of the
-dimension suite once for all its twist vectors and genera.  `tests/test_oracle.py`
-compares every report of both versions with `to_dict()`.  Of `modulirc.oracle`
-this module imports only `COUNTEREXAMPLE_CAP` and `VerificationReport`, so it
-shares no code with the suites it checks.
+their trials, rank tuples, genera and twist vectors one at a time, as the
+package did before its suites drew the generator in blocks, evaluated each
+rank tuple as one array pass and evaluated each chain of the dimension suite
+once for all its twist vectors and genera.  A telescoping trial draws the
+fixed row of 18 that the package draws: its length l, then 6 ranks, 6
+degrees and 5 twists, of which its chain takes the first l, l and l - 1.
+`tests/test_oracle.py` compares every report of both versions with
+`to_dict()`.  Of `modulirc.oracle` this module imports only
+`COUNTEREXAMPLE_CAP` and `VerificationReport`, so it shares no code with the
+suites it checks.
 """
 
 import itertools
@@ -16,7 +19,7 @@ import numpy as np
 
 from modulirc.families import ExtensionChain, chain_dimension_excess_certificate
 from modulirc.oracle import COUNTEREXAMPLE_CAP, VerificationReport
-from modulirc.params import derive_params, expected_dimension
+from modulirc.params import _check_seed, derive_params, expected_dimension
 
 _MASK = (1 << 64) - 1
 
@@ -62,6 +65,7 @@ def verify_three_term_identities(trials=10000, seed=0):
     counterexamples; the plus-sign relation is a polynomial identity and must
     pass with zero failures.
     """
+    _check_seed(seed)
     rng = SplitMix64(seed)
     printed_fail, corrected_fail = 0, 0
     printed_cex, corrected_cex = [], []
@@ -94,14 +98,15 @@ def verify_degree_telescoping(trials=10000, seed=0):
     """Compare the partial-sum and pairwise forms of the chain degree on
     seeded random chains: length 2..6, ranks in 1..4, degrees in -10..10,
     twists in 1..4.  No slope condition: this is a polynomial identity."""
+    _check_seed(seed)
     rng = SplitMix64(seed)
     failures = 0
     cex = []
     for _ in range(trials):
         l = rng.randint(2, 6)
-        ranks = [rng.randint(1, 4) for _ in range(l)]
-        degs = [rng.randint(-10, 10) for _ in range(l)]
-        twists = [rng.randint(1, 4) for _ in range(l - 1)]
+        ranks = [rng.randint(1, 4) for _ in range(6)][:l]
+        degs = [rng.randint(-10, 10) for _ in range(6)][:l]
+        twists = [rng.randint(1, 4) for _ in range(5)][:l - 1]
         r_tot, d_tot = sum(ranks), sum(degs)
         partial = 0
         pr = pd = 0

@@ -19,7 +19,7 @@ from modulirc.oracle import (
     verify_dimension_laws,
     verify_three_term_identities,
 )
-from modulirc.params import derive_params, expected_dimension
+from modulirc.params import ParameterError, derive_params, expected_dimension
 from modulirc.rng import randint, splitmix64
 from oracle_reference import SplitMix64
 
@@ -127,12 +127,33 @@ def test_report_pass_follows_failures():
 
 # the array suites against the scalar ones they replaced (oracle_reference)
 
+# -1 and 2**70 lie outside [0, 2**64 - 1]: both generators reduce them mod
+# 2**64, and the suites of both versions reject them
 SEEDS = (0, -1, 2**63, 2**64 - 1, 2**70)
 
 
 def _dicts(reports):
     reports = reports if isinstance(reports, tuple) else (reports,)
     return [r.to_dict() for r in reports]
+
+
+def _outcome(module, suite, trials, seed):
+    """The report dicts of a random suite, or the message of the
+    ParameterError it raises."""
+    try:
+        return _dicts(getattr(module, suite)(trials=trials, seed=seed))
+    except ParameterError as exc:
+        return str(exc)
+
+
+def _scalar_rows(seed, trials):
+    """Each telescoping trial's 18 draws from the scalar generator: its
+    length l in 2..6, then 6 ranks in 1..4, 6 degrees in -10..10 and 5
+    twists in 1..4."""
+    scalar = SplitMix64(seed)
+    return [[scalar.randint(2, 6)] + [scalar.randint(1, 4) for _ in range(6)]
+            + [scalar.randint(-10, 10) for _ in range(6)]
+            + [scalar.randint(1, 4) for _ in range(5)] for _ in range(trials)]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -152,20 +173,42 @@ def test_splitmix64_blocks_are_the_scalar_stream(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_chains_are_the_scalar_draws(seed, block, monkeypatch):
     # the telescoping suite passes whatever chains it draws, so its report
-    # alone would not show a chain drawn from the wrong place in the stream
+    # alone would not show a chain drawn from the wrong place in the stream:
+    # each trial's row is its 18 scalar draws, however the blocks cut them
     monkeypatch.setattr(oracle, "_BLOCK", block)
-    scalar = SplitMix64(seed)
-    want = {}
-    for trial in range(25):
-        l = scalar.randint(2, 6)
-        want[trial] = ([scalar.randint(1, 4) for _ in range(l)]
-                       + [scalar.randint(-10, 10) for _ in range(l)]
-                       + [scalar.randint(1, 4) for _ in range(l - 1)])
-    got = {}
-    for l, trial, draws in oracle._random_chains(25, seed):
-        assert draws.shape == (len(trial), 3 * l - 1)
-        got.update(zip(trial.tolist(), draws.tolist()))
-    assert got == want
+    got = []
+    for start, rows in oracle._trial_rows(25, seed, *oracle._CHAIN):
+        assert start == len(got)
+        got += rows.tolist()
+    assert got == _scalar_rows(seed, 25)
+
+
+@pytest.mark.parametrize("block", (40, 1 << 16))
+@pytest.mark.parametrize("seed", (0, 2**63))
+def test_telescoping_fault_names_the_failing_chains(seed, block, monkeypatch):
+    # the pairwise form with the first split's twist counted twice adds
+    # a_1·Σ_{j>1} (r_1·d_j - r_j·d_1), which is 0 only where the first step's
+    # slope is the chain's; the suite counts the trials where it is not and
+    # lists the first of them in trial order, each as its l ranks, l degrees
+    # and l - 1 twists
+    real = oracle._pairs
+
+    def first_split_twice(l):
+        i, j, spans = real(l)
+        spans = spans.copy()
+        spans[0] *= 2
+        return i, j, spans
+
+    monkeypatch.setattr(oracle, "_pairs", first_split_twice)
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    want = []
+    for l, *row in _scalar_rows(seed, 300):
+        ranks, degs, twists = row[:l], row[6:6 + l], row[12:11 + l]
+        if ranks[0] * sum(degs) != sum(ranks) * degs[0]:
+            want.append(ranks + degs + twists)
+    report = verify_degree_telescoping(trials=300, seed=seed).to_dict()
+    assert COUNTEREXAMPLE_CAP < report["failures"] == len(want) < 300
+    assert report["counterexamples"] == want[:COUNTEREXAMPLE_CAP]
 
 
 def test_failures_keep_the_smallest_keys_in_order():
@@ -187,8 +230,20 @@ def test_failures_keep_the_smallest_keys_in_order():
 @pytest.mark.parametrize("suite", ("verify_three_term_identities",
                                    "verify_degree_telescoping"))
 def test_random_suites_match_scalar_oracle(suite, seed, trials):
-    assert (_dicts(getattr(oracle, suite)(trials=trials, seed=seed))
-            == _dicts(getattr(reference, suite)(trials=trials, seed=seed)))
+    assert _outcome(oracle, suite, trials, seed) == _outcome(reference, suite, trials, seed)
+
+
+@pytest.mark.parametrize("trials", (0, 40))
+@pytest.mark.parametrize("seed", (-1, 2**64, 2**70))
+@pytest.mark.parametrize("suite", ("verify_three_term_identities",
+                                   "verify_degree_telescoping"))
+def test_random_suites_reject_seeds_outside_the_stream(suite, seed, trials):
+    # SplitMix64 reads a seed mod 2^64, so each of these would draw the
+    # trials of another seed; a suite rejects it before its first trial
+    with pytest.raises(ParameterError) as exc:
+        getattr(oracle, suite)(trials=trials, seed=seed)
+    assert str(exc.value) == f"seed must lie in [0, {2**64 - 1}], got {seed}"
+    assert splitmix64(seed, 0, 4).tolist() == splitmix64(seed % 2**64, 0, 4).tolist()
 
 
 # (max_l, deg_bound, rank_bound, twist_bound, g_bound): every value of each

@@ -6,6 +6,7 @@ from modulirc import (
     derive_params,
     generic_segre,
     min_connecting_degree,
+    solve_dioph,
     stratum_codimension,
 )
 
@@ -103,3 +104,25 @@ class TestConnectivity:
                 need = (r * r - 1 - rq * (r - rq)) * (g - 1)
                 ok = (p.h * k - rq * d) % r == 0 and p.h * k >= need
                 assert not ok
+
+    def test_least_k_over_the_degree_equation(self):
+        # a second route to the least k: k upward, and at each k the
+        # solutions (r', d') of r'd - rd' = hk with 0 <= r' < r that
+        # `solve_dioph` gives, until one has r' >= 1 and
+        # hk >= dim M - r'(r-r')(g-1); the closed form stays a mismatch at
+        # all but 5 of the 595 inputs
+        inputs = mismatches = 0
+        for g in range(2, 7):
+            for r in range(2, 16):
+                for d in range(r):
+                    p = derive_params(g, r, d)
+                    res = min_connecting_degree(p)
+                    k = 1
+                    while not any(rp >= 1 and p.h * k >= p.dim_m - rp * (r - rp) * (g - 1)
+                                  for rp, _ in solve_dioph(p, k)):
+                        k += 1
+                    assert res.derived_k == k
+                    assert (res.witness_r_prime, res.witness_d_prime) in solve_dioph(p, k)
+                    inputs += 1
+                    mismatches += res.mismatch
+        assert (inputs, mismatches) == (595, 590)
