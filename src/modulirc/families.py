@@ -36,25 +36,36 @@ class ExtensionChain(Record):
     twists: tuple  # (a_1, ..., a_{l-1}), each >= 1
 
     def __post_init__(self):
-        object.__setattr__(self, "steps", tuple((int(a), int(b)) for a, b in self.steps))
-        object.__setattr__(self, "twists", tuple(int(a) for a in self.twists))
-        steps, twists, p = self.steps, self.twists, self.params
+        # one pass over the steps stores them as ints and gathers what the
+        # checks below need; the checks raise in the order they are listed
+        steps, r_sum, d_sum, r_min, slope = [], 0, 0, 1, None
+        for a, b in self.steps:
+            r_hi, d_hi = int(a), int(b)
+            if steps and slope is None and d_lo * r_hi >= d_hi * r_lo:
+                slope = f"slopes must strictly increase: {d_lo}/{r_lo} !< {d_hi}/{r_hi}"
+            steps.append((r_hi, d_hi))
+            r_sum += r_hi
+            d_sum += d_hi
+            if r_hi < r_min:
+                r_min = r_hi
+            r_lo, d_lo = r_hi, d_hi
+        steps, twists, p = tuple(steps), tuple(map(int, self.twists)), self.params
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "twists", twists)
         if len(steps) < 2:
             raise ParameterError("chain needs at least two steps")
         if len(twists) != len(steps) - 1:
             raise ParameterError("need exactly one twist per consecutive pair")
-        if any(a < 1 for a in twists):
+        if min(twists) < 1:
             raise ParameterError("twists must be >= 1")
-        if any(ri < 1 for ri, _ in steps):
+        if r_min < 1:
             raise ParameterError("step ranks must be >= 1")
-        if sum(ri for ri, _ in steps) != p.r:
+        if r_sum != p.r:
             raise ParameterError("step ranks must sum to r")
-        if sum(di for _, di in steps) != p.d:
+        if d_sum != p.d:
             raise ParameterError("step degrees must sum to d")
-        for (r_lo, d_lo), (r_hi, d_hi) in zip(steps, steps[1:]):
-            if d_lo * r_hi >= d_hi * r_lo:
-                raise ParameterError(
-                    f"slopes must strictly increase: {d_lo}/{r_lo} !< {d_hi}/{r_hi}")
+        if slope:
+            raise ParameterError(slope)
         # one pass over the pairs i < j, with T_ij = r_i d_j - r_j d_i and
         # w_ij = a_i + ... + a_{j-1}: hk = sum T_ij w_ij, and the dimension is
         # dim M + sum T_ij (w_ij + 1) + (g-1) sum r_i r_j (w_ij - 1); for l = 2

@@ -158,14 +158,24 @@ def verify_degree_telescoping(trials=10000, seed=0):
 def _product(side, length, start, stop):
     """Rows start..stop-1 of itertools.product(range(side), repeat=length),
     as an int64 array whose transpose, one row per entry, is contiguous."""
-    digits = np.unravel_index(np.arange(start, stop), (side,) * length)
-    return np.array(digits, dtype=np.int64).T
+    digits = np.empty((length, stop - start), dtype=np.int64)
+    rest = np.arange(start, stop, dtype=np.int64)
+    for k in range(length - 1, 0, -1):
+        # floor division by a number: several times faster than np.divmod,
+        # np.remainder or np.unravel_index
+        high = rest // side
+        np.subtract(rest, high * side, out=digits[k])
+        rest = high
+    digits[0] = rest
+    return digits.T
 
 
 def _degree_grid(l, deg_bound, start, stop):
     """Rows start..stop-1 of the degree vectors in [-deg_bound, deg_bound]^l,
     in the order of itertools.product."""
-    return _product(2 * deg_bound + 1, l, start, stop) - deg_bound
+    grid = _product(2 * deg_bound + 1, l, start, stop)
+    grid -= deg_bound
+    return grid
 
 
 def _grid_blocks(l, deg_bound):
@@ -190,8 +200,8 @@ def _e3(ranks_all):
 
 
 def _prefix_sums(degs):
-    """The prefix sums D_k of the degree rows, entry by entry: np.cumsum
-    along the short axis of a block is several times slower."""
+    """The prefix sums of the rows (degrees D_k or ranks R_k), entry by
+    entry: np.cumsum along the short axis of a block is several times slower."""
     prefix_d = degs.copy()
     for k in range(1, len(degs)):
         prefix_d[k] += prefix_d[k - 1]
@@ -215,11 +225,13 @@ def verify_claim_inequality(max_l=4, rank_bound=3, deg_bound=6, g_bound=4):
     c_j = R_j·d - r·D_j >= (r - R_j)·R_j·(g-1) at every split j becomes one
     largest admissible g - 1 per degree vector, the least floor quotient
     c_j // ((r - R_j)·R_j), and the inequality's left side splits into a
-    g-free part and a multiple of g - 1.  A quotient depends on the tuple
-    only through (j, R_j, r), so the tuples of one total rank share them.
+    g-free part and a multiple of g - 1, so the genera at which a degree
+    vector fails form one range, counted at once.  A quotient depends on the
+    tuple only through (j, R_j, r), so the tuples of one total rank share them.
     """
     trials = 0
     fails = _Failures()
+    g_max = max(g_bound - 1, 0)  # the largest g - 1 of a trial
     for l in range(3, max_l + 1):
         ranks_all = _rank_tuples(l, rank_bound)
         r_tot = ranks_all.sum(axis=1)
@@ -248,19 +260,24 @@ def verify_claim_inequality(max_l=4, rank_bound=3, deg_bound=6, g_bound=4):
                             q = quotients[j, rj] = ((rj * prefix_d[-1] - r * prefix_d[j])
                                                     // ((r - rj) * rj))
                         g_top = q if g_top is None else np.minimum(g_top, q)
-                    # the rows that hold the hypothesis at g = 2, and how far up
+                    # the rows that hold the hypothesis at g = 2, and the
+                    # largest g - 1 up to which each is a trial
                     rows = np.flatnonzero(g_top >= 1)
                     if not len(rows):
                         continue
-                    g_top = g_top[rows]
-                    lhs = r * (coef[t] @ degs[:, rows])
-                    for g in range(2, min(g_bound, int(g_top.max()) + 1) + 1):
-                        held = g_top >= g - 1
-                        trials += int(np.count_nonzero(held))
-                        bad = rows[held & (lhs < (g - 1) * slack[t])]
-                        fails.add(len(bad), (
-                            ((l, t, g, start + i), tuple(tuples[t] + grid[i].tolist() + [g]))
-                            for i in bad.tolist()))
+                    top = np.minimum(g_top.take(rows), g_max)
+                    trials += int(top.sum())
+                    # slack > 0, so a row fails at each g - 1 from
+                    # lhs // slack + 1 up to its top
+                    first = r * (coef[t] @ degs.take(rows, axis=1)) // slack[t] + 1
+                    bad = np.flatnonzero(first <= top)
+                    if not len(bad):
+                        continue
+                    lo, hi = np.maximum(first[bad], 1).tolist(), top[bad].tolist()
+                    fails.add(sum(hi) - sum(lo) + len(bad), (
+                        ((l, t, g, start + i), tuple(tuples[t] + grid[i].tolist() + [g]))
+                        for g in range(min(lo) + 1, max(hi) + 2)
+                        for i, a, b in zip(rows[bad].tolist(), lo, hi) if a <= g - 1 <= b))
     return fails.report("claim_inequality", trials,
                         notes="summed inequality over hypothesis-satisfying chains")
 
@@ -288,7 +305,7 @@ def _slope_walk(degs, rank_bound, rows, ranks=(), t=0):
         yield t, rows
         return
     if k:
-        lower, upper = degs[k - 1, rows], degs[k, rows] * ranks[-1]
+        lower, upper = degs[k - 1].take(rows), degs[k].take(rows) * ranks[-1]
     for rank in range(1, rank_bound + 1):
         kept = rows[lower * rank < upper] if k else rows
         if len(kept):
@@ -296,17 +313,18 @@ def _slope_walk(degs, rank_bound, rows, ranks=(), t=0):
                                    t * rank_bound + rank - 1)
 
 
-# The two sides of dim - expected = -cert, for the chains of one rank tuple
-# rk with degree vectors the columns of `degs`.  Both are linear in the twists
-# a_k and in g - 1: Σ_k a_k·(u_k - (g-1)·v_k) - (s - (g-1)·q).  A route returns
-# (u, s, v, q): u with one row per split k and one column per chain, s with
-# one entry per chain, v with one entry per split, and q one number.
+# The two sides of dim - expected = -cert, for chains given one per column
+# by their ranks rk and degrees degs, one row per step.  Both are linear in
+# the twists a_k and in g - 1: Σ_k a_k·(u_k - (g-1)·v_k) - (s - (g-1)·q).  A
+# route returns (u, s, v, q), u and v with one row per split k, s and q one
+# entry per column; u and s are affine in the degrees, and v and q do not
+# depend on them.
 
 @functools.cache
 def _pairs(l):
     """The pairs i < j of range(l) as two index arrays, and the 0/1 matrix
     with one row per split k and one column per pair, 1 where i <= k < j.
-    Cached, since the routes run once per block and rank tuple."""
+    Cached, since the telescoping suite asks for them once per block and length."""
     i, j = np.triu_indices(l, 1)
     split = np.arange(l - 1)[:, None]
     return i, j, ((i <= split) & (split < j)).astype(np.int64)
@@ -318,40 +336,68 @@ def _pairwise_route(rk, degs):
     expected - dim = Σ T_ij·(w_ij - 1) - (g-1)·Σ r_i·r_j·(w_ij - 1), and a_k
     lies in w_ij for the pairs that span split k (i <= k < j)."""
     i, j, spans = _pairs(len(rk))
-    terms = rk[i, None] * degs[j] - rk[j, None] * degs[i]
+    terms = rk[i] * degs[j] - rk[j] * degs[i]
     products = rk[i] * rk[j]
-    return spans @ terms, terms.sum(axis=0), spans @ products, int(products.sum())
+    return spans @ terms, terms.sum(axis=0), spans @ products, products.sum(axis=0)
 
 
 def _prefix_route(rk, degs):
     """The certificate from prefix sums R_k, D_k of ranks and degrees: the
     coefficient of a_k is c_k = R_k·d - r·D_k less (g-1)·R_k·(r - R_k), and
     the constant is Σ_m (2R_m - r_m - r)·d_m less (g-1)·(r² - Σ r_m²)/2."""
-    prefix_r = np.cumsum(rk)
-    r = int(prefix_r[-1])
-    prefix_d = _prefix_sums(degs)
-    u = prefix_r[:-1, None] * prefix_d[-1] - r * prefix_d[:-1]
-    s = (2 * prefix_r - rk - r) @ degs
-    return u, s, prefix_r[:-1] * (r - prefix_r[:-1]), (r * r - int(rk @ rk)) // 2
+    prefix_r, prefix_d = _prefix_sums(rk), _prefix_sums(degs)
+    big_r, r = prefix_r[:-1], prefix_r[-1]
+    u = big_r * prefix_d[-1] - r * prefix_d[:-1]
+    s = ((2 * prefix_r - rk - r) * degs).sum(axis=0)
+    return u, s, big_r * (r - big_r), (r * r - (rk * rk).sum(axis=0)) // 2
 
 
-def _split_route(weight, e3, cert):
+def _split_route(rk, e3, cert):
     """r·s and r·q, the constant of r·cert, by the split form
     r·(s - (g-1)·q) = Σ_k (r_k + r_{k+1})·e_k - (g-1)·e₃ from the prefix
-    route's coefficients e_k = u_k - (g-1)·v_k of the twists; `weight` holds
-    the r_k + r_{k+1} and e₃ is the third elementary symmetric polynomial of
-    the ranks.  The route shares the prefix route's coefficients, so it
-    checks that route's constant."""
+    route's coefficients e_k = u_k - (g-1)·v_k of the twists, e₃ being the
+    third elementary symmetric polynomial of the ranks.  The route shares the
+    prefix route's coefficients, so it checks that route's constant."""
     u, _, v, _ = cert
-    return weight @ u, int(weight @ v) + e3
+    weight = rk[:-1] + rk[1:]
+    return (weight * u).sum(axis=0), (weight * v).sum(axis=0) + e3
+
+
+def _route_forms(ranks_all):
+    """The three routes of each rank tuple (row of ranks_all), run once, at
+    the tuple's degree vectors 0, e_1, ..., e_l: being affine in the degrees,
+    they are fixed by their values there.  Returns (forms, same, constants),
+    one entry per tuple.  forms[t] has a row per value that depends on the
+    degrees (u and s of the pairwise route, u and s of the prefix route, r·s
+    by the split form): its value at 0, then its coefficient of each degree,
+    so a chain's values are forms[t, :, 1:] @ degs + forms[t, :, :1].
+    constants[t] holds v and q of the pairwise route, v and q of the prefix
+    route and r·q by the split form; same[t] says whether they agree."""
+    n, l = ranks_all.shape
+    forms = np.empty((n, 2 * l + 1, l + 1), dtype=np.int64)
+    constants = np.empty((n, 2 * l + 1), dtype=np.int64)
+    # the tuples a block at a time, l + 1 columns each, keep the routes'
+    # arrays within about _BLOCK entries
+    for t0, t1 in _blocks(n, _BLOCK // l ** 3):
+        rk = np.repeat(ranks_all[t0:t1].T, l + 1, axis=1)
+        degs = np.tile(np.eye(l, l + 1, 1, dtype=np.int64), t1 - t0)
+        (u, s, v, q), cert = _pairwise_route(rk, degs), _prefix_route(rk, degs)
+        split_s, split_q = _split_route(rk, _e3(rk.T), cert)
+        u2, s2, v2, q2 = cert
+        at = np.vstack((u, s, u2, s2, split_s)).reshape(2 * l + 1, t1 - t0, l + 1)
+        forms[t0:t1] = at.transpose(1, 0, 2)
+        constants[t0:t1] = np.vstack((v, q, v2, q2, split_q))[:, ::l + 1].T
+    forms[:, :, 1:] -= forms[:, :, :1]
+    same = ((constants[:, :l] == constants[:, l:2 * l]).all(axis=1)
+            & (constants[:, 2 * l] == ranks_all.sum(axis=1) * constants[:, 2 * l - 1]))
+    return forms, same, constants
 
 
 def _routes_agree(expected_less_dim, cert):
-    """Per chain, whether both routes give the same coefficients, so that
-    dim - expected = -cert at every twist vector and genus."""
-    (u, s, v, q), (u2, s2, v2, q2) = expected_less_dim, cert
-    agree = (u == u2).all(axis=0) & (s == s2)
-    return agree if q == q2 and (v == v2).all() else np.zeros_like(agree)
+    """Per chain, whether both routes give the same u and s, so that, with
+    the same v and q, dim - expected = -cert at every twist vector and genus."""
+    (u, s), (u2, s2) = expected_less_dim, cert
+    return (u == u2).all(axis=0) & (s == s2)
 
 
 def _bad_cells(l, twist_bound, g_bound, routes, chains):
@@ -392,13 +438,17 @@ def verify_chain_dimension_equivalence(max_l=4, rank_bound=3, deg_bound=6,
     prefix route's coefficients of the twists, e_k, and gives r·cert with the
     constant of the split form
     r·cert = Σ_k (r·a_k - r_k - r_{k+1})·e_k + (g-1)·e₃, so it checks that
-    route's constant.  Where the coefficients agree, dim - expected = -cert
-    holds at every twist vector and genus by linearity, and the chain counts
-    one passing trial per cell.  A chain whose coefficients disagree is
-    evaluated cell by cell from all three routes.  The split form proves the
-    claim inequality of `verify_claim_inequality` (its case of twists all 1),
-    and, since each weight r·a_k - r_k - r_{k+1} is >= 1 at length >= 3, that
-    a chain of at least the expected dimension has a split with e_k < 0.
+    route's constant.  The routes are affine in the degrees, so they run once
+    per length, for all rank tuples (`_route_forms`), and the parts that do
+    not depend on the degrees are compared once per tuple; per block, a
+    chain's values are its degrees times its tuple's coefficients.  Where all
+    values agree, dim - expected = -cert holds at every twist vector and
+    genus by linearity, and the chain counts one passing trial per cell.  A
+    chain whose values disagree is evaluated cell by cell from all three
+    routes.  The split form proves the claim inequality of
+    `verify_claim_inequality` (its case of twists all 1), and, since each
+    weight r·a_k - r_k - r_{k+1} is >= 1 at length >= 3, that a chain of at
+    least the expected dimension has a split with e_k < 0.
     A deterministic sample of 50 chains is pushed through the scalar formulas
     as well to tie the library functions in.
     """
@@ -407,35 +457,32 @@ def verify_chain_dimension_equivalence(max_l=4, rank_bound=3, deg_bound=6,
     spot_done = 0
     for l in range(3, max_l + 1):
         ranks_all = _rank_tuples(l, rank_bound)
+        forms, same, constants = _route_forms(ranks_all)
         r_tot = ranks_all.sum(axis=1).tolist()
-        weights = ranks_all[:, :-1] + ranks_all[:, 1:]
-        e3s = _e3(ranks_all).tolist()
         cells = twist_bound ** (l - 1) * (g_bound - 1)
         firsts = {}  # rank tuple -> its first two slope-increasing degree vectors
         for start, grid in _grid_blocks(l, deg_bound):
             degs = grid.T
             for t, rows in _slope_walk(degs, rank_bound, np.arange(len(grid))):
-                rk = ranks_all[t]
                 seen = firsts.setdefault(t, [])
                 seen += grid[rows[:2 - len(seen)]].tolist()
                 trials += len(rows) * cells
-                sub = degs[:, rows]
-                expected_less_dim = _pairwise_route(rk, sub)
-                cert = _prefix_route(rk, sub)
-                (u, s, v, q), r = cert, r_tot[t]
-                split_s, split_q = _split_route(weights[t], e3s[t], cert)
+                values = forms[t, :, 1:] @ degs.take(rows, axis=1) + forms[t, :, :1]
+                expected_less_dim = values[:l - 1], values[l - 1]
+                cert, split_s, r = (values[l:-2], values[-2]), values[-1], r_tot[t]
                 off = np.flatnonzero(~(_routes_agree(expected_less_dim, cert)
-                                       & (split_s == r * s) & (split_q == r * q)))
+                                       & (split_s == r * cert[1]) & same[t]))
                 if not len(off):
                     continue
                 # r·cert by the split form: r times the prefix route's
                 # coefficients, with the split form's constant
-                split = (r * u, split_s, r * v, split_q)
-                for g, n_bad, found in _bad_cells(l, twist_bound, g_bound,
-                                                  (expected_less_dim, cert, split), off):
+                v, q, v2, q2, split_q = np.split(constants[t], [l - 1, l, 2 * l - 1, 2 * l])
+                split = (r * cert[0], split_s, r * v2, split_q)
+                routes = ((*expected_less_dim, v, q), (*cert, v2, q2), split)
+                for g, n_bad, found in _bad_cells(l, twist_bound, g_bound, routes, off):
                     fails.add(n_bad, (
                         ((l, t, g, tw, 0, start + rows[c]),
-                         tuple(rk.tolist() + grid[rows[c]].tolist() + twists + [g]))
+                         tuple(ranks_all[t].tolist() + grid[rows[c]].tolist() + twists + [g]))
                         for tw, c, twists in found))
         # spot-check the first two chains of each rank tuple through the
         # scalar formulas, in the order of the bulk sweep, 50 chains in all

@@ -1,5 +1,7 @@
+import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -54,6 +56,43 @@ def _ref_two_step_dimension(p, r1, d1, a):
     r2, d2 = p.r - r1, p.d - d1
     hk = p.h * _ref_two_step_degree(p, r1, d1, a)
     return p.dim_m + hk + (a - 1) * r1 * r2 * (p.g - 1) + (r1 * d2 - r2 * d1)
+
+
+def _ref_chain_checks(p, steps, twists):
+    """The checks of ExtensionChain as it made them before it checked its
+    steps in one pass, one check after another, as the reference for the
+    order and the messages of its ParameterErrors."""
+    steps = tuple((int(a), int(b)) for a, b in steps)
+    twists = tuple(int(a) for a in twists)
+    if len(steps) < 2:
+        raise ParameterError("chain needs at least two steps")
+    if len(twists) != len(steps) - 1:
+        raise ParameterError("need exactly one twist per consecutive pair")
+    if any(a < 1 for a in twists):
+        raise ParameterError("twists must be >= 1")
+    if any(ri < 1 for ri, _ in steps):
+        raise ParameterError("step ranks must be >= 1")
+    if sum(ri for ri, _ in steps) != p.r:
+        raise ParameterError("step ranks must sum to r")
+    if sum(di for _, di in steps) != p.d:
+        raise ParameterError("step degrees must sum to d")
+    for (r_lo, d_lo), (r_hi, d_hi) in zip(steps, steps[1:]):
+        if d_lo * r_hi >= d_hi * r_lo:
+            raise ParameterError(
+                f"slopes must strictly increase: {d_lo}/{r_lo} !< {d_hi}/{r_hi}")
+
+
+def _chain(p, steps, twists):
+    return ExtensionChain(params=p, steps=steps, twists=twists)
+
+
+def _rejection(check, p, steps, twists):
+    """The message of the ParameterError that check(...) raises, or None."""
+    try:
+        check(p, steps, twists)
+    except ParameterError as exc:
+        return str(exc)
+    return None
 
 
 P221 = derive_params(2, 2, 1)
@@ -170,6 +209,46 @@ class TestChains:
             ExtensionChain(params=P231, steps=((1, 0), (1, 1), (1, 2)), twists=(1, 1))
         with pytest.raises(ParameterError):  # twist below 1
             ExtensionChain(params=P231, steps=((1, -1), (1, 0), (1, 2)), twists=(0, 1))
+
+    def test_checks_fire_in_the_reference_order(self):
+        # every chain of up to 3 steps with ranks 0..2, degrees -1..1 and up
+        # to 3 twists in 0..2, at r = 3 and d = 0: each is rejected with the
+        # message of the reference's first failing check, or accepted by both
+        p = derive_params(2, 3, 0)
+        side = list(itertools.product(range(3), range(-1, 2)))
+        seen = set()
+        for n, m in itertools.product(range(4), range(4)):
+            for steps, twists in itertools.product(itertools.product(side, repeat=n),
+                                                   itertools.product(range(3), repeat=m)):
+                want = _rejection(_ref_chain_checks, p, steps, twists)
+                assert _rejection(_chain, p, steps, twists) == want, (steps, twists)
+                seen.add(want.split(":")[0] if want else None)
+        assert seen == {None, "chain needs at least two steps",
+                        "need exactly one twist per consecutive pair", "twists must be >= 1",
+                        "step ranks must be >= 1", "step ranks must sum to r",
+                        "step degrees must sum to d", "slopes must strictly increase"}
+
+    @pytest.mark.parametrize("steps, twists, message", [
+        # two checks fail at once: the earlier one names the fault
+        ((), (0,), "chain needs at least two steps"),
+        (((1, -1), (2, 1)), (), "need exactly one twist per consecutive pair"),
+        (((0, -1), (3, 1)), (0,), "twists must be >= 1"),
+        (((0, 1), (3, 0)), (1,), "step ranks must be >= 1"),
+        (((1, 1), (1, 0)), (1,), "step ranks must sum to r"),
+        (((1, 1), (2, 1)), (1,), "step degrees must sum to d"),
+        (((1, 1), (1, 0), (1, 0)), (1, 1), "slopes must strictly increase: 1/1 !< 0/1"),
+    ])
+    def test_each_check_message(self, steps, twists, message):
+        for check in (_ref_chain_checks, _chain):
+            assert _rejection(check, P231, steps, twists) == message
+
+    def test_numpy_steps_stored_as_int(self):
+        c = ExtensionChain(params=P231, steps=np.array([[1, -1], [1, 0], [1, 2]]),
+                           twists=np.array([1, 2]))
+        assert c.steps == ((1, -1), (1, 0), (1, 2)) and c.twists == (1, 2)
+        assert all(type(x) is int for step in c.steps for x in step)
+        assert all(type(a) is int for a in c.twists)
+        assert c == ExtensionChain(params=P231, steps=((1, -1), (1, 0), (1, 2)), twists=(1, 2))
 
     def test_certificate_matches_dimension_gap(self):
         c = ExtensionChain(params=P231, steps=((1, -1), (1, 0), (1, 2)), twists=(1, 1))

@@ -300,6 +300,18 @@ def test_spot_check_failures_match_scalar_oracle(block, monkeypatch):
     assert old[1]["failures"] == 50 and len(old[1]["counterexamples"]) == 10
 
 
+@pytest.mark.parametrize("side, length", [(1, 3), (2, 1), (3, 4), (7, 3)])
+def test_product_rows_are_itertools_product(side, length):
+    # the rows of any cut of the grid, digit by digit, and their transpose
+    # contiguous, one row per entry
+    want = list(itertools.product(range(side), repeat=length))
+    for cut in (0, 1, len(want) // 3, len(want)):
+        head, tail = (oracle._product(side, length, *ends)
+                      for ends in ((0, cut), (cut, len(want))))
+        assert [tuple(row) for row in head.tolist() + tail.tolist()] == want
+        assert head.T.flags.c_contiguous and tail.T.flags.c_contiguous
+
+
 @pytest.mark.parametrize("block", (8, 1 << 16))
 @pytest.mark.parametrize("l", (3, 4, 5))
 @pytest.mark.parametrize("rank_bound", (1, 2, 3, 4))
@@ -445,17 +457,27 @@ def _claim_cells(max_l, rank_bound, deg_bound, g_bound, shift):
 def test_claim_fault_is_counted_in_loop_order(block, monkeypatch):
     # e₃ moved up by a constant fails the claim at chains it holds at with
     # little room; the suite counts them all and lists the first of them in
-    # the loop order of the scalar suite
+    # the loop order of the scalar suite.  It counts a row's failing genera
+    # as one range, so the second case (max-l 3, rank bound 2, degree bound
+    # 4, g up to 6) has chains that fail at several genera, and chains that
+    # hold at g = 2 and fail from g = 3 on, the first counterexamples among them
     real = oracle._e3
-    monkeypatch.setattr(oracle, "_e3", lambda ranks_all: real(ranks_all) + 6)
     monkeypatch.setattr(oracle, "_BLOCK", block)
-    case = (4, 2, 3, 3)
-    cells = list(_claim_cells(*case, shift=6))
-    want = [cell for holds, cell in cells if not holds]
-    report = verify_claim_inequality(*case).to_dict()
-    assert report["trials"] == len(cells)
-    assert report["failures"] == len(want) > COUNTEREXAMPLE_CAP
-    assert report["counterexamples"] == [list(c) for c in want[:COUNTEREXAMPLE_CAP]]
+    for case, shift in (((4, 2, 3, 3), 6), ((3, 2, 4, 6), 2)):
+        monkeypatch.setattr(oracle, "_e3", lambda ranks_all, shift=shift: real(ranks_all) + shift)
+        cells = list(_claim_cells(*case, shift=shift))
+        want = [cell for holds, cell in cells if not holds]
+        report = verify_claim_inequality(*case).to_dict()
+        assert report["trials"] == len(cells)
+        assert report["failures"] == len(want) > COUNTEREXAMPLE_CAP
+        assert report["counterexamples"] == [list(c) for c in want[:COUNTEREXAMPLE_CAP]]
+    failing = {}
+    for cell in want:
+        failing.setdefault(cell[:-1], []).append(cell[-1])
+    assert any(len(genera) > 1 for genera in failing.values())
+    late = [chain for chain, genera in failing.items()
+            if min(genera) >= 3 and (True, chain + (2,)) in cells]
+    assert late and want[0][:-1] in late
 
 
 def test_split_form_of_the_certificate():
