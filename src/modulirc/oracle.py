@@ -2,9 +2,11 @@
 
 Each suite evaluates its claim over exhaustive small ranges or seeded random
 instances, by routes independent of the formulas it cross-checks.  The
-chain-dimension suite evaluates each chain once, by three routes, and covers
-its twist vectors and genera by linearity; it evaluates cell by cell only the
-chains where the routes disagree.  All comparisons are exact; rational
+chain-dimension suite compares three routes once per rank tuple, as forms in
+the degrees, and covers twist vectors and genera by linearity: a tuple whose
+forms agree is proved for all its chains, which are counted, not evaluated,
+and only the chains of a tuple whose forms disagree are evaluated, cell by
+cell where their values disagree.  All comparisons are exact; rational
 factors are cleared by cross-multiplication.
 """
 
@@ -293,24 +295,49 @@ def _scalar_dimension_check(g, ranks, degs, twists):
     return (chain.dimension >= want) == (cert <= 0) and chain.dimension - want == -cert
 
 
-def _slope_walk(degs, rank_bound, rows, ranks=(), t=0):
-    """(t, rows) for the rank tuples of length len(degs) with entries
-    1..rank_bound, t being the tuple's index in the order of
-    itertools.product: the rows of `rows` (indices into the columns of
-    `degs`) whose slopes d_k/r_k strictly increase, in the order of t.
-    Adjacent slope k is tested only on the rows that passed slopes 0..k-1; a
-    prefix that no row passes is not extended."""
-    k = len(ranks)
-    if k == len(degs):
-        yield t, rows
-        return
-    if k:
-        lower, upper = degs[k - 1].take(rows), degs[k].take(rows) * ranks[-1]
-    for rank in range(1, rank_bound + 1):
-        kept = rows[lower * rank < upper] if k else rows
-        if len(kept):
-            yield from _slope_walk(degs, rank_bound, kept, ranks + (rank,),
-                                   t * rank_bound + rank - 1)
+def _slope_counts(l, rank_bound, deg_bound):
+    """The number of degree vectors in [-deg_bound, deg_bound]^l whose slopes
+    d_k/r_k strictly increase, for each rank tuple of _rank_tuples(l,
+    rank_bound), in its order.  Level by level, for all rank prefixes at
+    once: the vectors of a prefix that end in y extend those of the prefix
+    one shorter that end in an x with x·r_{k+1} < y·r_k, that is
+    x <= ceil(y·r_k/r_{k+1}) - 1, so their number is a prefix sum up to a cut."""
+    side = np.arange(-deg_bound, deg_bound + 1)
+    ranks = np.arange(1, rank_bound + 1)
+    # cut[r_k - 1, r_{k+1} - 1, y + deg_bound]: the number of entries x below
+    # y·r_k/r_{k+1}, ceil(y·r_k/r_{k+1}) + deg_bound clipped to the grid's side
+    cut = np.clip(-(-side * ranks[:, None, None] // ranks[:, None]) + deg_bound, 0, len(side))
+    last = ranks[:, None, None] - 1
+    ends = np.ones((rank_bound, len(side)), dtype=np.int64)  # per prefix and last entry
+    for _ in range(l - 1):
+        below = np.zeros((len(ends), len(side) + 1), dtype=np.int64)
+        np.cumsum(ends, axis=1, out=below[:, 1:])
+        # a prefix's extensions follow it in order, and its last rank cycles fastest
+        ends = below.reshape(-1, rank_bound, len(side) + 1)[:, last, cut].reshape(-1, len(side))
+    return ends.sum(axis=1)
+
+
+def _first_two(ranks, deg_bound):
+    """The first two degree vectors in [-deg_bound, deg_bound]^l whose slopes
+    d_k/r_k strictly increase, in the order of itertools.product (fewer if
+    fewer exist).  The least entry after d_k, max(-deg_bound,
+    floor(d_k·r_{k+1}/r_k) + 1), grows with d_k, so the least vector with a
+    given head takes the least entry at each later step, and the second
+    vector raises by one the last entry of the first that can be raised."""
+    def least(head):
+        degs = list(head)
+        for k in range(len(head), len(ranks)):
+            degs.append(max(-deg_bound, degs[-1] * ranks[k] // ranks[k - 1] + 1))
+        return degs if max(degs) <= deg_bound else None
+
+    first = least([-deg_bound])
+    if first is None:
+        return []
+    for k in range(len(ranks) - 1, -1, -1):
+        second = least(first[:k] + [first[k] + 1])
+        if second is not None:
+            return [first, second]
+    return [first]
 
 
 # The two sides of dim - expected = -cert, for chains given one per column
@@ -363,19 +390,30 @@ def _split_route(rk, e3, cert):
     return (weight * u).sum(axis=0), (weight * v).sum(axis=0) + e3
 
 
-def _route_forms(ranks_all):
-    """The three routes of each rank tuple (row of ranks_all), run once, at
-    the tuple's degree vectors 0, e_1, ..., e_l: being affine in the degrees,
-    they are fixed by their values there.  Returns (forms, same, constants),
-    one entry per tuple.  forms[t] has a row per value that depends on the
-    degrees (u and s of the pairwise route, u and s of the prefix route, r·s
-    by the split form): its value at 0, then its coefficient of each degree,
-    so a chain's values are forms[t, :, 1:] @ degs + forms[t, :, :1].
-    constants[t] holds v and q of the pairwise route, v and q of the prefix
-    route and r·q by the split form; same[t] says whether they agree."""
+def _routes_agree(values, r):
+    """Per column (a chain, or one of a tuple's degree vectors), whether the
+    routes' values that depend on the degrees agree: u and s of the pairwise
+    route and of the prefix route, and r·s by the split form and r times the
+    prefix route's s.  Where the values that do not depend on the degrees
+    agree too, dim - expected = -cert at every twist vector and genus."""
+    l = len(values) // 2
+    return (values[:l] == values[l:2 * l]).all(axis=0) & (values[2 * l] == r * values[2 * l - 1])
+
+
+def _unproved_routes(ranks_all):
+    """(t, forms, constants, same) for each rank tuple t (row of ranks_all)
+    whose routes are not proved to agree.  The three routes run once per
+    tuple, at the degree vectors 0, e_1, ..., e_l: being affine in the
+    degrees, they are fixed by their values there, so a tuple whose values
+    agree there (`_routes_agree`), and whose values that do not depend on the
+    degrees agree as well, is proved at every chain.  forms has a row per
+    value that depends on the degrees (u and s of the pairwise route, u and s
+    of the prefix route, r·s by the split form): its value at 0, then its
+    coefficient of each degree, so a chain's values are
+    forms[:, 1:] @ degs + forms[:, :1].  constants holds v and q of the
+    pairwise route, v and q of the prefix route and r·q by the split form;
+    same says whether they agree."""
     n, l = ranks_all.shape
-    forms = np.empty((n, 2 * l + 1, l + 1), dtype=np.int64)
-    constants = np.empty((n, 2 * l + 1), dtype=np.int64)
     # the tuples a block at a time, l + 1 columns each, keep the routes'
     # arrays within about _BLOCK entries
     for t0, t1 in _blocks(n, _BLOCK // l ** 3):
@@ -385,19 +423,15 @@ def _route_forms(ranks_all):
         split_s, split_q = _split_route(rk, _e3(rk.T), cert)
         u2, s2, v2, q2 = cert
         at = np.vstack((u, s, u2, s2, split_s)).reshape(2 * l + 1, t1 - t0, l + 1)
-        forms[t0:t1] = at.transpose(1, 0, 2)
-        constants[t0:t1] = np.vstack((v, q, v2, q2, split_q))[:, ::l + 1].T
-    forms[:, :, 1:] -= forms[:, :, :1]
-    same = ((constants[:, :l] == constants[:, l:2 * l]).all(axis=1)
-            & (constants[:, 2 * l] == ranks_all.sum(axis=1) * constants[:, 2 * l - 1]))
-    return forms, same, constants
-
-
-def _routes_agree(expected_less_dim, cert):
-    """Per chain, whether both routes give the same u and s, so that, with
-    the same v and q, dim - expected = -cert at every twist vector and genus."""
-    (u, s), (u2, s2) = expected_less_dim, cert
-    return (u == u2).all(axis=0) & (s == s2)
+        constants = np.vstack((v, q, v2, q2, split_q))[:, ::l + 1].T
+        r = ranks_all[t0:t1].sum(axis=1)
+        same = ((constants[:, :l] == constants[:, l:2 * l]).all(axis=1)
+                & (constants[:, 2 * l] == r * constants[:, 2 * l - 1]))
+        proved = same & _routes_agree(at, r[:, None]).all(axis=1)
+        for i in np.flatnonzero(~proved).tolist():
+            forms = at[:, i].copy()
+            forms[:, 1:] -= forms[:, :1]
+            yield t0 + i, forms, constants[i], same[i]
 
 
 def _bad_cells(l, twist_bound, g_bound, routes, chains):
@@ -428,24 +462,23 @@ def verify_chain_dimension_equivalence(max_l=4, rank_bound=3, deg_bound=6,
     """For every valid chain in range, the dimension meets or exceeds the
     expected dimension exactly when the signed certificate sum is <= 0.
 
-    A cell is a chain, a twist vector and a genus.  Per block of the degree
-    grid, a walk over rank prefixes keeps the degree vectors whose slopes
-    increase, testing each adjacent pair only on the vectors the shorter
-    prefix kept.  Both expected - dim and the certificate are linear in the
-    twists and in g - 1, so each chain is evaluated once, by two routes that
-    share only its ranks and degrees: the pairwise A-terms of the dimension
-    formula and the prefix sums of the certificate.  A third route takes the
-    prefix route's coefficients of the twists, e_k, and gives r·cert with the
-    constant of the split form
-    r·cert = Σ_k (r·a_k - r_k - r_{k+1})·e_k + (g-1)·e₃, so it checks that
-    route's constant.  The routes are affine in the degrees, so they run once
-    per length, for all rank tuples (`_route_forms`), and the parts that do
-    not depend on the degrees are compared once per tuple; per block, a
-    chain's values are its degrees times its tuple's coefficients.  Where all
-    values agree, dim - expected = -cert holds at every twist vector and
-    genus by linearity, and the chain counts one passing trial per cell.  A
-    chain whose values disagree is evaluated cell by cell from all three
-    routes.  The split form proves the claim inequality of
+    A cell is a chain, a twist vector and a genus.  Both expected - dim and
+    the certificate are linear in the twists and in g - 1, so a chain's
+    cells are fixed by its values on two routes that share only its ranks
+    and degrees: the pairwise A-terms of the dimension formula and the prefix
+    sums of the certificate.  A third route takes the prefix route's
+    coefficients of the twists, e_k, and gives r·cert with the constant of
+    the split form r·cert = Σ_k (r·a_k - r_k - r_{k+1})·e_k + (g-1)·e₃, so it
+    checks that route's constant.  The routes are affine in the degrees, so
+    they run once per rank tuple, as forms in the degrees
+    (`_unproved_routes`).  A tuple whose forms agree coefficient by
+    coefficient is proved: dim - expected = -cert holds at every one of its
+    chains, twist vectors and genera, so its chains are counted, not
+    evaluated, each one passing trial per cell.  The count runs over all rank
+    tuples at once by prefix sums (`_slope_counts`).  The chains of a tuple
+    whose forms disagree are listed from the degree grid, block by block,
+    and evaluated one by one, and cell by cell from all three routes where
+    their values disagree.  The split form proves the claim inequality of
     `verify_claim_inequality` (its case of twists all 1), and, since each
     weight r·a_k - r_k - r_{k+1} is >= 1 at length >= 3, that a chain of at
     least the expected dimension has a split with e_k < 0.
@@ -457,36 +490,33 @@ def verify_chain_dimension_equivalence(max_l=4, rank_bound=3, deg_bound=6,
     spot_done = 0
     for l in range(3, max_l + 1):
         ranks_all = _rank_tuples(l, rank_bound)
-        forms, same, constants = _route_forms(ranks_all)
-        r_tot = ranks_all.sum(axis=1).tolist()
-        cells = twist_bound ** (l - 1) * (g_bound - 1)
-        firsts = {}  # rank tuple -> its first two slope-increasing degree vectors
-        for start, grid in _grid_blocks(l, deg_bound):
-            degs = grid.T
-            for t, rows in _slope_walk(degs, rank_bound, np.arange(len(grid))):
-                seen = firsts.setdefault(t, [])
-                seen += grid[rows[:2 - len(seen)]].tolist()
-                trials += len(rows) * cells
-                values = forms[t, :, 1:] @ degs.take(rows, axis=1) + forms[t, :, :1]
-                expected_less_dim = values[:l - 1], values[l - 1]
-                cert, split_s, r = (values[l:-2], values[-2]), values[-1], r_tot[t]
-                off = np.flatnonzero(~(_routes_agree(expected_less_dim, cert)
-                                       & (split_s == r * cert[1]) & same[t]))
+        counts = _slope_counts(l, rank_bound, deg_bound)
+        trials += int(counts.sum()) * twist_bound ** (l - 1) * (g_bound - 1)
+        for t, forms, constants, same in _unproved_routes(ranks_all):
+            rk = ranks_all[t]
+            r = int(rk.sum())
+            v, q, v2, q2, split_q = np.split(constants, [l - 1, l, 2 * l - 1, 2 * l])
+            for start, grid in _grid_blocks(l, deg_bound):
+                degs = grid.T
+                rows = np.flatnonzero((degs[:-1] * rk[1:, None] < degs[1:] * rk[:-1, None])
+                                      .all(axis=0))
+                values = forms[:, 1:] @ degs.take(rows, axis=1) + forms[:, :1]
+                off = np.flatnonzero(~(_routes_agree(values, r) & same))
                 if not len(off):
                     continue
                 # r·cert by the split form: r times the prefix route's
                 # coefficients, with the split form's constant
-                v, q, v2, q2, split_q = np.split(constants[t], [l - 1, l, 2 * l - 1, 2 * l])
-                split = (r * cert[0], split_s, r * v2, split_q)
-                routes = ((*expected_less_dim, v, q), (*cert, v2, q2), split)
+                cert = values[l:2 * l - 1], values[2 * l - 1]
+                routes = ((values[:l - 1], values[l - 1], v, q), (*cert, v2, q2),
+                          (r * cert[0], values[2 * l], r * v2, split_q))
                 for g, n_bad, found in _bad_cells(l, twist_bound, g_bound, routes, off):
                     fails.add(n_bad, (
                         ((l, t, g, tw, 0, start + rows[c]),
-                         tuple(ranks_all[t].tolist() + grid[rows[c]].tolist() + twists + [g]))
+                         tuple(rk.tolist() + grid[rows[c]].tolist() + twists + [g]))
                         for tw, c, twists in found))
         # spot-check the first two chains of each rank tuple through the
-        # scalar formulas, in the order of the bulk sweep, 50 chains in all
-        spots = ((t, g, tw, twists) for t in sorted(firsts)
+        # scalar formulas, in the order of the scalar suite, 50 chains in all
+        spots = ((t, g, tw, twists) for t in np.flatnonzero(counts).tolist()
                  for g in range(2, g_bound + 1)
                  for tw, twists in enumerate(
                      itertools.product(range(1, twist_bound + 1), repeat=l - 1)))
@@ -494,7 +524,7 @@ def verify_chain_dimension_equivalence(max_l=4, rank_bound=3, deg_bound=6,
             if spot_done >= 50:
                 break
             ranks = tuple(ranks_all[t].tolist())
-            for pos, degs in enumerate(firsts[t]):
+            for pos, degs in enumerate(_first_two(ranks, deg_bound)):
                 if not _scalar_dimension_check(g, ranks, degs, twists):
                     fails.add(1, [((l, t, g, tw, 1, pos),
                                    ranks + tuple(degs) + twists + (g,))])

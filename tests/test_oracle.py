@@ -313,50 +313,65 @@ def test_product_rows_are_itertools_product(side, length):
 
 
 @pytest.mark.parametrize("block", (8, 1 << 16))
-@pytest.mark.parametrize("l", (3, 4, 5))
+@pytest.mark.parametrize("l", (3, 4, 5, 6))
 @pytest.mark.parametrize("rank_bound", (1, 2, 3, 4))
 def test_slope_walk_keeps_the_rows_of_the_full_mask(l, rank_bound, block, monkeypatch):
-    # the walk against the adjacent-slope mask of every rank tuple over the
-    # whole block, which it replaced
+    # the suite counts each rank tuple's slope-increasing degree vectors and
+    # spot-checks the first two: both against the rows of the tuple's
+    # adjacent-slope mask over the whole grid, at every degree bound of 1, 2
+    # and 7 whose grid times tuples stays within 10^6 (degree bound 1 always)
     monkeypatch.setattr(oracle, "_BLOCK", block)
-    degs = oracle._degree_grid(l, 2, 0, 5 ** l).T
-    masks = np.array([(degs[:-1] * rk[1:, None] < degs[1:] * rk[:-1, None]).all(axis=0)
-                      for rk in oracle._rank_tuples(l, rank_bound)])
-    for start, grid in oracle._grid_blocks(l, 2):
-        block_masks = masks[:, start:start + len(grid)]
-        want = [(t, np.flatnonzero(block_masks[t]).tolist())
-                for t in np.flatnonzero(block_masks.any(axis=1)).tolist()]
-        got = [(t, rows.tolist()) for t, rows in
-               oracle._slope_walk(grid.T, rank_bound, np.arange(len(grid)))]
-        assert got == want
+    tuples = list(itertools.product(range(1, rank_bound + 1), repeat=l))
+    for deg_bound in (1, 2, 7):
+        if deg_bound > 1 and len(tuples) * (2 * deg_bound + 1) ** l > 10**6:
+            continue
+        degs = np.array(list(itertools.product(range(-deg_bound, deg_bound + 1), repeat=l))).T
+        counts = oracle._slope_counts(l, rank_bound, deg_bound).tolist()
+        assert len(counts) == len(tuples)
+        for ranks, count in zip(tuples, counts):
+            rk = np.array(ranks)[:, None]
+            rows = degs[:, (degs[:-1] * rk[1:] < degs[1:] * rk[:-1]).all(axis=0)].T
+            assert count == len(rows)
+            assert oracle._first_two(ranks, deg_bound) == rows[:2].tolist()
 
 
-def test_dimension_suite_frees_each_block():
+def test_dimension_suite_frees_each_block(monkeypatch):
     # with the cyclic collector off, a block held by a reference cycle (a
     # self-recursive closure over it, say) stays allocated to the end; the
-    # blocks of this grid take about 40 MiB in all
-    gc.disable()
-    tracemalloc.start()
-    try:
-        verify_chain_dimension_equivalence(max_l=3, rank_bound=1, deg_bound=60,
-                                           twist_bound=4, g_bound=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-        gc.enable()
-    assert peak < 16 * 2**20
+    # blocks of this grid take about 40 MiB in all, and with the routes
+    # reported as disagreeing every one of them is built and evaluated
+    for fall_back in (False, True):
+        if fall_back:
+            monkeypatch.setattr(oracle, "_routes_agree",
+                                lambda values, r: np.zeros(values.shape[1:], bool))
+        gc.disable()
+        tracemalloc.start()
+        try:
+            verify_chain_dimension_equivalence(max_l=3, rank_bound=1, deg_bound=60,
+                                               twist_bound=4, g_bound=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert peak < 16 * 2**20
+
+
+def _slope_chains(l, rank_bound, deg_bound):
+    """(ranks, degree vectors whose slopes strictly increase) for every rank
+    tuple of length l, both in the order of itertools.product."""
+    side = range(-deg_bound, deg_bound + 1)
+    for ranks in itertools.product(range(1, rank_bound + 1), repeat=l):
+        yield ranks, [degs for degs in itertools.product(side, repeat=l)
+                      if all(degs[k] * ranks[k + 1] < degs[k + 1] * ranks[k]
+                             for k in range(l - 1))]
 
 
 def _dimension_cells(max_l, rank_bound, deg_bound, twist_bound, g_bound):
     """(dim - expected, cert, ranks, twists, g, cell) for every cell of the
     dimension suite in the loop order of the scalar suite, through the
     library formulas."""
-    side = range(-deg_bound, deg_bound + 1)
     for l in range(3, max_l + 1):
-        for ranks in itertools.product(range(1, rank_bound + 1), repeat=l):
-            chains = [degs for degs in itertools.product(side, repeat=l)
-                      if all(degs[k] * ranks[k + 1] < degs[k + 1] * ranks[k]
-                             for k in range(l - 1))]
+        for ranks, chains in _slope_chains(l, rank_bound, deg_bound):
             for g in range(2, g_bound + 1):
                 for twists in itertools.product(range(1, twist_bound + 1), repeat=l - 1):
                     for degs in chains:
@@ -392,6 +407,10 @@ def _add_to_split_genus_constant(s, q):
     return s, q + 1
 
 
+def _take_from_split_constant(s, q):
+    return s - 1, q
+
+
 # a fault in one route, and how it moves dim - expected, cert and r·cert by
 # the split form (r times the prefix route's coefficients, whatever their
 # fault, and the constant (r_k + r_{k+1})·e_k summed less (g-1)·e₃)
@@ -405,6 +424,8 @@ FAULTS = {
                           split - (g - 1) * (sum(ranks) * twists[0] - ranks[0] - ranks[1]))),
     "pairwise constant": ("_pairwise_route", _add_to_constant,
                           lambda excess, cert, split, ranks, twists, g: (excess + 1, cert, split)),
+    "split constant": ("_split_route", _take_from_split_constant,
+                       lambda excess, cert, split, ranks, twists, g: (excess, cert, split + 1)),
     "split genus constant": ("_split_route", _add_to_split_genus_constant,
                              lambda excess, cert, split, ranks, twists, g:
                              (excess, cert, split + g - 1)),
@@ -498,11 +519,23 @@ def test_split_form_of_the_certificate():
 @pytest.mark.parametrize("block", (8, 1 << 16))
 @pytest.mark.parametrize("case", GRID_CASES[:7:2] + GRID_CASES[9::3])
 def test_cell_by_cell_fallback_matches_scalar_oracle(case, block, monkeypatch):
-    # every chain reported as disagreeing goes through the cell-by-cell
-    # evaluation, which must give the scalar suite's report
-    monkeypatch.setattr(oracle, "_routes_agree", lambda a, b: np.zeros(len(b[1]), bool))
+    # with the routes reported as disagreeing, no rank tuple is proved and
+    # every chain goes through the cell-by-cell evaluation, once, which must
+    # give the scalar suite's report
+    monkeypatch.setattr(oracle, "_routes_agree",
+                        lambda values, r: np.zeros(values.shape[1:], bool))
+    evaluated, real = [], oracle._bad_cells
+
+    def bad_cells(l, twist_bound, g_bound, routes, chains):
+        evaluated.append(len(chains))
+        return real(l, twist_bound, g_bound, routes, chains)
+
+    monkeypatch.setattr(oracle, "_bad_cells", bad_cells)
     monkeypatch.setattr(oracle, "_BLOCK", block)
     assert _dimension_report(oracle, *case) == _dimension_report(reference, *case)
+    max_l, deg_bound, rank_bound = case[:3]
+    assert sum(evaluated) == sum(len(chains) for l in range(3, max_l + 1)
+                                 for _, chains in _slope_chains(l, rank_bound, deg_bound))
 
 
 def test_agreeing_routes_never_fall_back(monkeypatch):
@@ -514,9 +547,9 @@ def test_agreeing_routes_never_fall_back(monkeypatch):
 
 
 def test_dimension_suite_memory_is_flat_in_twist_bound():
-    # each chain is evaluated once, whatever number of twist vectors it
-    # stands for, so no array grows with the twist bound (the first call at 20
-    # warms what the first call of a process allocates)
+    # each chain is counted once, whatever number of twist vectors it stands
+    # for, so no array grows with the twist bound (the first call at 20 warms
+    # what the first call of a process allocates)
     peaks = {}
     for twist_bound in (20, 20, 200):
         tracemalloc.start()
