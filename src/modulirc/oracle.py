@@ -1,13 +1,14 @@
 """Brute-force verification of the algebraic identities and dimension laws.
 
 Each suite evaluates its claim over exhaustive small ranges or seeded random
-instances, by routes independent of the formulas it cross-checks.  The
-chain-dimension suite compares three routes once per rank tuple, as forms in
-the degrees, and covers twist vectors and genera by linearity: a tuple whose
-forms agree is proved for all its chains, which are counted, not evaluated,
-and only the chains of a tuple whose forms disagree are evaluated, cell by
-cell where their values disagree.  All comparisons are exact; rational
-factors are cleared by cross-multiplication.
+instances, by routes independent of the formulas it cross-checks.  The two
+grid suites prove each rank tuple once, as forms in the degrees: the
+chain-dimension suite compares three routes and covers twist vectors and
+genera by linearity, and the claim suite compares its inequality with the
+split form of the certificate.  A proved tuple's chains are counted, not
+evaluated; only the chains of the tuples not proved are evaluated, from one
+walk of the degree grid, cell by cell where the routes disagree.  All
+comparisons are exact; rational factors are cleared by cross-multiplication.
 """
 
 import functools
@@ -210,6 +211,106 @@ def _prefix_sums(degs):
     return prefix_d
 
 
+def _tuple_rows(l, deg_bound, ranks, keep):
+    """Walk the degree grid of length l once for the rank tuples `ranks`
+    (one per row), a few at a time per grid block: keep(rk, degs), with rk
+    the tuples' ranks as a (tuples, l, 1) array and degs one column per
+    degree vector, gives one row per tuple, positive at the vectors it keeps.
+    Yields (first row index, grid block, i, rows, values) for each block and
+    each ranks[i] that keeps some of its vectors: their row indices in the
+    block and keep's values there."""
+    if not len(ranks):
+        return
+    for start, grid in _grid_blocks(l, deg_bound):
+        for t0, t1 in _blocks(len(ranks), _BLOCK // len(grid)):
+            values = keep(ranks[t0:t1, :, None], grid.T)
+            kept = values > 0
+            for i in np.flatnonzero(kept.any(axis=1)).tolist():
+                rows = np.flatnonzero(kept[i])
+                yield start, grid, t0 + i, rows, values[i].take(rows)
+
+
+def _hypothesis_tops(rk, degs):
+    """The largest g - 1 at which each degree vector (column of degs) meets
+    the claim's hypothesis c_j = R_j·d - r·D_j >= (g-1)·(r - R_j)·R_j at
+    every split j, for each rank tuple of rk: min_j c_j // ((r - R_j)·R_j)."""
+    prefix_r, prefix_d = np.cumsum(rk, axis=1), _prefix_sums(degs)
+    big_r, r = prefix_r[:, :-1], prefix_r[:, -1:]
+    return ((big_r * prefix_d[-1] - r * prefix_d[:-1]) // ((r - big_r) * big_r)).min(axis=1)
+
+
+def _claim_trials(ranks_all, deg_bound, g_max):
+    """The claim's trials for each rank tuple (row of ranks_all): its degree
+    vectors in [-deg_bound, deg_bound]^l and genera g - 1 = 1..g_max that
+    meet the hypothesis.  c_j >= (g-1)·(r - R_j)·R_j reads
+    D_l >= ceil(r·D_j/R_j) + (g-1)·(r - R_j), so over the first l - 1
+    entries the admissible last entries d_l = D_l - D_{l-1} form one range,
+    from the largest of these bounds less D_{l-1}, clipped below at
+    -deg_bound, up to deg_bound.  The bounds rise with g, so a vector whose
+    range is empty for every tuple of a block is dropped from it."""
+    l = ranks_all.shape[1]
+    side, rows = 2 * deg_bound + 1, (2 * deg_bound + 1) ** (l - 1)
+    size = _BLOCK // (l - 1)  # tuples times vectors per block
+    r = ranks_all.sum(axis=1)[:, None]
+    big_r = np.cumsum(ranks_all[:, :-1], axis=1).T[:, :, None]
+    steep = r - big_r  # one row per split, one column per tuple
+    counts = np.zeros(len(ranks_all), dtype=np.int64)
+    for start, stop in _blocks(rows, size):
+        prefix_d = _prefix_sums(_degree_grid(l - 1, deg_bound, start, stop).T)
+        for t0, t1 in _blocks(len(ranks_all), size // (stop - start)):
+            # ceil(r·D_j/R_j), in place: a fresh array per step costs page faults
+            bound = -r[t0:t1] * prefix_d[:, None]
+            bound //= big_r[:, t0:t1]
+            np.negative(bound, out=bound)
+            room = prefix_d[-1] + deg_bound + 1
+            for _ in range(g_max):
+                bound += steep[:, t0:t1]
+                span = room - bound.max(axis=0)
+                counts[t0:t1] += np.clip(span, 0, side).sum(axis=1)
+                live = np.flatnonzero((span > 0).any(axis=0))
+                if not len(live):
+                    break
+                bound, room = bound.take(live, axis=2), room.take(live)
+    return counts
+
+
+def _claim_forms(ranks_all):
+    """(coef, slack) per rank tuple (row of ranks_all), the claim's sides as
+    forms in the degrees and g - 1: with the pair (i, j) weighing j - i - 1,
+    r·Σ A_ij·(j-i-1) - (g-1)·e₃ = r·(degs·coef) - (g-1)·slack, so the claim
+    fails where r·(degs·coef) < (g-1)·slack."""
+    idx = np.arange(ranks_all.shape[1])
+    weight = np.triu(idx - idx[:, None] - 1, 1)
+    coef = ranks_all @ weight - ranks_all @ weight.T
+    quad = ((ranks_all @ weight) * ranks_all).sum(axis=1)
+    return coef, _e3(ranks_all) + ranks_all.sum(axis=1) * quad
+
+
+def _split_weights(ranks_all):
+    """The weight w_k = r - r_k - r_{k+1} of each split k of the split form
+    at twists all 1, one row per rank tuple (row of ranks_all)."""
+    return ranks_all.sum(axis=1, keepdims=True) - ranks_all[:, :-1] - ranks_all[:, 1:]
+
+
+def _claim_proved(ranks_all, coef, slack):
+    """Whether the split form proves the claim at each rank tuple (row of
+    ranks_all).  At twists all 1 it reads r·Σ A_ij·(j-i-1) - (g-1)·e₃ =
+    Σ_k w_k·e_k, e_k = R_k·d - r·D_k - (g-1)·R_k·(r - R_k), so as forms in
+    the degrees and g - 1 the right side's coefficient of d_i is
+    Σ_k w_k·(R_k - r·[i <= k]) and that of -(g-1) is Σ_k w_k·R_k·(r - R_k),
+    against r·coef and slack on the left (`_claim_forms`).  Where they agree
+    and every w_k >= 0, no chain that meets the hypothesis (every e_k >= 0)
+    fails the claim."""
+    w = _split_weights(ranks_all)
+    r, big_r = ranks_all.sum(axis=1, keepdims=True), np.cumsum(ranks_all[:, :-1], axis=1)
+    # Σ_{k >= i} w_k, over the splits whose D_k holds d_i (none for the last)
+    tail = np.zeros_like(ranks_all)
+    tail[:, :-1] = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
+    wr = w * big_r
+    return ((w >= 0).all(axis=1) & (slack == (wr * (r - big_r)).sum(axis=1))
+            & (r * coef == wr.sum(axis=1, keepdims=True) - r * tail).all(axis=1))
+
+
 def verify_claim_inequality(max_l=4, rank_bound=3, deg_bound=6, g_bound=4):
     """Exhaustive check of the summed inequality over all chains satisfying
     the per-split positivity hypothesis.
@@ -220,66 +321,41 @@ def verify_claim_inequality(max_l=4, rank_bound=3, deg_bound=6, g_bound=4):
     at twists all 1 the form reads
     r·Σ A_ij·(j-i-1) = Σ_k (r - r_k - r_{k+1})·e_k + (g-1)·e₃, where
     e_k = c_k - (g-1)·R_k·(r - R_k) is >= 0 under the hypothesis and every
-    weight r - r_k - r_{k+1} is >= 0.
+    weight r - r_k - r_{k+1} is >= 0.  The rational factor (g-1)/r is
+    cleared by multiplying through by the total rank.
 
-    The rational factor (g-1)/r is cleared by multiplying through by the
-    total rank.  For each rank tuple, the hypothesis
-    c_j = R_j·d - r·D_j >= (r - R_j)·R_j·(g-1) at every split j becomes one
-    largest admissible g - 1 per degree vector, the least floor quotient
-    c_j // ((r - R_j)·R_j), and the inequality's left side splits into a
-    g-free part and a multiple of g - 1, so the genera at which a degree
-    vector fails form one range, counted at once.  A quotient depends on the
-    tuple only through (j, R_j, r), so the tuples of one total rank share them.
+    Each rank tuple is proved once, as forms in the degrees and g - 1
+    (`_claim_proved`), and its trials, the chains and genera that meet the
+    hypothesis, are counted, not evaluated (`_claim_trials`).  The chains of
+    a tuple not proved are evaluated from the degree grid: the hypothesis
+    gives each degree vector a largest g - 1 (`_hypothesis_tops`), and the
+    inequality is linear in g - 1, so a vector's failing genera form one
+    range, counted at once.
     """
     trials = 0
     fails = _Failures()
     g_max = max(g_bound - 1, 0)  # the largest g - 1 of a trial
     for l in range(3, max_l + 1):
         ranks_all = _rank_tuples(l, rank_bound)
-        r_tot = ranks_all.sum(axis=1)
-        prefix_r = np.cumsum(ranks_all, axis=1)[:, :-1].tolist()
-        by_total = {}
-        for t, r in enumerate(r_tot.tolist()):
-            by_total.setdefault(r, []).append(t)
-        # lhs = degs·coef - (g-1)·quad, the pair (i, j) weighing j - i - 1
-        idx = np.arange(l)
-        weight = np.triu(idx - idx[:, None] - 1, 1)
-        coef = ranks_all @ weight - ranks_all @ weight.T
-        quad = ((ranks_all @ weight) * ranks_all).sum(axis=1)
-        # so the inequality fails where r·(degs·coef) < (g-1)·slack
-        slack = _e3(ranks_all) + r_tot * quad
-        tuples = ranks_all.tolist()
-        for start, grid in _grid_blocks(l, deg_bound):
-            degs = grid.T
-            prefix_d = _prefix_sums(degs)
-            for r, group in by_total.items():
-                quotients = {}  # (j, R_j) -> c_j // ((r - R_j)·R_j)
-                for t in group:
-                    g_top = None
-                    for j, rj in enumerate(prefix_r[t]):
-                        q = quotients.get((j, rj))
-                        if q is None:
-                            q = quotients[j, rj] = ((rj * prefix_d[-1] - r * prefix_d[j])
-                                                    // ((r - rj) * rj))
-                        g_top = q if g_top is None else np.minimum(g_top, q)
-                    # the rows that hold the hypothesis at g = 2, and the
-                    # largest g - 1 up to which each is a trial
-                    rows = np.flatnonzero(g_top >= 1)
-                    if not len(rows):
-                        continue
-                    top = np.minimum(g_top.take(rows), g_max)
-                    trials += int(top.sum())
-                    # slack > 0, so a row fails at each g - 1 from
-                    # lhs // slack + 1 up to its top
-                    first = r * (coef[t] @ degs.take(rows, axis=1)) // slack[t] + 1
-                    bad = np.flatnonzero(first <= top)
-                    if not len(bad):
-                        continue
-                    lo, hi = np.maximum(first[bad], 1).tolist(), top[bad].tolist()
-                    fails.add(sum(hi) - sum(lo) + len(bad), (
-                        ((l, t, g, start + i), tuple(tuples[t] + grid[i].tolist() + [g]))
-                        for g in range(min(lo) + 1, max(hi) + 2)
-                        for i, a, b in zip(rows[bad].tolist(), lo, hi) if a <= g - 1 <= b))
+        trials += int(_claim_trials(ranks_all, deg_bound, g_max).sum())
+        coef, slack = _claim_forms(ranks_all)
+        unproved = np.flatnonzero(~_claim_proved(ranks_all, coef, slack))
+        for start, grid, i, rows, tops in _tuple_rows(l, deg_bound, ranks_all[unproved],
+                                                      _hypothesis_tops):
+            t = int(unproved[i])
+            # slack > 0, so a row fails at each g - 1 from lhs // slack + 1
+            # up to its top
+            top = np.minimum(tops, g_max)
+            first = int(ranks_all[t].sum()) * (grid[rows] @ coef[t]) // slack[t] + 1
+            bad = np.flatnonzero(first <= top)
+            if not len(bad):
+                continue
+            lo, hi = np.maximum(first[bad], 1).tolist(), top[bad].tolist()
+            ranks = ranks_all[t].tolist()
+            fails.add(sum(hi) - sum(lo) + len(bad), (
+                ((l, t, g, start + row), tuple(ranks + grid[row].tolist() + [g]))
+                for g in range(min(lo) + 1, max(hi) + 2)
+                for row, a, b in zip(rows[bad].tolist(), lo, hi) if a <= g - 1 <= b))
     return fails.report("claim_inequality", trials,
                         notes="summed inequality over hypothesis-satisfying chains")
 
@@ -315,6 +391,12 @@ def _slope_counts(l, rank_bound, deg_bound):
         # a prefix's extensions follow it in order, and its last rank cycles fastest
         ends = below.reshape(-1, rank_bound, len(side) + 1)[:, last, cut].reshape(-1, len(side))
     return ends.sum(axis=1)
+
+
+def _slopes_increase(rk, degs):
+    """For each rank tuple of rk (tuples, l, 1), whether the slopes d_k/r_k
+    of each degree vector (column of degs) strictly increase."""
+    return (degs[:-1] * rk[:, 1:] < degs[1:] * rk[:, :-1]).all(axis=1)
 
 
 def _first_two(ranks, deg_bound):
@@ -475,13 +557,14 @@ def verify_chain_dimension_equivalence(max_l=4, rank_bound=3, deg_bound=6,
     coefficient is proved: dim - expected = -cert holds at every one of its
     chains, twist vectors and genera, so its chains are counted, not
     evaluated, each one passing trial per cell.  The count runs over all rank
-    tuples at once by prefix sums (`_slope_counts`).  The chains of a tuple
-    whose forms disagree are listed from the degree grid, block by block,
-    and evaluated one by one, and cell by cell from all three routes where
-    their values disagree.  The split form proves the claim inequality of
-    `verify_claim_inequality` (its case of twists all 1), and, since each
-    weight r·a_k - r_k - r_{k+1} is >= 1 at length >= 3, that a chain of at
-    least the expected dimension has a split with e_k < 0.
+    tuples at once by prefix sums (`_slope_counts`).  The chains of the
+    tuples whose forms disagree are listed from one walk of the degree grid
+    (`_tuple_rows`) and evaluated one by one, and cell by cell from all
+    three routes where their values disagree.  At twists all 1 the split
+    form is the claim inequality, which `verify_claim_inequality` proves per
+    rank tuple the same way; since each weight r·a_k - r_k - r_{k+1} is >= 1
+    at length >= 3, it also shows that a chain of at least the expected
+    dimension has a split with e_k < 0.
     A deterministic sample of 50 chains is pushed through the scalar formulas
     as well to tie the library functions in.
     """
@@ -492,28 +575,27 @@ def verify_chain_dimension_equivalence(max_l=4, rank_bound=3, deg_bound=6,
         ranks_all = _rank_tuples(l, rank_bound)
         counts = _slope_counts(l, rank_bound, deg_bound)
         trials += int(counts.sum()) * twist_bound ** (l - 1) * (g_bound - 1)
-        for t, forms, constants, same in _unproved_routes(ranks_all):
-            rk = ranks_all[t]
-            r = int(rk.sum())
+        unproved = list(_unproved_routes(ranks_all))
+        for start, grid, i, rows, _ in _tuple_rows(l, deg_bound,
+                                                   ranks_all[[u[0] for u in unproved]],
+                                                   _slopes_increase):
+            t, forms, constants, same = unproved[i]
+            r = int(ranks_all[t].sum())
+            values = forms[:, 1:] @ grid[rows].T + forms[:, :1]
+            off = np.flatnonzero(~(_routes_agree(values, r) & same))
+            if not len(off):
+                continue
+            # r·cert by the split form: r times the prefix route's
+            # coefficients, with the split form's constant
             v, q, v2, q2, split_q = np.split(constants, [l - 1, l, 2 * l - 1, 2 * l])
-            for start, grid in _grid_blocks(l, deg_bound):
-                degs = grid.T
-                rows = np.flatnonzero((degs[:-1] * rk[1:, None] < degs[1:] * rk[:-1, None])
-                                      .all(axis=0))
-                values = forms[:, 1:] @ degs.take(rows, axis=1) + forms[:, :1]
-                off = np.flatnonzero(~(_routes_agree(values, r) & same))
-                if not len(off):
-                    continue
-                # r·cert by the split form: r times the prefix route's
-                # coefficients, with the split form's constant
-                cert = values[l:2 * l - 1], values[2 * l - 1]
-                routes = ((values[:l - 1], values[l - 1], v, q), (*cert, v2, q2),
-                          (r * cert[0], values[2 * l], r * v2, split_q))
-                for g, n_bad, found in _bad_cells(l, twist_bound, g_bound, routes, off):
-                    fails.add(n_bad, (
-                        ((l, t, g, tw, 0, start + rows[c]),
-                         tuple(rk.tolist() + grid[rows[c]].tolist() + twists + [g]))
-                        for tw, c, twists in found))
+            cert = values[l:2 * l - 1], values[2 * l - 1]
+            routes = ((values[:l - 1], values[l - 1], v, q), (*cert, v2, q2),
+                      (r * cert[0], values[2 * l], r * v2, split_q))
+            for g, n_bad, found in _bad_cells(l, twist_bound, g_bound, routes, off):
+                fails.add(n_bad, (
+                    ((l, t, g, tw, 0, start + rows[c]),
+                     tuple(ranks_all[t].tolist() + grid[rows[c]].tolist() + twists + [g]))
+                    for tw, c, twists in found))
         # spot-check the first two chains of each rank tuple through the
         # scalar formulas, in the order of the scalar suite, 50 chains in all
         spots = ((t, g, tw, twists) for t in np.flatnonzero(counts).tolist()

@@ -452,10 +452,11 @@ def test_route_fault_fails_the_bulk_pass(fault, block, monkeypatch):
     assert report["counterexamples"] == [list(c) for c in want[:COUNTEREXAMPLE_CAP]]
 
 
-def _claim_cells(max_l, rank_bound, deg_bound, g_bound, shift):
+def _claim_cells(max_l, rank_bound, deg_bound, g_bound, shift, lead=0):
     """(holds, cell) for every chain and genus that meets the claim's split
     hypothesis, in the loop order of the scalar suite, with e₃ moved by
-    `shift`: whether r·Σ A_ij·(j-i-1) >= (g-1)·(e₃ + shift)."""
+    `shift` and the first degree's coefficient by `lead`: whether
+    r·(Σ A_ij·(j-i-1) + lead·d_1) >= (g-1)·(e₃ + shift)."""
     side = range(-deg_bound, deg_bound + 1)
     for l in range(3, max_l + 1):
         for ranks in itertools.product(range(1, rank_bound + 1), repeat=l):
@@ -471,7 +472,7 @@ def _claim_cells(max_l, rank_bound, deg_bound, g_bound, shift):
                     lhs = sum((j - i - 1) * (ranks[i] * degs[j] - ranks[j] * degs[i]
                                              - ranks[i] * ranks[j] * (g - 1))
                               for i, j in itertools.combinations(range(l), 2))
-                    yield r * lhs >= (g - 1) * (e3 + shift), ranks + degs + (g,)
+                    yield r * (lhs + lead * degs[0]) >= (g - 1) * (e3 + shift), ranks + degs + (g,)
 
 
 @pytest.mark.parametrize("block", (8, 1 << 16))
@@ -560,3 +561,154 @@ def test_dimension_suite_memory_is_flat_in_twist_bound():
         finally:
             tracemalloc.stop()
     assert peaks[200] < peaks[20] + 2**16
+
+
+def _hypothesis_counts(tuples, deg_bound, g_bound):
+    """Per rank tuple, the degree vectors in [-deg_bound, deg_bound]^l and
+    genera that meet the claim's hypothesis, enumerated by the rule of the
+    scalar suite: c_j >= (r - R_j)·R_j·(g - 1) at every split j."""
+    counts, grids = [], {}
+    for ranks in tuples:
+        if len(ranks) not in grids:
+            side = np.arange(-deg_bound, deg_bound + 1)
+            grid = np.stack(np.meshgrid(*[side] * len(ranks), indexing="ij"), axis=-1)
+            grids[len(ranks)] = np.cumsum(grid.reshape(-1, len(ranks)), axis=1)
+        prefix_d, r, count = grids[len(ranks)], sum(ranks), 0
+        for g in range(2, g_bound + 1):
+            mask = np.ones(len(prefix_d), dtype=bool)
+            for j in range(1, len(ranks)):
+                big = sum(ranks[:j])
+                mask &= (big * prefix_d[:, -1] - r * prefix_d[:, j - 1]
+                         >= (r - big) * big * (g - 1))
+            count += int(mask.sum())
+        counts.append(count)
+    return counts
+
+
+@pytest.mark.parametrize("block", (8, 1 << 16))
+@pytest.mark.parametrize("l", (3, 4, 5, 6))
+@pytest.mark.parametrize("rank_bound", (1, 2, 3, 4))
+def test_claim_trials_are_the_hypothesis_chains(l, rank_bound, block, monkeypatch):
+    # the claim suite counts each rank tuple's trials by ranges of the last
+    # entry; the count must be the enumerated one, at degree bounds 0, 1, 2
+    # and 7 and g up to 2 and 6.  Each tuple's enumeration costs its grid, so
+    # a spread sample of at most 200 tuples keeps their grids within 10^6
+    # entries (2·10^4 at blocks of 8, which cut every tuple's rows at many
+    # places)
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    limit = 10**6 if block > 8 else 2 * 10**4
+    ranks_all = oracle._rank_tuples(l, rank_bound)
+    for deg_bound in (0, 1, 2, 7):
+        grid = (2 * deg_bound + 1) ** l
+        if grid > limit:
+            continue
+        sample = ranks_all[::max(-(-len(ranks_all) * grid // limit), -(-len(ranks_all) // 200))]
+        for g_bound in (2, 6):
+            assert (oracle._claim_trials(sample, deg_bound, g_bound - 1).tolist()
+                    == _hypothesis_counts(sample.tolist(), deg_bound, g_bound))
+
+
+def _evaluated_tuples(monkeypatch):
+    """The rank tuples whose degree vectors the grid walk hands on for
+    evaluation, collected while a suite runs."""
+    seen, real = set(), oracle._tuple_rows
+
+    def tuple_rows(l, deg_bound, ranks, keep):
+        for item in real(l, deg_bound, ranks, keep):
+            seen.add(tuple(ranks[item[2]].tolist()))
+            yield item
+
+    monkeypatch.setattr(oracle, "_tuple_rows", tuple_rows)
+    return seen
+
+
+def _claim_report(module, max_l, deg_bound, rank_bound, twist_bound, g_bound):
+    return module.verify_claim_inequality(max_l=max_l, rank_bound=rank_bound,
+                                          deg_bound=deg_bound, g_bound=g_bound).to_dict()
+
+
+def _tuples_with_trials(max_l, rank_bound, deg_bound, g_bound, chosen=None):
+    """The rank tuples of lengths 3..max_l, among those `chosen` accepts,
+    with at least one trial of the claim."""
+    tuples = [ranks for l in range(3, max_l + 1)
+              for ranks in itertools.product(range(1, rank_bound + 1), repeat=l)
+              if chosen is None or chosen(ranks)]
+    return {ranks for ranks, count in zip(tuples, _hypothesis_counts(tuples, deg_bound, g_bound))
+            if count}
+
+
+@pytest.mark.parametrize("block", (8, 1 << 16))
+@pytest.mark.parametrize("case", GRID_CASES[:7:2] + GRID_CASES[9::3])
+def test_claim_fallback_matches_scalar_oracle(case, block, monkeypatch):
+    # with the proof reported as failing everywhere, every rank tuple with a
+    # trial goes through the grid walk's evaluation, which must give the
+    # scalar suite's report
+    monkeypatch.setattr(oracle, "_claim_proved",
+                        lambda ranks_all, coef, slack: np.zeros(len(ranks_all), bool))
+    evaluated = _evaluated_tuples(monkeypatch)
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    assert _claim_report(oracle, *case) == _claim_report(reference, *case)
+    max_l, deg_bound, rank_bound, _, g_bound = case
+    assert evaluated == _tuples_with_trials(max_l, rank_bound, deg_bound, g_bound)
+
+
+@pytest.mark.parametrize("block", (8, 1 << 16))
+@pytest.mark.parametrize("split, step", [(0, 1), (0, -1), (-1, 1), (-1, -1)])
+def test_moved_split_weight_unproves_its_tuples(split, step, monkeypatch, block):
+    # a split weight moved by one, at the tuples whose first rank is 1, moves
+    # their split form's coefficients (those of d_i by R_k - r·[i <= k] != 0)
+    # and slack: exactly those tuples go unproved and are evaluated, and the
+    # report stays the scalar suite's
+    real = oracle._split_weights
+
+    def moved(ranks_all):
+        w = real(ranks_all)
+        w[ranks_all[:, 0] == 1, split] += step
+        return w
+
+    monkeypatch.setattr(oracle, "_split_weights", moved)
+    evaluated = _evaluated_tuples(monkeypatch)
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    case = (4, 2, 2, 3, 3)
+    for l in (3, 4):
+        ranks_all = oracle._rank_tuples(l, 3)
+        proved = oracle._claim_proved(ranks_all, *oracle._claim_forms(ranks_all))
+        assert proved.tolist() == (ranks_all[:, 0] != 1).tolist()
+    assert _claim_report(oracle, *case) == _claim_report(reference, *case)
+    assert evaluated == _tuples_with_trials(4, 2, 2, 3, chosen=lambda ranks: ranks[0] == 1)
+
+
+def test_negative_split_weight_is_not_proved():
+    # the split form is a polynomial identity, so at ranks (2, 1, -1) both
+    # sides agree as forms, but w_1 = 2 - 2 - 1 < 0 and the claim fails at
+    # degrees (-2, 2, -1), g = 2, where e_1 = 2 and e_2 = 0 meet the
+    # hypothesis: r·Σ A_ij·(j-i-1) - (g-1)·e₃ = -e_1 + 2·e_2 = -2
+    ranks_all = np.array([[1, 1, 1], [2, 1, -1]])
+    coef, slack = oracle._claim_forms(ranks_all)
+    assert oracle._claim_proved(ranks_all, coef, slack).tolist() == [True, False]
+    assert 2 * (coef[1] @ [-2, 2, -1]) - slack[1] == -2
+
+
+@pytest.mark.parametrize("block", (8, 1 << 16))
+def test_claim_coefficient_fault_is_counted_in_loop_order(block, monkeypatch):
+    # the claim's coefficient of d_1 moved up by one no longer matches the
+    # split form at any tuple: the suite evaluates every tuple with a trial
+    # and lists the chains where r·(Σ A_ij·(j-i-1) + d_1) < (g-1)·e₃
+    real = oracle._claim_forms
+
+    def moved(ranks_all):
+        coef, slack = real(ranks_all)
+        coef[:, 0] += 1
+        return coef, slack
+
+    monkeypatch.setattr(oracle, "_claim_forms", moved)
+    evaluated = _evaluated_tuples(monkeypatch)
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    case = (4, 2, 3, 3)
+    cells = list(_claim_cells(*case, shift=0, lead=1))
+    want = [cell for holds, cell in cells if not holds]
+    report = verify_claim_inequality(*case).to_dict()
+    assert report["trials"] == len(cells)
+    assert report["failures"] == len(want) > COUNTEREXAMPLE_CAP
+    assert report["counterexamples"] == [list(c) for c in want[:COUNTEREXAMPLE_CAP]]
+    assert evaluated == _tuples_with_trials(*case)
