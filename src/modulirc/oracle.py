@@ -2,13 +2,13 @@
 
 Each suite evaluates its claim over exhaustive small ranges or seeded random
 instances, by routes independent of the formulas it cross-checks.  The two
-grid suites prove each rank tuple once, as forms in the degrees: the
-chain-dimension suite compares three routes and covers twist vectors and
-genera by linearity, and the claim suite compares its inequality with the
-split form of the certificate.  A proved tuple's chains are counted, not
-evaluated; only the chains of the tuples not proved are evaluated, from one
-walk of the degree grid, cell by cell where the routes disagree.  All
-comparisons are exact; rational factors are cleared by cross-multiplication.
+grid suites prove each rank tuple once, by the same three routes written as
+forms in the degrees: the chain-dimension suite covers twist vectors and
+genera by linearity, and the claim inequality is the routes' split form at
+twists all 1.  A proved tuple's chains are counted, not evaluated; only the
+chains of the tuples not proved are evaluated, from one walk of the degree
+grid, cell by cell where the routes disagree.  All comparisons are exact;
+rational factors are cleared by cross-multiplication.
 """
 
 import functools
@@ -274,43 +274,6 @@ def _claim_trials(ranks_all, deg_bound, g_max):
     return counts
 
 
-def _claim_forms(ranks_all):
-    """(coef, slack) per rank tuple (row of ranks_all), the claim's sides as
-    forms in the degrees and g - 1: with the pair (i, j) weighing j - i - 1,
-    r·Σ A_ij·(j-i-1) - (g-1)·e₃ = r·(degs·coef) - (g-1)·slack, so the claim
-    fails where r·(degs·coef) < (g-1)·slack."""
-    idx = np.arange(ranks_all.shape[1])
-    weight = np.triu(idx - idx[:, None] - 1, 1)
-    coef = ranks_all @ weight - ranks_all @ weight.T
-    quad = ((ranks_all @ weight) * ranks_all).sum(axis=1)
-    return coef, _e3(ranks_all) + ranks_all.sum(axis=1) * quad
-
-
-def _split_weights(ranks_all):
-    """The weight w_k = r - r_k - r_{k+1} of each split k of the split form
-    at twists all 1, one row per rank tuple (row of ranks_all)."""
-    return ranks_all.sum(axis=1, keepdims=True) - ranks_all[:, :-1] - ranks_all[:, 1:]
-
-
-def _claim_proved(ranks_all, coef, slack):
-    """Whether the split form proves the claim at each rank tuple (row of
-    ranks_all).  At twists all 1 it reads r·Σ A_ij·(j-i-1) - (g-1)·e₃ =
-    Σ_k w_k·e_k, e_k = R_k·d - r·D_k - (g-1)·R_k·(r - R_k), so as forms in
-    the degrees and g - 1 the right side's coefficient of d_i is
-    Σ_k w_k·(R_k - r·[i <= k]) and that of -(g-1) is Σ_k w_k·R_k·(r - R_k),
-    against r·coef and slack on the left (`_claim_forms`).  Where they agree
-    and every w_k >= 0, no chain that meets the hypothesis (every e_k >= 0)
-    fails the claim."""
-    w = _split_weights(ranks_all)
-    r, big_r = ranks_all.sum(axis=1, keepdims=True), np.cumsum(ranks_all[:, :-1], axis=1)
-    # Σ_{k >= i} w_k, over the splits whose D_k holds d_i (none for the last)
-    tail = np.zeros_like(ranks_all)
-    tail[:, :-1] = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
-    wr = w * big_r
-    return ((w >= 0).all(axis=1) & (slack == (wr * (r - big_r)).sum(axis=1))
-            & (r * coef == wr.sum(axis=1, keepdims=True) - r * tail).all(axis=1))
-
-
 def verify_claim_inequality(max_l=4, rank_bound=3, deg_bound=6, g_bound=4):
     """Exhaustive check of the summed inequality over all chains satisfying
     the per-split positivity hypothesis.
@@ -320,17 +283,22 @@ def verify_claim_inequality(max_l=4, rank_bound=3, deg_bound=6, g_bound=4):
     form of the certificate that `verify_chain_dimension_equivalence` checks:
     at twists all 1 the form reads
     r·Σ A_ij·(j-i-1) = Σ_k (r - r_k - r_{k+1})·e_k + (g-1)·e₃, where
-    e_k = c_k - (g-1)·R_k·(r - R_k) is >= 0 under the hypothesis and every
-    weight r - r_k - r_{k+1} is >= 0.  The rational factor (g-1)/r is
-    cleared by multiplying through by the total rank.
+    e_k = c_k - (g-1)·R_k·(r - R_k) is >= 0 under the hypothesis.  Each
+    weight r - r_k - r_{k+1} is the sum of the other l - 2 >= 1 ranks, so it
+    is >= 1.  The rational factor (g-1)/r is cleared by multiplying through
+    by the total rank.
 
-    Each rank tuple is proved once, as forms in the degrees and g - 1
-    (`_claim_proved`), and its trials, the chains and genera that meet the
-    hypothesis, are counted, not evaluated (`_claim_trials`).  The chains of
-    a tuple not proved are evaluated from the degree grid: the hypothesis
-    gives each degree vector a largest g - 1 (`_hypothesis_tops`), and the
-    inequality is linear in g - 1, so a vector's failing genera form one
-    range, counted at once.
+    Each rank tuple is proved once, by the dimension suite's routes
+    (`_unproved_routes`): where they agree as forms, r times the pairwise
+    route at twists all 1, r·Σ A_ij·(j-i-1), equals the split form's right
+    side identically, with e_k the prefix route's coefficient of a_k, so no
+    chain that meets the hypothesis fails.  A proved tuple's trials, the
+    chains and genera that meet the hypothesis, are counted, not evaluated
+    (`_claim_trials`).  The chains of a tuple not proved are evaluated from
+    the degree grid, with the sides read from its pairwise forms: the
+    hypothesis gives each degree vector a largest g - 1 (`_hypothesis_tops`),
+    and the inequality is linear in g - 1, so a vector's failing genera form
+    one range, counted at once.
     """
     trials = 0
     fails = _Failures()
@@ -338,20 +306,26 @@ def verify_claim_inequality(max_l=4, rank_bound=3, deg_bound=6, g_bound=4):
     for l in range(3, max_l + 1):
         ranks_all = _rank_tuples(l, rank_bound)
         trials += int(_claim_trials(ranks_all, deg_bound, g_max).sum())
-        coef, slack = _claim_forms(ranks_all)
-        unproved = np.flatnonzero(~_claim_proved(ranks_all, coef, slack))
-        for start, grid, i, rows, tops in _tuple_rows(l, deg_bound, ranks_all[unproved],
+        # per tuple not proved, the pairwise route's Σ_k u_k - s and
+        # Σ_k v_k - q: Σ T_ij·(j-i-1) as a form in the degrees, and
+        # Σ r_i·r_j·(j-i-1), so the claim reads r·lin >= (g-1)·slack
+        unproved = [(t, forms[:l - 1].sum(axis=0) - forms[l - 1],
+                     int(ranks_all[t].sum()) * (constants[:l - 1].sum() - constants[l - 1])
+                     + _e3(ranks_all[t]))
+                    for t, forms, constants, _ in _unproved_routes(ranks_all)]
+        for start, grid, i, rows, tops in _tuple_rows(l, deg_bound,
+                                                      ranks_all[[u[0] for u in unproved]],
                                                       _hypothesis_tops):
-            t = int(unproved[i])
-            # slack > 0, so a row fails at each g - 1 from lhs // slack + 1
+            t, lin, slack = unproved[i]
+            ranks = ranks_all[t].tolist()
+            # slack > 0, so a row fails at each g - 1 from r·lin // slack + 1
             # up to its top
             top = np.minimum(tops, g_max)
-            first = int(ranks_all[t].sum()) * (grid[rows] @ coef[t]) // slack[t] + 1
+            first = sum(ranks) * (grid[rows] @ lin[1:] + lin[0]) // slack + 1
             bad = np.flatnonzero(first <= top)
             if not len(bad):
                 continue
             lo, hi = np.maximum(first[bad], 1).tolist(), top[bad].tolist()
-            ranks = ranks_all[t].tolist()
             fails.add(sum(hi) - sum(lo) + len(bad), (
                 ((l, t, g, start + row), tuple(ranks + grid[row].tolist() + [g]))
                 for g in range(min(lo) + 1, max(hi) + 2)
@@ -562,9 +536,9 @@ def verify_chain_dimension_equivalence(max_l=4, rank_bound=3, deg_bound=6,
     (`_tuple_rows`) and evaluated one by one, and cell by cell from all
     three routes where their values disagree.  At twists all 1 the split
     form is the claim inequality, which `verify_claim_inequality` proves per
-    rank tuple the same way; since each weight r·a_k - r_k - r_{k+1} is >= 1
-    at length >= 3, it also shows that a chain of at least the expected
-    dimension has a split with e_k < 0.
+    rank tuple from these same forms; since each weight r·a_k - r_k - r_{k+1}
+    is >= 1 at length >= 3, it also shows that a chain of at least the
+    expected dimension has a split with e_k < 0.
     A deterministic sample of 50 chains is pushed through the scalar formulas
     as well to tie the library functions in.
     """

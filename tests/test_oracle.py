@@ -543,8 +543,10 @@ def test_agreeing_routes_never_fall_back(monkeypatch):
     def fall_back(*args):
         raise AssertionError("cell-by-cell fallback ran")
     monkeypatch.setattr(oracle, "_bad_cells", fall_back)
+    monkeypatch.setattr(oracle, "_hypothesis_tops", fall_back)
     for case in [(4, 6, 3, 3, 4), (5, 2, 2, 3, 6), (3, 8, 1, 3, 6)]:
         assert _dimension_report(oracle, *case)["pass"]
+        assert _claim_report(oracle, *case)["pass"]
 
 
 def test_dimension_suite_memory_is_flat_in_twist_bound():
@@ -561,6 +563,18 @@ def test_dimension_suite_memory_is_flat_in_twist_bound():
         finally:
             tracemalloc.stop()
     assert peaks[200] < peaks[20] + 2**16
+
+
+def test_claim_suite_memory_at_the_bound_on_rank_tuples():
+    # the routes run a block of rank tuples at a time, so at the bound on
+    # rank tuples only the trial count holds arrays with one row per tuple
+    tracemalloc.start()
+    try:
+        verify_claim_inequality(max_l=3, rank_bound=46, deg_bound=1, g_bound=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def _hypothesis_counts(tuples, deg_bound, g_bound):
@@ -627,12 +641,11 @@ def _claim_report(module, max_l, deg_bound, rank_bound, twist_bound, g_bound):
                                           deg_bound=deg_bound, g_bound=g_bound).to_dict()
 
 
-def _tuples_with_trials(max_l, rank_bound, deg_bound, g_bound, chosen=None):
-    """The rank tuples of lengths 3..max_l, among those `chosen` accepts,
-    with at least one trial of the claim."""
+def _tuples_with_trials(max_l, rank_bound, deg_bound, g_bound):
+    """The rank tuples of lengths 3..max_l with at least one trial of the
+    claim."""
     tuples = [ranks for l in range(3, max_l + 1)
-              for ranks in itertools.product(range(1, rank_bound + 1), repeat=l)
-              if chosen is None or chosen(ranks)]
+              for ranks in itertools.product(range(1, rank_bound + 1), repeat=l)]
     return {ranks for ranks, count in zip(tuples, _hypothesis_counts(tuples, deg_bound, g_bound))
             if count}
 
@@ -640,11 +653,11 @@ def _tuples_with_trials(max_l, rank_bound, deg_bound, g_bound, chosen=None):
 @pytest.mark.parametrize("block", (8, 1 << 16))
 @pytest.mark.parametrize("case", GRID_CASES[:7:2] + GRID_CASES[9::3])
 def test_claim_fallback_matches_scalar_oracle(case, block, monkeypatch):
-    # with the proof reported as failing everywhere, every rank tuple with a
-    # trial goes through the grid walk's evaluation, which must give the
-    # scalar suite's report
-    monkeypatch.setattr(oracle, "_claim_proved",
-                        lambda ranks_all, coef, slack: np.zeros(len(ranks_all), bool))
+    # with the routes reported as disagreeing, every rank tuple with a trial
+    # goes through the grid walk's evaluation, which must give the scalar
+    # suite's report
+    monkeypatch.setattr(oracle, "_routes_agree",
+                        lambda values, r: np.zeros(values.shape[1:], bool))
     evaluated = _evaluated_tuples(monkeypatch)
     monkeypatch.setattr(oracle, "_BLOCK", block)
     assert _claim_report(oracle, *case) == _claim_report(reference, *case)
@@ -653,55 +666,35 @@ def test_claim_fallback_matches_scalar_oracle(case, block, monkeypatch):
 
 
 @pytest.mark.parametrize("block", (8, 1 << 16))
-@pytest.mark.parametrize("split, step", [(0, 1), (0, -1), (-1, 1), (-1, -1)])
-def test_moved_split_weight_unproves_its_tuples(split, step, monkeypatch, block):
-    # a split weight moved by one, at the tuples whose first rank is 1, moves
-    # their split form's coefficients (those of d_i by R_k - r·[i <= k] != 0)
-    # and slack: exactly those tuples go unproved and are evaluated, and the
-    # report stays the scalar suite's
-    real = oracle._split_weights
-
-    def moved(ranks_all):
-        w = real(ranks_all)
-        w[ranks_all[:, 0] == 1, split] += step
-        return w
-
-    monkeypatch.setattr(oracle, "_split_weights", moved)
-    evaluated = _evaluated_tuples(monkeypatch)
+def test_prefix_and_split_faults_unprove_every_claim_tuple(block, monkeypatch):
+    # a fault in the prefix or the split route unproves every rank tuple, so
+    # every tuple with a trial is evaluated; the evaluation reads only the
+    # pairwise route, so the report stays the scalar suite's
     monkeypatch.setattr(oracle, "_BLOCK", block)
     case = (4, 2, 2, 3, 3)
-    for l in (3, 4):
-        ranks_all = oracle._rank_tuples(l, 3)
-        proved = oracle._claim_proved(ranks_all, *oracle._claim_forms(ranks_all))
-        assert proved.tolist() == (ranks_all[:, 0] != 1).tolist()
-    assert _claim_report(oracle, *case) == _claim_report(reference, *case)
-    assert evaluated == _tuples_with_trials(4, 2, 2, 3, chosen=lambda ranks: ranks[0] == 1)
-
-
-def test_negative_split_weight_is_not_proved():
-    # the split form is a polynomial identity, so at ranks (2, 1, -1) both
-    # sides agree as forms, but w_1 = 2 - 2 - 1 < 0 and the claim fails at
-    # degrees (-2, 2, -1), g = 2, where e_1 = 2 and e_2 = 0 meet the
-    # hypothesis: r·Σ A_ij·(j-i-1) - (g-1)·e₃ = -e_1 + 2·e_2 = -2
-    ranks_all = np.array([[1, 1, 1], [2, 1, -1]])
-    coef, slack = oracle._claim_forms(ranks_all)
-    assert oracle._claim_proved(ranks_all, coef, slack).tolist() == [True, False]
-    assert 2 * (coef[1] @ [-2, 2, -1]) - slack[1] == -2
+    want = _claim_report(reference, *case)
+    for fault in ("prefix a_1", "prefix genus a_1", "split constant", "split genus constant"):
+        with monkeypatch.context() as patch:
+            name, change, _ = FAULTS[fault]
+            patch.setattr(oracle, name, _with_fault(getattr(oracle, name), change))
+            evaluated = _evaluated_tuples(patch)
+            assert _claim_report(oracle, *case) == want
+        assert evaluated == _tuples_with_trials(4, 2, 2, 3)
 
 
 @pytest.mark.parametrize("block", (8, 1 << 16))
 def test_claim_coefficient_fault_is_counted_in_loop_order(block, monkeypatch):
-    # the claim's coefficient of d_1 moved up by one no longer matches the
-    # split form at any tuple: the suite evaluates every tuple with a trial
-    # and lists the chains where r·(Σ A_ij·(j-i-1) + d_1) < (g-1)·e₃
-    real = oracle._claim_forms
+    # the pairwise route's s moved down by d_1 moves the claim's coefficient
+    # of d_1 up by one and no longer matches the prefix route at any tuple:
+    # the suite evaluates every tuple with a trial and lists the chains where
+    # r·(Σ A_ij·(j-i-1) + d_1) < (g-1)·e₃
+    real = oracle._pairwise_route
 
-    def moved(ranks_all):
-        coef, slack = real(ranks_all)
-        coef[:, 0] += 1
-        return coef, slack
+    def moved(rk, degs):
+        u, s, v, q = real(rk, degs)
+        return u, s - degs[0], v, q
 
-    monkeypatch.setattr(oracle, "_claim_forms", moved)
+    monkeypatch.setattr(oracle, "_pairwise_route", moved)
     evaluated = _evaluated_tuples(monkeypatch)
     monkeypatch.setattr(oracle, "_BLOCK", block)
     case = (4, 2, 3, 3)
