@@ -641,11 +641,12 @@ def _claim_report(module, max_l, deg_bound, rank_bound, twist_bound, g_bound):
                                           deg_bound=deg_bound, g_bound=g_bound).to_dict()
 
 
-def _tuples_with_trials(max_l, rank_bound, deg_bound, g_bound):
-    """The rank tuples of lengths 3..max_l with at least one trial of the
-    claim."""
+def _tuples_with_trials(max_l, rank_bound, deg_bound, g_bound, chosen=None):
+    """The rank tuples of lengths 3..max_l, among those `chosen` accepts,
+    with at least one trial of the claim."""
     tuples = [ranks for l in range(3, max_l + 1)
-              for ranks in itertools.product(range(1, rank_bound + 1), repeat=l)]
+              for ranks in itertools.product(range(1, rank_bound + 1), repeat=l)
+              if chosen is None or chosen(ranks)]
     return {ranks for ranks, count in zip(tuples, _hypothesis_counts(tuples, deg_bound, g_bound))
             if count}
 
@@ -680,6 +681,34 @@ def test_prefix_and_split_faults_unprove_every_claim_tuple(block, monkeypatch):
             evaluated = _evaluated_tuples(patch)
             assert _claim_report(oracle, *case) == want
         assert evaluated == _tuples_with_trials(4, 2, 2, 3)
+
+
+@pytest.mark.parametrize("block", (8, 1 << 16))
+@pytest.mark.parametrize("split, step", [(0, 1), (0, -1), (-1, 1), (-1, -1)])
+def test_moved_split_weight_unproves_its_tuples(split, step, monkeypatch, block):
+    # a weight r_k + r_{k+1} of the split route moved by one, at the tuples
+    # whose first rank is 1, moves their r·s by the prefix route's
+    # coefficient u_k (that of d_i is R_k - r·[i <= k] != 0) and their r·q
+    # by v_k = R_k·(r - R_k) > 0: exactly those tuples go unproved and are
+    # evaluated, and the report stays the scalar suite's
+    real = oracle._split_route
+
+    def moved(rk, e3, cert):
+        s, q = real(rk, e3, cert)
+        u, _, v, _ = cert
+        hit = step * (rk[0] == 1)
+        return s + hit * u[split], q + hit * v[split]
+
+    monkeypatch.setattr(oracle, "_split_route", moved)
+    evaluated = _evaluated_tuples(monkeypatch)
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    case = (4, 2, 2, 3, 3)
+    for l in (3, 4):
+        ranks_all = oracle._rank_tuples(l, 3)
+        unproved = [t for t, *_ in oracle._unproved_routes(ranks_all)]
+        assert unproved == np.flatnonzero(ranks_all[:, 0] == 1).tolist()
+    assert _claim_report(oracle, *case) == _claim_report(reference, *case)
+    assert evaluated == _tuples_with_trials(4, 2, 2, 3, chosen=lambda ranks: ranks[0] == 1)
 
 
 @pytest.mark.parametrize("block", (8, 1 << 16))
