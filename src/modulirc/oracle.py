@@ -6,9 +6,9 @@ grid suites prove each rank tuple once, by the same three routes written as
 forms in the degrees: the chain-dimension suite covers twist vectors and
 genera by linearity, and the claim inequality is the routes' split form at
 twists all 1.  A proved tuple's chains are counted, not evaluated; only the
-chains of the tuples not proved are evaluated, from one walk of the degree
-grid, cell by cell where the routes disagree.  All comparisons are exact;
-rational factors are cleared by cross-multiplication.
+chains of the tuples not proved are evaluated, every one of them, from one
+walk of the degree grid.  All comparisons are exact; rational factors are
+cleared by cross-multiplication.
 """
 
 import functools
@@ -181,13 +181,6 @@ def _degree_grid(l, deg_bound, start, stop):
     return grid
 
 
-def _grid_blocks(l, deg_bound):
-    """The degree vectors of length l in blocks of about _BLOCK entries:
-    (first row index, one row per vector)."""
-    for start, stop in _blocks((2 * deg_bound + 1) ** l, _BLOCK // l):
-        yield start, _degree_grid(l, deg_bound, start, stop)
-
-
 def _rank_tuples(l, rank_bound):
     """Every rank tuple of length l with entries 1..rank_bound, in the order
     of itertools.product, one per row."""
@@ -212,16 +205,17 @@ def _prefix_sums(degs):
 
 
 def _tuple_rows(l, deg_bound, ranks, keep):
-    """Walk the degree grid of length l once for the rank tuples `ranks`
-    (one per row), a few at a time per grid block: keep(rk, degs), with rk
-    the tuples' ranks as a (tuples, l, 1) array and degs one column per
-    degree vector, gives one row per tuple, positive at the vectors it keeps.
-    Yields (first row index, grid block, i, rows, values) for each block and
-    each ranks[i] that keeps some of its vectors: their row indices in the
-    block and keep's values there."""
+    """Walk the degree grid of length l once, in blocks of about _BLOCK
+    entries, for the rank tuples `ranks` (one per row), a few at a time per
+    grid block: keep(rk, degs), with rk the tuples' ranks as a (tuples, l, 1)
+    array and degs one column per degree vector, gives one row per tuple,
+    positive at the vectors it keeps.  Yields (first row index, grid block,
+    i, rows, values) for each block and each ranks[i] that keeps some of its
+    vectors: their row indices in the block and keep's values there."""
     if not len(ranks):
         return
-    for start, grid in _grid_blocks(l, deg_bound):
+    for start, stop in _blocks((2 * deg_bound + 1) ** l, _BLOCK // l):
+        grid = _degree_grid(l, deg_bound, start, stop)
         for t0, t1 in _blocks(len(ranks), _BLOCK // len(grid)):
             values = keep(ranks[t0:t1, :, None], grid.T)
             kept = values > 0
@@ -297,8 +291,7 @@ def verify_claim_inequality(max_l=4, rank_bound=3, deg_bound=6, g_bound=4):
     (`_claim_trials`).  The chains of a tuple not proved are evaluated from
     the degree grid, with the sides read from its pairwise forms: the
     hypothesis gives each degree vector a largest g - 1 (`_hypothesis_tops`),
-    and the inequality is linear in g - 1, so a vector's failing genera form
-    one range, counted at once.
+    and the inequality is compared at each genus up to it.
     """
     trials = 0
     fails = _Failures()
@@ -312,24 +305,19 @@ def verify_claim_inequality(max_l=4, rank_bound=3, deg_bound=6, g_bound=4):
         unproved = [(t, forms[:l - 1].sum(axis=0) - forms[l - 1],
                      int(ranks_all[t].sum()) * (constants[:l - 1].sum() - constants[l - 1])
                      + _e3(ranks_all[t]))
-                    for t, forms, constants, _ in _unproved_routes(ranks_all)]
+                    for t, forms, constants in _unproved_routes(ranks_all)]
         for start, grid, i, rows, tops in _tuple_rows(l, deg_bound,
                                                       ranks_all[[u[0] for u in unproved]],
                                                       _hypothesis_tops):
             t, lin, slack = unproved[i]
             ranks = ranks_all[t].tolist()
-            # slack > 0, so a row fails at each g - 1 from r·lin // slack + 1
-            # up to its top
-            top = np.minimum(tops, g_max)
-            first = sum(ranks) * (grid[rows] @ lin[1:] + lin[0]) // slack + 1
-            bad = np.flatnonzero(first <= top)
-            if not len(bad):
-                continue
-            lo, hi = np.maximum(first[bad], 1).tolist(), top[bad].tolist()
-            fails.add(sum(hi) - sum(lo) + len(bad), (
-                ((l, t, g, start + row), tuple(ranks + grid[row].tolist() + [g]))
-                for g in range(min(lo) + 1, max(hi) + 2)
-                for row, a, b in zip(rows[bad].tolist(), lo, hi) if a <= g - 1 <= b))
+            side = sum(ranks) * (grid[rows] @ lin[1:] + lin[0])
+            # a row is a trial at each g - 1 up to its top
+            for g in range(2, min(int(tops.max()), g_max) + 2):
+                bad = rows[(tops >= g - 1) & (side < (g - 1) * slack)].tolist()
+                fails.add(len(bad), (
+                    ((l, t, g, start + row), tuple(ranks + grid[row].tolist() + [g]))
+                    for row in bad))
     return fails.report("claim_inequality", trials,
                         notes="summed inequality over hypothesis-satisfying chains")
 
@@ -447,28 +435,28 @@ def _split_route(rk, e3, cert):
 
 
 def _routes_agree(values, r):
-    """Per column (a chain, or one of a tuple's degree vectors), whether the
-    routes' values that depend on the degrees agree: u and s of the pairwise
-    route and of the prefix route, and r·s by the split form and r times the
-    prefix route's s.  Where the values that do not depend on the degrees
-    agree too, dim - expected = -cert at every twist vector and genus."""
+    """Per column (one of a tuple's degree vectors, or a tuple), whether the
+    routes' values agree: u and s (or v and q) of the pairwise route and of
+    the prefix route, and r·s (r·q) by the split form and r times the prefix
+    route's s (q).  Where both the values that depend on the degrees and
+    those that do not agree, dim - expected = -cert at every twist vector and
+    genus."""
     l = len(values) // 2
     return (values[:l] == values[l:2 * l]).all(axis=0) & (values[2 * l] == r * values[2 * l - 1])
 
 
 def _unproved_routes(ranks_all):
-    """(t, forms, constants, same) for each rank tuple t (row of ranks_all)
-    whose routes are not proved to agree.  The three routes run once per
-    tuple, at the degree vectors 0, e_1, ..., e_l: being affine in the
-    degrees, they are fixed by their values there, so a tuple whose values
-    agree there (`_routes_agree`), and whose values that do not depend on the
-    degrees agree as well, is proved at every chain.  forms has a row per
-    value that depends on the degrees (u and s of the pairwise route, u and s
-    of the prefix route, r·s by the split form): its value at 0, then its
+    """(t, forms, constants) for each rank tuple t (row of ranks_all) whose
+    routes are not proved to agree.  The three routes run once per tuple, at
+    the degree vectors 0, e_1, ..., e_l: being affine in the degrees, they
+    are fixed by their values there, so a tuple whose values agree there
+    (`_routes_agree`), and whose values that do not depend on the degrees
+    agree as well, is proved at every chain.  forms has a row per value that
+    depends on the degrees (u and s of the pairwise route, u and s of the
+    prefix route, r·s by the split form): its value at 0, then its
     coefficient of each degree, so a chain's values are
     forms[:, 1:] @ degs + forms[:, :1].  constants holds v and q of the
-    pairwise route, v and q of the prefix route and r·q by the split form;
-    same says whether they agree."""
+    pairwise route, v and q of the prefix route and r·q by the split form."""
     n, l = ranks_all.shape
     # the tuples a block at a time, l + 1 columns each, keep the routes'
     # arrays within about _BLOCK entries
@@ -479,37 +467,34 @@ def _unproved_routes(ranks_all):
         split_s, split_q = _split_route(rk, _e3(rk.T), cert)
         u2, s2, v2, q2 = cert
         at = np.vstack((u, s, u2, s2, split_s)).reshape(2 * l + 1, t1 - t0, l + 1)
-        constants = np.vstack((v, q, v2, q2, split_q))[:, ::l + 1].T
+        constants = np.vstack((v, q, v2, q2, split_q))[:, ::l + 1]
         r = ranks_all[t0:t1].sum(axis=1)
-        same = ((constants[:, :l] == constants[:, l:2 * l]).all(axis=1)
-                & (constants[:, 2 * l] == r * constants[:, 2 * l - 1]))
-        proved = same & _routes_agree(at, r[:, None]).all(axis=1)
+        proved = _routes_agree(constants, r) & _routes_agree(at, r[:, None]).all(axis=1)
         for i in np.flatnonzero(~proved).tolist():
             forms = at[:, i].copy()
             forms[:, 1:] -= forms[:, :1]
-            yield t0 + i, forms, constants[i], same[i]
+            yield t0 + i, forms, constants[:, i]
 
 
-def _bad_cells(l, twist_bound, g_bound, routes, chains):
+def _bad_cells(l, twist_bound, g_bound, routes):
     """Evaluate (dim >= expected) == (cert <= 0) cell by cell from the
-    routes' coefficients, expected - dim first and then the certificate by
-    each of its routes, one cell per chain of `chains` (column indices),
-    twist vector and genus.  Yields (g, failures, cells) per block and genus:
-    the number of cells where it fails by some route, and the first
+    routes' values, expected - dim first and then the certificate by each of
+    its routes, one cell per chain (column of the routes' u and s), twist
+    vector and genus.  Yields (g, failures, cells) per block and genus: the
+    number of cells where it fails by some route, and the first
     COUNTEREXAMPLE_CAP of them as (twist vector index, chain index, twist
     vector)."""
-    forms = [(u[:, chains], s[chains], v, q) for u, s, v, q in routes]
     for w0, w1 in _blocks(twist_bound ** (l - 1), _BLOCK):
         twists = _product(twist_bound, l - 1, w0, w1) + 1
-        for c0, c1 in _blocks(len(chains), _BLOCK // (w1 - w0)):
+        for c0, c1 in _blocks(len(routes[0][1]), _BLOCK // (w1 - w0)):
             # one row per twist vector, one column per chain: a form's value
             # at g is twists·u - s - (g-1)·(twists·v - q)
-            at = [(twists @ u[:, c0:c1] - s[c0:c1], twists @ v - q) for u, s, v, q in forms]
+            at = [(twists @ u[:, c0:c1] - s[c0:c1], twists @ v - q) for u, s, v, q in routes]
             for g in range(2, g_bound + 1):
                 below, *negative = (lin - (g - 1) * quad[:, None] <= 0 for lin, quad in at)
                 bad = np.argwhere(np.logical_or.reduce([below != n for n in negative]))
                 if len(bad):
-                    yield g, len(bad), [(w0 + tw, int(chains[c0 + c]), twists[tw].tolist())
+                    yield g, len(bad), [(w0 + tw, c0 + c, twists[tw].tolist())
                                         for tw, c in bad[:COUNTEREXAMPLE_CAP].tolist()]
 
 
@@ -533,12 +518,12 @@ def verify_chain_dimension_equivalence(max_l=4, rank_bound=3, deg_bound=6,
     evaluated, each one passing trial per cell.  The count runs over all rank
     tuples at once by prefix sums (`_slope_counts`).  The chains of the
     tuples whose forms disagree are listed from one walk of the degree grid
-    (`_tuple_rows`) and evaluated one by one, and cell by cell from all
-    three routes where their values disagree.  At twists all 1 the split
-    form is the claim inequality, which `verify_claim_inequality` proves per
-    rank tuple from these same forms; since each weight r·a_k - r_k - r_{k+1}
-    is >= 1 at length >= 3, it also shows that a chain of at least the
-    expected dimension has a split with e_k < 0.
+    (`_tuple_rows`) and evaluated cell by cell from all three routes
+    (`_bad_cells`).  At twists all 1 the split form is the claim inequality,
+    which `verify_claim_inequality` proves per rank tuple from these same
+    forms; since each weight r·a_k - r_k - r_{k+1} is >= 1 at length >= 3,
+    it also shows that a chain of at least the expected dimension has a
+    split with e_k < 0.
     A deterministic sample of 50 chains is pushed through the scalar formulas
     as well to tie the library functions in.
     """
@@ -553,19 +538,16 @@ def verify_chain_dimension_equivalence(max_l=4, rank_bound=3, deg_bound=6,
         for start, grid, i, rows, _ in _tuple_rows(l, deg_bound,
                                                    ranks_all[[u[0] for u in unproved]],
                                                    _slopes_increase):
-            t, forms, constants, same = unproved[i]
+            t, forms, constants = unproved[i]
             r = int(ranks_all[t].sum())
             values = forms[:, 1:] @ grid[rows].T + forms[:, :1]
-            off = np.flatnonzero(~(_routes_agree(values, r) & same))
-            if not len(off):
-                continue
             # r·cert by the split form: r times the prefix route's
             # coefficients, with the split form's constant
             v, q, v2, q2, split_q = np.split(constants, [l - 1, l, 2 * l - 1, 2 * l])
             cert = values[l:2 * l - 1], values[2 * l - 1]
             routes = ((values[:l - 1], values[l - 1], v, q), (*cert, v2, q2),
                       (r * cert[0], values[2 * l], r * v2, split_q))
-            for g, n_bad, found in _bad_cells(l, twist_bound, g_bound, routes, off):
+            for g, n_bad, found in _bad_cells(l, twist_bound, g_bound, routes):
                 fails.add(n_bad, (
                     ((l, t, g, tw, 0, start + rows[c]),
                      tuple(ranks_all[t].tolist() + grid[rows[c]].tolist() + twists + [g]))

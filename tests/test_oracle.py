@@ -1,6 +1,7 @@
 import gc
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -107,6 +108,41 @@ def test_dimension_laws():
 def test_component_counts():
     report = verify_component_counts()
     assert report.passed
+
+
+def test_component_count_fault_is_counted_in_loop_order(monkeypatch):
+    # a solver that drops its last solution wherever h = gcd(r, d) >= 2 fails
+    # exactly those (g, r, d, k), counted and listed in loop order
+    real = oracle.solve_dioph
+    monkeypatch.setattr(oracle, "solve_dioph",
+                        lambda p, k: real(p, k)[:-1] if p.h >= 2 else real(p, k))
+    want = [[g, r, d, k] for g in range(2, 6) for r in range(2, 7) for d in range(-6, 7)
+            for k in range(1, 21) if math.gcd(r, d) >= 2]
+    report = verify_component_counts().to_dict()
+    assert (report["trials"], report["failures"]) == (5200, len(want)) == (5200, 2480)
+    assert report["counterexamples"] == want[:COUNTEREXAMPLE_CAP]
+    assert want[0] == [2, 2, -6, 1]
+
+
+def test_dimension_law_fault_is_counted_in_loop_order(monkeypatch):
+    # two-step chains built at twist 1 whatever their twist a: each then has
+    # the expected dimension, so at a >= 2 the law fails where
+    # c0 = r1·d - r·d1 exceeds its bound r1·(r - r1)·(g - 1), and its equality
+    # case wherever c0 differs from the bound; every other trial passes
+    real = oracle.two_step_chain
+    monkeypatch.setattr(oracle, "two_step_chain", lambda p, r1, d1, a: real(p, r1, d1, 1))
+    want = []
+    for g, r, d in itertools.product(range(2, 5), range(2, 5), range(-4, 5)):
+        for r1, d1, a in itertools.product(range(1, r), range(-4, 5), range(2, 4)):
+            c0, bound = r1 * d - r * d1, r1 * (r - r1) * (g - 1)
+            if c0 > 0 and c0 > bound:
+                want.append(["almost-nice", g, r, d, r1, d1, a])
+            if c0 > 0 and c0 != bound:
+                want.append(["almost-nice-eq", g, r, d, r1, d1, a])
+    report = verify_dimension_laws().to_dict()
+    assert report["trials"] == 4437
+    assert report["failures"] == len(want) > COUNTEREXAMPLE_CAP
+    assert report["counterexamples"] == want[:COUNTEREXAMPLE_CAP]
 
 
 def test_report_round_trip():
@@ -502,6 +538,25 @@ def test_claim_fault_is_counted_in_loop_order(block, monkeypatch):
     assert late and want[0][:-1] in late
 
 
+@pytest.mark.parametrize("block", (8, 1 << 16))
+@pytest.mark.parametrize("shift", (-4, -6))
+def test_claim_with_e3_moved_down_fails_nowhere(shift, block, monkeypatch):
+    # e₃ moved down leaves the claim more room, so no chain fails; it also
+    # takes the inequality's coefficient of g - 1 to 0 at ranks (1, 1, 1)
+    # (shift -4) and below 0 (shift -6), where a degree vector's failing
+    # genera, if any, would be the large ones.  The suite compares the
+    # inequality at each genus, so it counts no failure and divides by nothing
+    real = oracle._e3
+    monkeypatch.setattr(oracle, "_e3", lambda ranks_all: real(ranks_all) + shift)
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    for case in ((4, 2, 3, 3), (3, 2, 4, 6)):
+        cells = list(_claim_cells(*case, shift=shift))
+        report = verify_claim_inequality(*case).to_dict()
+        assert report["trials"] == len(cells)
+        assert report["failures"] == sum(not holds for holds, _ in cells) == 0
+        assert report["counterexamples"] == []
+
+
 def test_split_form_of_the_certificate():
     # the identity the split route relies on, through the library
     # certificate: r·cert = Σ_k (r·a_k - r_k - r_{k+1})·e_k + (g-1)·e₃
@@ -527,9 +582,9 @@ def test_cell_by_cell_fallback_matches_scalar_oracle(case, block, monkeypatch):
                         lambda values, r: np.zeros(values.shape[1:], bool))
     evaluated, real = [], oracle._bad_cells
 
-    def bad_cells(l, twist_bound, g_bound, routes, chains):
-        evaluated.append(len(chains))
-        return real(l, twist_bound, g_bound, routes, chains)
+    def bad_cells(l, twist_bound, g_bound, routes):
+        evaluated.append(len(routes[0][1]))
+        return real(l, twist_bound, g_bound, routes)
 
     monkeypatch.setattr(oracle, "_bad_cells", bad_cells)
     monkeypatch.setattr(oracle, "_BLOCK", block)
