@@ -204,24 +204,35 @@ def _prefix_sums(degs):
     return prefix_d
 
 
-def _tuple_rows(l, deg_bound, ranks, keep):
-    """Walk the degree grid of length l once, in blocks of about _BLOCK
-    entries, for the rank tuples `ranks` (one per row), a few at a time per
-    grid block: keep(rk, degs), with rk the tuples' ranks as a (tuples, l, 1)
-    array and degs one column per degree vector, gives one row per tuple,
-    positive at the vectors it keeps.  Yields (first row index, grid block,
-    i, rows, values) for each block and each ranks[i] that keeps some of its
-    vectors: their row indices in the block and keep's values there."""
-    if not len(ranks):
+def _tuple_rows(ranks_all, deg_bound, keep):
+    """The chains of the rank tuples (rows of ranks_all) whose routes are not
+    proved to agree (`_unproved_routes`), from one walk of the degree grid in
+    blocks of about _BLOCK entries, a few tuples at a time per grid block:
+    keep(rk, degs), with rk the tuples' ranks as a (tuples, l, 1) array and
+    degs one column per degree vector, gives one row per tuple, positive at
+    the vectors it keeps.  Yields (first row index, grid block, ts, rows,
+    values, routes) for each block and few tuples that keep some vectors, one
+    entry per kept chain, by tuple and then row: its tuple's row in
+    ranks_all, its row in the block, keep's value there, and the three
+    routes' (u, s, v, q) with one column per chain."""
+    unproved = list(_unproved_routes(ranks_all))
+    if not unproved:
         return
+    ts, routes = zip(*unproved)
+    ts = np.array(ts)
+    l = ranks_all.shape[1]
+    # each value of each route, one leading row per tuple
+    forms = [[np.stack(x) for x in zip(*route)] for route in zip(*routes)]
     for start, stop in _blocks((2 * deg_bound + 1) ** l, _BLOCK // l):
         grid = _degree_grid(l, deg_bound, start, stop)
-        for t0, t1 in _blocks(len(ranks), _BLOCK // len(grid)):
-            values = keep(ranks[t0:t1, :, None], grid.T)
-            kept = values > 0
-            for i in np.flatnonzero(kept.any(axis=1)).tolist():
-                rows = np.flatnonzero(kept[i])
-                yield start, grid, t0 + i, rows, values[i].take(rows)
+        for t0, t1 in _blocks(len(ts), _BLOCK // len(grid)):
+            values = keep(ranks_all[ts[t0:t1], :, None], grid.T)
+            i, rows = np.nonzero(values > 0)
+            if len(rows):
+                # an affine f at d is f(0)·(1 - Σ_k d_k) + Σ_k f(e_k)·d_k
+                at = np.hstack((1 - grid[rows].sum(axis=1, keepdims=True), grid[rows]))
+                yield start, grid, ts[t0 + i], rows, values[i, rows], [
+                    [np.einsum("n...k,nk->...n", x[t0 + i], at) for x in route] for route in forms]
 
 
 def _hypothesis_tops(rk, degs):
@@ -289,9 +300,10 @@ def verify_claim_inequality(max_l=4, rank_bound=3, deg_bound=6, g_bound=4):
     chain that meets the hypothesis fails.  A proved tuple's trials, the
     chains and genera that meet the hypothesis, are counted, not evaluated
     (`_claim_trials`).  The chains of a tuple not proved are evaluated from
-    the degree grid, with the sides read from its pairwise forms: the
-    hypothesis gives each degree vector a largest g - 1 (`_hypothesis_tops`),
-    and the inequality is compared at each genus up to it.
+    the degree grid (`_tuple_rows`), with the sides read from the pairwise
+    route: the hypothesis gives each degree vector a largest g - 1
+    (`_hypothesis_tops`), and the inequality is compared at each genus up to
+    it.
     """
     trials = 0
     fails = _Failures()
@@ -299,25 +311,22 @@ def verify_claim_inequality(max_l=4, rank_bound=3, deg_bound=6, g_bound=4):
     for l in range(3, max_l + 1):
         ranks_all = _rank_tuples(l, rank_bound)
         trials += int(_claim_trials(ranks_all, deg_bound, g_max).sum())
-        # per tuple not proved, the pairwise route's Σ_k u_k - s and
-        # Σ_k v_k - q: Σ T_ij·(j-i-1) as a form in the degrees, and
-        # Σ r_i·r_j·(j-i-1), so the claim reads r·lin >= (g-1)·slack
-        unproved = [(t, forms[:l - 1].sum(axis=0) - forms[l - 1],
-                     int(ranks_all[t].sum()) * (constants[:l - 1].sum() - constants[l - 1])
-                     + _e3(ranks_all[t]))
-                    for t, forms, constants in _unproved_routes(ranks_all)]
-        for start, grid, i, rows, tops in _tuple_rows(l, deg_bound,
-                                                      ranks_all[[u[0] for u in unproved]],
-                                                      _hypothesis_tops):
-            t, lin, slack = unproved[i]
-            ranks = ranks_all[t].tolist()
-            side = sum(ranks) * (grid[rows] @ lin[1:] + lin[0])
+        for start, grid, ts, rows, tops, ((u, s, v, q), _, _) in _tuple_rows(
+                ranks_all, deg_bound, _hypothesis_tops):
+            # per chain, the pairwise route's Σ_k u_k - s is Σ T_ij·(j-i-1)
+            # and Σ_k v_k - q is Σ r_i·r_j·(j-i-1), so the claim reads
+            # side >= (g-1)·slack
+            ranks = ranks_all[ts]
+            r = ranks.sum(axis=1)
+            side = r * (u.sum(axis=0) - s)
+            slack = r * (v.sum(axis=0) - q) + _e3(ranks)
             # a row is a trial at each g - 1 up to its top
             for g in range(2, min(int(tops.max()), g_max) + 2):
-                bad = rows[(tops >= g - 1) & (side < (g - 1) * slack)].tolist()
+                bad = np.flatnonzero((tops >= g - 1) & (side < (g - 1) * slack)).tolist()
                 fails.add(len(bad), (
-                    ((l, t, g, start + row), tuple(ranks + grid[row].tolist() + [g]))
-                    for row in bad))
+                    ((l, ts[c], g, start + rows[c]),
+                     tuple(ranks[c].tolist() + grid[rows[c]].tolist() + [g]))
+                    for c in bad))
     return fails.report("claim_inequality", trials,
                         notes="summed inequality over hypothesis-satisfying chains")
 
@@ -434,68 +443,58 @@ def _split_route(rk, e3, cert):
     return (weight * u).sum(axis=0), (weight * v).sum(axis=0) + e3
 
 
-def _routes_agree(values, r):
-    """Per column (one of a tuple's degree vectors, or a tuple), whether the
-    routes' values agree: u and s (or v and q) of the pairwise route and of
-    the prefix route, and r·s (r·q) by the split form and r times the prefix
-    route's s (q).  Where both the values that depend on the degrees and
-    those that do not agree, dim - expected = -cert at every twist vector and
-    genus."""
-    l = len(values) // 2
-    return (values[:l] == values[l:2 * l]).all(axis=0) & (values[2 * l] == r * values[2 * l - 1])
+def _routes_agree(routes, r):
+    """Per column (a chain, or a degree vector of a tuple), whether the
+    routes' values agree: u, s, v and q of the pairwise route equal the
+    prefix route's, and the split route's equal r times them.  Where they
+    agree, dim - expected = -cert at every twist vector and genus."""
+    return np.vstack([(a == b) & (c == r * b) for a, b, c in zip(*routes)]).all(axis=0)
 
 
 def _unproved_routes(ranks_all):
-    """(t, forms, constants) for each rank tuple t (row of ranks_all) whose
-    routes are not proved to agree.  The three routes run once per tuple, at
-    the degree vectors 0, e_1, ..., e_l: being affine in the degrees, they
-    are fixed by their values there, so a tuple whose values agree there
-    (`_routes_agree`), and whose values that do not depend on the degrees
-    agree as well, is proved at every chain.  forms has a row per value that
-    depends on the degrees (u and s of the pairwise route, u and s of the
-    prefix route, r·s by the split form): its value at 0, then its
-    coefficient of each degree, so a chain's values are
-    forms[:, 1:] @ degs + forms[:, :1].  constants holds v and q of the
-    pairwise route, v and q of the prefix route and r·q by the split form."""
+    """(t, routes) for each rank tuple t (row of ranks_all) whose routes are
+    not proved to agree: its pairwise, prefix and split routes as
+    (u, s, v, q), each value at the degree vectors 0, e_1, ..., e_l along its
+    last axis.  The split route is r times the prefix route's u and v, with
+    the split form's r·s and r·q.  The routes run once per tuple, at those
+    vectors: being affine in the degrees, they are fixed by their values
+    there, so a tuple whose routes agree there (`_routes_agree`) is proved at
+    every chain."""
     n, l = ranks_all.shape
     # the tuples a block at a time, l + 1 columns each, keep the routes'
     # arrays within about _BLOCK entries
     for t0, t1 in _blocks(n, _BLOCK // l ** 3):
         rk = np.repeat(ranks_all[t0:t1].T, l + 1, axis=1)
         degs = np.tile(np.eye(l, l + 1, 1, dtype=np.int64), t1 - t0)
-        (u, s, v, q), cert = _pairwise_route(rk, degs), _prefix_route(rk, degs)
+        r, cert = rk.sum(axis=0), _prefix_route(rk, degs)
         split_s, split_q = _split_route(rk, _e3(rk.T), cert)
-        u2, s2, v2, q2 = cert
-        at = np.vstack((u, s, u2, s2, split_s)).reshape(2 * l + 1, t1 - t0, l + 1)
-        constants = np.vstack((v, q, v2, q2, split_q))[:, ::l + 1]
-        r = ranks_all[t0:t1].sum(axis=1)
-        proved = _routes_agree(constants, r) & _routes_agree(at, r[:, None]).all(axis=1)
+        routes = (_pairwise_route(rk, degs), cert, (r * cert[0], split_s, r * cert[2], split_q))
+        proved = _routes_agree(routes, r).reshape(-1, l + 1).all(axis=1)
         for i in np.flatnonzero(~proved).tolist():
-            forms = at[:, i].copy()
-            forms[:, 1:] -= forms[:, :1]
-            yield t0 + i, forms, constants[:, i]
+            cols = slice(i * (l + 1), (i + 1) * (l + 1))
+            yield t0 + i, [[x[..., cols] for x in route] for route in routes]
 
 
 def _bad_cells(l, twist_bound, g_bound, routes):
     """Evaluate (dim >= expected) == (cert <= 0) cell by cell from the
     routes' values, expected - dim first and then the certificate by each of
-    its routes, one cell per chain (column of the routes' u and s), twist
-    vector and genus.  Yields (g, failures, cells) per block and genus: the
-    number of cells where it fails by some route, and the first
-    COUNTEREXAMPLE_CAP of them as (twist vector index, chain index, twist
-    vector)."""
+    its routes, one cell per chain (column of the routes' values), twist
+    vector and genus.  Yields (g, cells) per block and genus where it fails
+    by some route: the failing cells, by twist vector and then chain, one row
+    each holding the chain index, the twist vector index and the twist
+    vector."""
     for w0, w1 in _blocks(twist_bound ** (l - 1), _BLOCK):
         twists = _product(twist_bound, l - 1, w0, w1) + 1
         for c0, c1 in _blocks(len(routes[0][1]), _BLOCK // (w1 - w0)):
-            # one row per twist vector, one column per chain: a form's value
+            # one row per twist vector, one column per chain: a route's value
             # at g is twists·u - s - (g-1)·(twists·v - q)
-            at = [(twists @ u[:, c0:c1] - s[c0:c1], twists @ v - q) for u, s, v, q in routes]
+            at = [[twists @ x[:, c0:c1] - y[c0:c1] for x, y in ((u, s), (v, q))]
+                  for u, s, v, q in routes]
             for g in range(2, g_bound + 1):
-                below, *negative = (lin - (g - 1) * quad[:, None] <= 0 for lin, quad in at)
-                bad = np.argwhere(np.logical_or.reduce([below != n for n in negative]))
-                if len(bad):
-                    yield g, len(bad), [(w0 + tw, c0 + c, twists[tw].tolist())
-                                        for tw, c in bad[:COUNTEREXAMPLE_CAP].tolist()]
+                below, *negative = (lin - (g - 1) * quad <= 0 for lin, quad in at)
+                tw, c = np.nonzero(np.logical_or.reduce([below != n for n in negative]))
+                if len(c):
+                    yield g, np.column_stack((c0 + c, w0 + tw, twists[tw]))
 
 
 def verify_chain_dimension_equivalence(max_l=4, rank_bound=3, deg_bound=6,
@@ -534,24 +533,15 @@ def verify_chain_dimension_equivalence(max_l=4, rank_bound=3, deg_bound=6,
         ranks_all = _rank_tuples(l, rank_bound)
         counts = _slope_counts(l, rank_bound, deg_bound)
         trials += int(counts.sum()) * twist_bound ** (l - 1) * (g_bound - 1)
-        unproved = list(_unproved_routes(ranks_all))
-        for start, grid, i, rows, _ in _tuple_rows(l, deg_bound,
-                                                   ranks_all[[u[0] for u in unproved]],
-                                                   _slopes_increase):
-            t, forms, constants = unproved[i]
-            r = int(ranks_all[t].sum())
-            values = forms[:, 1:] @ grid[rows].T + forms[:, :1]
-            # r·cert by the split form: r times the prefix route's
-            # coefficients, with the split form's constant
-            v, q, v2, q2, split_q = np.split(constants, [l - 1, l, 2 * l - 1, 2 * l])
-            cert = values[l:2 * l - 1], values[2 * l - 1]
-            routes = ((values[:l - 1], values[l - 1], v, q), (*cert, v2, q2),
-                      (r * cert[0], values[2 * l], r * v2, split_q))
-            for g, n_bad, found in _bad_cells(l, twist_bound, g_bound, routes):
-                fails.add(n_bad, (
-                    ((l, t, g, tw, 0, start + rows[c]),
-                     tuple(ranks_all[t].tolist() + grid[rows[c]].tolist() + twists + [g]))
-                    for tw, c, twists in found))
+        for start, grid, ts, rows, _, routes in _tuple_rows(ranks_all, deg_bound,
+                                                            _slopes_increase):
+            for g, cells in _bad_cells(l, twist_bound, g_bound, routes):
+                # in the loop order of the scalar suite: tuple, twist vector, chain
+                cells = cells[np.argsort(ts[cells[:, 0]], kind="stable")]
+                fails.add(len(cells), (
+                    ((l, ts[c], g, tw, 0, start + rows[c]),
+                     tuple(ranks_all[ts[c]].tolist() + grid[rows[c]].tolist() + twists + [g]))
+                    for c, tw, *twists in cells[:COUNTEREXAMPLE_CAP].tolist()))
         # spot-check the first two chains of each rank tuple through the
         # scalar formulas, in the order of the scalar suite, 50 chains in all
         spots = ((t, g, tw, twists) for t in np.flatnonzero(counts).tolist()

@@ -387,3 +387,22 @@ def test_search_charges_are_pinned(inputs):
     data = json.dumps([desc.datum.to_dict() for desc in search.descriptors])
     digest = hashlib.sha256(data.encode()).hexdigest()[:16]
     assert (search.work, len(search.descriptors), digest) == _PINNED_SEARCHES[inputs]
+
+
+def test_expected_dimension_chain_outside_the_paper_count():
+    # the smallest listed chain of exactly the expected dimension (cert 0):
+    # an OBSTRUCTED_CANDIDATE of length 3 that the paper's count of
+    # expected-dimension components, h = 2 here, leaves out; the full walk
+    # finds it as the only chain of length 3 and degree hk = 4
+    p = derive_params(2, 4, 2)
+    report = classify(p, 2, include_candidates=True)
+    chain = (((1, 0), (2, 1), (1, 1)), (1, 1))
+    found = [desc for desc in report.descriptors if isinstance(desc.datum, ExtensionChain)
+             and (desc.datum.steps, desc.datum.twists) == chain]
+    assert len(found) == 1
+    desc = found[0]
+    assert desc.kind is classifier.Kind.OBSTRUCTED_CANDIDATE
+    assert desc.dimension == desc.expected_dim == 23
+    assert chain_dimension_excess_certificate(desc.datum) == 0
+    assert report.to_dict()["totals"]["EXPECTED_DIM_COMPONENTS"] == p.h == 2
+    assert sorted(_full_deg_vectors(p, 3, p.h * 2, lambda units: None)) == [chain]

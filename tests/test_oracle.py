@@ -379,7 +379,7 @@ def test_dimension_suite_frees_each_block(monkeypatch):
     for fall_back in (False, True):
         if fall_back:
             monkeypatch.setattr(oracle, "_routes_agree",
-                                lambda values, r: np.zeros(values.shape[1:], bool))
+                                lambda routes, r: np.zeros(r.shape, bool))
         gc.disable()
         tracemalloc.start()
         try:
@@ -579,7 +579,7 @@ def test_cell_by_cell_fallback_matches_scalar_oracle(case, block, monkeypatch):
     # every chain goes through the cell-by-cell evaluation, once, which must
     # give the scalar suite's report
     monkeypatch.setattr(oracle, "_routes_agree",
-                        lambda values, r: np.zeros(values.shape[1:], bool))
+                        lambda routes, r: np.zeros(r.shape, bool))
     evaluated, real = [], oracle._bad_cells
 
     def bad_cells(l, twist_bound, g_bound, routes):
@@ -682,9 +682,9 @@ def _evaluated_tuples(monkeypatch):
     evaluation, collected while a suite runs."""
     seen, real = set(), oracle._tuple_rows
 
-    def tuple_rows(l, deg_bound, ranks, keep):
-        for item in real(l, deg_bound, ranks, keep):
-            seen.add(tuple(ranks[item[2]].tolist()))
+    def tuple_rows(ranks_all, deg_bound, keep):
+        for item in real(ranks_all, deg_bound, keep):
+            seen.update(map(tuple, ranks_all[item[2]].tolist()))
             yield item
 
     monkeypatch.setattr(oracle, "_tuple_rows", tuple_rows)
@@ -713,7 +713,7 @@ def test_claim_fallback_matches_scalar_oracle(case, block, monkeypatch):
     # goes through the grid walk's evaluation, which must give the scalar
     # suite's report
     monkeypatch.setattr(oracle, "_routes_agree",
-                        lambda values, r: np.zeros(values.shape[1:], bool))
+                        lambda routes, r: np.zeros(r.shape, bool))
     evaluated = _evaluated_tuples(monkeypatch)
     monkeypatch.setattr(oracle, "_BLOCK", block)
     assert _claim_report(oracle, *case) == _claim_report(reference, *case)

@@ -126,3 +126,23 @@ class TestConnectivity:
                     inputs += 1
                     mismatches += res.mismatch
         assert (inputs, mismatches) == (595, 590)
+
+    def test_derived_bound_is_linear_in_dim_m(self):
+        # the construction's hk stays below dim M - r'(r-r')(g-1) + r with
+        # r'(r-r')(g-1) >= r - 1, so h·derivedK <= dim M, with equality only
+        # at (g, r, d) = (2, 2, 1); derivedK is above the closed form only
+        # where the construction misses it (even r with h = 1), and both are
+        # upper bounds elsewhere
+        equal, relation = [], {"above": 0, "equal": 0, "below": 0}
+        for g in range(2, 7):
+            for r in range(2, 16):
+                for d in range(r):
+                    p = derive_params(g, r, d)
+                    res = min_connecting_degree(p)
+                    assert p.h * res.derived_k <= p.dim_m
+                    if p.h * res.derived_k == p.dim_m:
+                        equal.append((g, r, d))
+                    relation[("below", "equal", "above")[
+                        (res.derived_k >= res.paper_k) + (res.derived_k > res.paper_k)]] += 1
+        assert equal == [(2, 2, 1)]
+        assert relation == {"above": 115, "equal": 5, "below": 475}
