@@ -206,7 +206,7 @@ def _prefix_sums(degs):
 
 def _tuple_rows(ranks_all, deg_bound, keep):
     """The chains of the rank tuples (rows of ranks_all) whose routes are not
-    proved to agree (`_unproved_routes`), from one walk of the degree grid in
+    proved to agree (`_unproved`), from one walk of the degree grid in
     blocks of about _BLOCK entries, a few tuples at a time per grid block:
     keep(rk, degs), with rk the tuples' ranks as a (tuples, l, 1) array and
     degs one column per degree vector, gives one row per tuple, positive at
@@ -214,25 +214,19 @@ def _tuple_rows(ranks_all, deg_bound, keep):
     values, routes) for each block and few tuples that keep some vectors, one
     entry per kept chain, by tuple and then row: its tuple's row in
     ranks_all, its row in the block, keep's value there, and the three
-    routes' (u, s, v, q) with one column per chain."""
-    unproved = list(_unproved_routes(ranks_all))
-    if not unproved:
+    routes' (u, s, v, q) with one column per chain (`_routes`)."""
+    ts = _unproved(ranks_all)
+    if not len(ts):
         return
-    ts, routes = zip(*unproved)
-    ts = np.array(ts)
     l = ranks_all.shape[1]
-    # each value of each route, one leading row per tuple
-    forms = [[np.stack(x) for x in zip(*route)] for route in zip(*routes)]
     for start, stop in _blocks((2 * deg_bound + 1) ** l, _BLOCK // l):
         grid = _degree_grid(l, deg_bound, start, stop)
         for t0, t1 in _blocks(len(ts), _BLOCK // len(grid)):
             values = keep(ranks_all[ts[t0:t1], :, None], grid.T)
             i, rows = np.nonzero(values > 0)
             if len(rows):
-                # an affine f at d is f(0)·(1 - Σ_k d_k) + Σ_k f(e_k)·d_k
-                at = np.hstack((1 - grid[rows].sum(axis=1, keepdims=True), grid[rows]))
-                yield start, grid, ts[t0 + i], rows, values[i, rows], [
-                    [np.einsum("n...k,nk->...n", x[t0 + i], at) for x in route] for route in forms]
+                yield start, grid, ts[t0 + i], rows, values[i, rows], _routes(
+                    ranks_all[ts[t0 + i]].T, grid[rows].T)
 
 
 def _hypothesis_tops(rk, degs):
@@ -294,7 +288,7 @@ def verify_claim_inequality(max_l=4, rank_bound=3, deg_bound=6, g_bound=4):
     by the total rank.
 
     Each rank tuple is proved once, by the dimension suite's routes
-    (`_unproved_routes`): where they agree as forms, r times the pairwise
+    (`_unproved`): where they agree as forms, r times the pairwise
     route at twists all 1, r·Σ A_ij·(j-i-1), equals the split form's right
     side identically, with e_k the prefix route's coefficient of a_k, so no
     chain that meets the hypothesis fails.  A proved tuple's trials, the
@@ -451,28 +445,31 @@ def _routes_agree(routes, r):
     return np.vstack([(a == b) & (c == r * b) for a, b, c in zip(*routes)]).all(axis=0)
 
 
-def _unproved_routes(ranks_all):
-    """(t, routes) for each rank tuple t (row of ranks_all) whose routes are
-    not proved to agree: its pairwise, prefix and split routes as
-    (u, s, v, q), each value at the degree vectors 0, e_1, ..., e_l along its
-    last axis.  The split route is r times the prefix route's u and v, with
-    the split form's r·s and r·q.  The routes run once per tuple, at those
-    vectors: being affine in the degrees, they are fixed by their values
-    there, so a tuple whose routes agree there (`_routes_agree`) is proved at
-    every chain."""
+def _routes(rk, degs):
+    """The pairwise, prefix and split routes as (u, s, v, q), at the chains
+    given one per column by rk and degs.  The split route is r times the
+    prefix route's u and v, with the split form's r·s and r·q."""
+    r, cert = rk.sum(axis=0), _prefix_route(rk, degs)
+    split_s, split_q = _split_route(rk, _e3(rk.T), cert)
+    return _pairwise_route(rk, degs), cert, (r * cert[0], split_s, r * cert[2], split_q)
+
+
+def _unproved(ranks_all):
+    """The rank tuples (rows of ranks_all) whose routes are not proved to
+    agree, as an int64 array of row indices, empty for correct code.  The
+    routes run once per tuple, at the degree vectors 0, e_1, ..., e_l: being
+    affine in the degrees, they are fixed by their values there, so a tuple
+    whose routes agree there (`_routes_agree`) is proved at every chain."""
     n, l = ranks_all.shape
+    proved = np.ones(n, dtype=bool)
     # the tuples a block at a time, l + 1 columns each, keep the routes'
     # arrays within about _BLOCK entries
     for t0, t1 in _blocks(n, _BLOCK // l ** 3):
         rk = np.repeat(ranks_all[t0:t1].T, l + 1, axis=1)
         degs = np.tile(np.eye(l, l + 1, 1, dtype=np.int64), t1 - t0)
-        r, cert = rk.sum(axis=0), _prefix_route(rk, degs)
-        split_s, split_q = _split_route(rk, _e3(rk.T), cert)
-        routes = (_pairwise_route(rk, degs), cert, (r * cert[0], split_s, r * cert[2], split_q))
-        proved = _routes_agree(routes, r).reshape(-1, l + 1).all(axis=1)
-        for i in np.flatnonzero(~proved).tolist():
-            cols = slice(i * (l + 1), (i + 1) * (l + 1))
-            yield t0 + i, [[x[..., cols] for x in route] for route in routes]
+        agree = _routes_agree(_routes(rk, degs), rk.sum(axis=0))
+        proved[t0:t1] = agree.reshape(-1, l + 1).all(axis=1)
+    return np.flatnonzero(~proved)
 
 
 def _bad_cells(l, twist_bound, g_bound, routes):
@@ -511,7 +508,7 @@ def verify_chain_dimension_equivalence(max_l=4, rank_bound=3, deg_bound=6,
     the split form r·cert = Σ_k (r·a_k - r_k - r_{k+1})·e_k + (g-1)·e₃, so it
     checks that route's constant.  The routes are affine in the degrees, so
     they run once per rank tuple, as forms in the degrees
-    (`_unproved_routes`).  A tuple whose forms agree coefficient by
+    (`_unproved`).  A tuple whose forms agree coefficient by
     coefficient is proved: dim - expected = -cert holds at every one of its
     chains, twist vectors and genera, so its chains are counted, not
     evaluated, each one passing trial per cell.  The count runs over all rank
