@@ -12,10 +12,11 @@ import os
 import sys
 from itertools import chain
 
-# a command imports the layers it runs, and json, when it runs, so a call
-# compiles no module it does not run: a count-only sweep loads segre alone,
-# classify and candidate sweeps classifier, and only verify loads numpy; the
-# package's exports also read as attributes of this module
+# a command imports the layers it runs when it runs, so a call compiles no
+# module it does not run: a count-only sweep loads segre alone, classify and
+# candidate sweeps classifier, and only verify loads numpy; JSON output needs
+# no json module (`_json`); the package's exports also read as attributes of
+# this module
 from . import __getattr__  # noqa: F401
 from .params import (MAX_GENUS, MAX_K, ConsistencyError, ParameterError, _check_max_l,
                      _check_seed, derive_params, expected_dimension)
@@ -48,6 +49,48 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _plain(s):
+    """Whether json writes `s` unescaped: printable ASCII with no " or \\."""
+    return s.isascii() and s.isprintable() and '"' not in s and "\\" not in s
+
+
+def _json(obj, ind="\n"):
+    """The text `json.dumps(obj, indent=2)` gives, each newline followed by
+    `ind[1:]`.  Handles dicts with str keys, lists, tuples, str, int, bool
+    and None; raises TypeError on anything else.  The json module is
+    imported only for a string that needs escaping."""
+    if obj.__class__ is int:
+        return int.__repr__(obj)
+    if isinstance(obj, str):
+        if _plain(obj):
+            return '"' + obj + '"'
+        import json
+        return json.dumps(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    ind += "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        # one test for all the keys; join raises TypeError on a key that is not a str
+        if _plain("".join(obj)):
+            pairs = ['"' + key + '": ' + _json(value, ind) for key, value in obj.items()]
+        else:
+            pairs = [_json(key) + ": " + _json(value, ind) for key, value in obj.items()]
+        return "{" + ind + ("," + ind).join(pairs) + ind[:-2] + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + ind + ("," + ind).join([_json(value, ind) for value in obj]) + ind[:-2] + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _write_json(fh, args, results, warnings):
     """Write the JSON envelope of `args.command`, the text that
     `json.dumps(envelope, indent=2) + "\n"` would give.  Its `inputs` echo
@@ -55,28 +98,34 @@ def _write_json(fh, args, results, warnings):
     subparser declares them, camelCased.  If one value of `results` is an
     iterator, its items are written as they come, one in memory at a time;
     there must be at least one item."""
-    import json
     # "max_l".title() is "Max_L"; a regex would cost a compile on every call
     inputs = {name[0] + name.title().replace("_", "")[1:]: value
               for name, value in vars(args).items()
               if name not in ("command", "func", "format", "out")}
-    # the iterator's items take the place of a one-item placeholder, a
-    # string that no input holds (segre's inputs may hold null), each
-    # indented to the placeholder's depth
-    marker = "\0items"
-    items = ()
+    # the iterator's items take the place of a one-item placeholder, each
+    # indented to the placeholder's depth.  Ahead of it the text holds only
+    # keys, the schema version, the command's name and numbers, booleans or
+    # null (the inputs, classify's params and totals), so its first match is
+    # the placeholder.
+    marker = "<items>"
+    items = None
     for key, value in results.items():
         if hasattr(value, "__next__"):
             items, results = value, {**results, key: [marker]}
     envelope = {"schemaVersion": SCHEMA_VERSION, "command": args.command,
                 "inputs": inputs, "results": results, "warnings": warnings}
-    head, _, tail = (json.dumps(envelope, indent=2) + "\n").partition(json.dumps(marker))
+    text = _json(envelope) + "\n"
+    if items is None:
+        fh.write(text)
+        return
+    head, _, tail = text.partition(_json(marker))
     indent = "\n" + head.rpartition("\n")[2]
     fh.write(head)
-    for i, item in enumerate(items):
-        if i:
-            fh.write("," + indent)
-        fh.write(json.dumps(item, indent=2).replace("\n", indent))
+    sep = ""
+    for item in items:
+        # one write per item: unbuffered, each write is a system call
+        fh.write(sep + _json(item, indent))
+        sep = "," + indent
     fh.write(tail)
 
 
@@ -264,16 +313,16 @@ def _cmd_verify(args, out):
 
 def _segre_rows(p, r_primes):
     """One table row per r', with its strata from the least positive
-    s = r'd (mod r) up to the dense one."""
+    s = r'd (mod r) up to the dense one: the records of
+    `segre.stratum_codimension`, by arithmetic.  Each s is positive and
+    congruent to r'd by construction, and the first at or past the Segre
+    bound, the dense one, is the generic s."""
     from . import segre
     for rp in r_primes:
         s_gen = segre.generic_segre(p, rp)
-        strata = []
-        s = s_gen % p.r or p.r
-        while s != -1:
-            st = segre.stratum_codimension(p, rp, s)
-            strata.append({"s": st.s, "codim": st.codim, "nextS": st.next_s})
-            s = st.next_s
+        bound = segre.segre_bound(p, rp)
+        strata = [{"s": s, "codim": max(bound - s, 0), "nextS": s + p.r if s < s_gen else -1}
+                  for s in range(s_gen % p.r or p.r, s_gen + 1, p.r)]
         yield {"rPrime": rp, "genericS": s_gen, "strata": strata}
 
 

@@ -8,13 +8,15 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import modulirc
 from modulirc import derive_params, oracle
 from modulirc.classifier import ComponentDescriptor
-from modulirc.cli import SCHEMA_VERSION, _sweep_rows, _write_sweep, main
+from modulirc.cli import SCHEMA_VERSION, _json, _segre_rows, _sweep_rows, _write_sweep, main
 from modulirc.oracle import VerificationReport
+from modulirc.segre import stratum_codimension
 
 
 def _run(argv):
@@ -26,6 +28,30 @@ def _run(argv):
 def _run_json(argv):
     code, text = _run(argv)
     return code, json.loads(text)
+
+
+class TestJson:
+    """`_json` against the json module it stands in for."""
+
+    def test_every_code_point(self):
+        for c in map(chr, range(0x110000)):
+            assert _json(c) == json.dumps(c)
+
+    @pytest.mark.parametrize("ind", ["\n", "\n    "])
+    @pytest.mark.parametrize("obj", [
+        "", "plain text", 'say "no"', "back\\slash", "tab\there", "nul\0", "del\x7f",
+        "caf\u00e9", "\u2028\ud800\U0001f600", 'mixed "\\\x1f\x7f\u00ff',
+        {}, [], (), {"a": {}, "b": [], "c": ()}, [[], [[]], {"x": [1, [2, {}]]}],
+        {"k": -7, "big": -(10**39) - 1, "pos": 10**39, "t": True, "f": False, "n": None},
+        (1, (2, 3), ["a", ("b",)]), [None, True, False, 0, -1, "s"],
+        {"rows": [{"k": 1, "flags": ""}, {"k": 2, "flags": "incomplete"}], "esc\n": 'q"'}])
+    def test_equals_json_dumps(self, obj, ind):
+        assert _json(obj, ind) == json.dumps(obj, indent=2).replace("\n", ind)
+
+    @pytest.mark.parametrize("obj", [1.0, [0.5], {"x": np.int64(3)}, np.int64(3), {1: 2}, {2, 3}])
+    def test_other_types_raise(self, obj):
+        with pytest.raises(TypeError):
+            _json(obj)
 
 
 class TestClassify:
@@ -380,6 +406,22 @@ class TestSegre:
         assert code == 0
         assert [row["rPrime"] for row in data["results"]["table"]] == [1, 2]
 
+    def test_rows_equal_stratum_records(self):
+        # the table's arithmetic against the validated records it replaces
+        for g in range(2, 7):
+            for r in range(2, 16):
+                for d in range(r):
+                    p = derive_params(g, r, d)
+                    for rp, row in enumerate(_segre_rows(p, range(1, r)), 1):
+                        records = []
+                        s = rp * d % r or r  # the least positive s = r'd (mod r)
+                        while s != -1:
+                            st = stratum_codimension(p, rp, s)
+                            records.append({"s": st.s, "codim": st.codim, "nextS": st.next_s})
+                            s = st.next_s
+                        assert row["rPrime"] == rp and row["strata"] == records
+                        assert records[-1]["s"] == row["genericS"]
+
     def test_bad_r_prime(self):
         code, _ = _run(["segre", "--g", "2", "--r", "3", "--d", "1",
                         "--r-prime", "3"])
@@ -462,7 +504,7 @@ def test_cli_import_leaves_numpy_to_verify():
     # verify loads the oracle and the layers it imports, not classifier or segre
     loaded = _loaded_by(_golden_case("verify_counts")["argv"])
     assert "numpy" in loaded
-    assert _layers(loaded) == {"cli", "json", "params", "families", "oracle", "rng"}
+    assert _layers(loaded) == {"cli", "params", "families", "oracle", "rng"}
 
 
 # every name the package exports, with the layer that defines it
@@ -494,13 +536,16 @@ def test_package_exports_nothing_else():
         exec("from modulirc import no_such_name", {})
 
 
-# the layers of each command, and json if its output needs it; no command loads csv
-_LOADS = {"classify_json_candidates": "classifier families params segre json",
+# the layers of each command; no command loads json (`_json` writes its
+# output) or csv
+_LOADS = {"classify_json_candidates": "classifier families params segre",
           "classify_table_candidates": "classifier families params segre",
           "sweep_csv": "params segre",
           "sweep_csv_candidates": "classifier families params segre",
-          "segre_one_r_prime": "params segre json",
-          "connect_mismatch": "params segre json"}
+          "sweep_json": "params segre",
+          "segre_one_r_prime": "params segre",
+          "segre_all_r_primes": "params segre",
+          "connect_mismatch": "params segre"}
 
 
 @pytest.mark.parametrize("name", _LOADS)
