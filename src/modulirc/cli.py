@@ -14,9 +14,9 @@ from itertools import chain
 
 # a command imports the layers it runs when it runs, so a call compiles no
 # module it does not run: a count-only sweep loads segre alone, classify and
-# candidate sweeps classifier, and only verify loads numpy; JSON output needs
-# no json module (`_json`); the package's exports also read as attributes of
-# this module
+# candidate sweeps classifier, only verify loads numpy, and only JSON output
+# loads jsontext, which needs no json module; the package's exports also read
+# as attributes of this module
 from . import __getattr__  # noqa: F401
 from .params import (MAX_GENUS, MAX_K, ConsistencyError, ParameterError, _check_max_l,
                      _check_seed, derive_params, expected_dimension)
@@ -49,48 +49,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _plain(s):
-    """Whether json writes `s` unescaped: printable ASCII with no " or \\."""
-    return s.isascii() and s.isprintable() and '"' not in s and "\\" not in s
-
-
-def _json(obj, ind="\n"):
-    """The text `json.dumps(obj, indent=2)` gives, each newline followed by
-    `ind[1:]`.  Handles dicts with str keys, lists, tuples, str, int, bool
-    and None; raises TypeError on anything else.  The json module is
-    imported only for a string that needs escaping."""
-    if obj.__class__ is int:
-        return int.__repr__(obj)
-    if isinstance(obj, str):
-        if _plain(obj):
-            return '"' + obj + '"'
-        import json
-        return json.dumps(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    ind += "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        # one test for all the keys; join raises TypeError on a key that is not a str
-        if _plain("".join(obj)):
-            pairs = ['"' + key + '": ' + _json(value, ind) for key, value in obj.items()]
-        else:
-            pairs = [_json(key) + ": " + _json(value, ind) for key, value in obj.items()]
-        return "{" + ind + ("," + ind).join(pairs) + ind[:-2] + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        return "[" + ind + ("," + ind).join([_json(value, ind) for value in obj]) + ind[:-2] + "]"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
 def _write_json(fh, args, results, warnings):
     """Write the JSON envelope of `args.command`, the text that
     `json.dumps(envelope, indent=2) + "\n"` would give.  Its `inputs` echo
@@ -98,6 +56,7 @@ def _write_json(fh, args, results, warnings):
     subparser declares them, camelCased.  If one value of `results` is an
     iterator, its items are written as they come, one in memory at a time;
     there must be at least one item."""
+    from .jsontext import dumps
     # "max_l".title() is "Max_L"; a regex would cost a compile on every call
     inputs = {name[0] + name.title().replace("_", "")[1:]: value
               for name, value in vars(args).items()
@@ -114,17 +73,17 @@ def _write_json(fh, args, results, warnings):
             items, results = value, {**results, key: [marker]}
     envelope = {"schemaVersion": SCHEMA_VERSION, "command": args.command,
                 "inputs": inputs, "results": results, "warnings": warnings}
-    text = _json(envelope) + "\n"
+    text = dumps(envelope) + "\n"
     if items is None:
         fh.write(text)
         return
-    head, _, tail = text.partition(_json(marker))
+    head, _, tail = text.partition(dumps(marker))
     indent = "\n" + head.rpartition("\n")[2]
     fh.write(head)
     sep = ""
     for item in items:
         # one write per item: unbuffered, each write is a system call
-        fh.write(sep + _json(item, indent))
+        fh.write(sep + dumps(item, indent))
         sep = "," + indent
     fh.write(tail)
 

@@ -14,7 +14,8 @@ import pytest
 import modulirc
 from modulirc import derive_params, oracle
 from modulirc.classifier import ComponentDescriptor
-from modulirc.cli import SCHEMA_VERSION, _json, _segre_rows, _sweep_rows, _write_sweep, main
+from modulirc.cli import SCHEMA_VERSION, _segre_rows, _sweep_rows, _write_sweep, main
+from modulirc.jsontext import dumps
 from modulirc.oracle import VerificationReport
 from modulirc.segre import stratum_codimension
 
@@ -31,11 +32,11 @@ def _run_json(argv):
 
 
 class TestJson:
-    """`_json` against the json module it stands in for."""
+    """`jsontext.dumps` against the json module it stands in for."""
 
     def test_every_code_point(self):
         for c in map(chr, range(0x110000)):
-            assert _json(c) == json.dumps(c)
+            assert dumps(c) == json.dumps(c)
 
     @pytest.mark.parametrize("ind", ["\n", "\n    "])
     @pytest.mark.parametrize("obj", [
@@ -46,12 +47,12 @@ class TestJson:
         (1, (2, 3), ["a", ("b",)]), [None, True, False, 0, -1, "s"],
         {"rows": [{"k": 1, "flags": ""}, {"k": 2, "flags": "incomplete"}], "esc\n": 'q"'}])
     def test_equals_json_dumps(self, obj, ind):
-        assert _json(obj, ind) == json.dumps(obj, indent=2).replace("\n", ind)
+        assert dumps(obj, ind) == json.dumps(obj, indent=2).replace("\n", ind)
 
     @pytest.mark.parametrize("obj", [1.0, [0.5], {"x": np.int64(3)}, np.int64(3), {1: 2}, {2, 3}])
     def test_other_types_raise(self, obj):
         with pytest.raises(TypeError):
-            _json(obj)
+            dumps(obj)
 
 
 class TestClassify:
@@ -501,10 +502,11 @@ def test_cli_import_leaves_numpy_to_verify():
               "print(VerificationReport.__module__)\n")
     done = _python(["-c", script])
     assert (done.returncode, done.stdout) == (0, b"[]\n[]\nmodulirc.oracle\n")
-    # verify loads the oracle and the layers it imports, not classifier or segre
+    # verify loads the oracle and the layers it imports, not classifier or
+    # segre, and writes JSON without json
     loaded = _loaded_by(_golden_case("verify_counts")["argv"])
     assert "numpy" in loaded
-    assert _layers(loaded) == {"cli", "params", "families", "oracle", "rng"}
+    assert _layers(loaded) == {"cli", "jsontext", "params", "families", "oracle", "rng"}
 
 
 # every name the package exports, with the layer that defines it
@@ -536,16 +538,16 @@ def test_package_exports_nothing_else():
         exec("from modulirc import no_such_name", {})
 
 
-# the layers of each command; no command loads json (`_json` writes its
-# output) or csv
-_LOADS = {"classify_json_candidates": "classifier families params segre",
+# the layers of each command; only JSON output loads jsontext, and no command
+# loads json (jsontext writes its output) or csv
+_LOADS = {"classify_json_candidates": "classifier families jsontext params segre",
           "classify_table_candidates": "classifier families params segre",
           "sweep_csv": "params segre",
           "sweep_csv_candidates": "classifier families params segre",
-          "sweep_json": "params segre",
-          "segre_one_r_prime": "params segre",
-          "segre_all_r_primes": "params segre",
-          "connect_mismatch": "params segre"}
+          "sweep_json": "jsontext params segre",
+          "segre_one_r_prime": "jsontext params segre",
+          "segre_all_r_primes": "jsontext params segre",
+          "connect_mismatch": "jsontext params segre"}
 
 
 @pytest.mark.parametrize("name", _LOADS)
