@@ -49,7 +49,8 @@ class TestJson:
     def test_equals_json_dumps(self, obj, ind):
         assert dumps(obj, ind) == json.dumps(obj, indent=2).replace("\n", ind)
 
-    @pytest.mark.parametrize("obj", [1.0, [0.5], {"x": np.int64(3)}, np.int64(3), {1: 2}, {2, 3}])
+    @pytest.mark.parametrize("obj", [1.0, [0.5], {"x": np.int64(3)}, np.int64(3), {1: 2}, {2, 3},
+                                     type("IntSubclass", (int,), {})(3)])
     def test_other_types_raise(self, obj):
         with pytest.raises(TypeError):
             dumps(obj)
