@@ -53,39 +53,15 @@ def _write_json(fh, args, results, warnings):
     """Write the JSON envelope of `args.command`, the text that
     `json.dumps(envelope, indent=2) + "\n"` would give.  Its `inputs` echo
     every parsed option but the output's format and file, in the order the
-    subparser declares them, camelCased.  If one value of `results` is an
-    iterator, its items are written as they come, one in memory at a time;
-    there must be at least one item."""
-    from .jsontext import dumps
+    subparser declares them, camelCased.  An iterator among `results` is
+    written as a list, each item as it comes, one in memory at a time."""
+    from .jsontext import dump
     # "max_l".title() is "Max_L"; a regex would cost a compile on every call
     inputs = {name[0] + name.title().replace("_", "")[1:]: value
               for name, value in vars(args).items()
               if name not in ("command", "func", "format", "out")}
-    # the iterator's items take the place of a one-item placeholder, each
-    # indented to the placeholder's depth.  Ahead of it the text holds only
-    # keys, the schema version, the command's name and numbers, booleans or
-    # null (the inputs, classify's params and totals), so its first match is
-    # the placeholder.
-    marker = "<items>"
-    items = None
-    for key, value in results.items():
-        if hasattr(value, "__next__"):
-            items, results = value, {**results, key: [marker]}
-    envelope = {"schemaVersion": SCHEMA_VERSION, "command": args.command,
-                "inputs": inputs, "results": results, "warnings": warnings}
-    text = dumps(envelope) + "\n"
-    if items is None:
-        fh.write(text)
-        return
-    head, _, tail = text.partition(dumps(marker))
-    indent = "\n" + head.rpartition("\n")[2]
-    fh.write(head)
-    sep = ""
-    for item in items:
-        # one write per item: unbuffered, each write is a system call
-        fh.write(sep + dumps(item, indent))
-        sep = "," + indent
-    fh.write(tail)
+    dump({"schemaVersion": SCHEMA_VERSION, "command": args.command,
+          "inputs": inputs, "results": results, "warnings": warnings}, fh)
 
 
 def _classify_table(report):
@@ -116,8 +92,7 @@ def _cmd_classify(args, out):
     report = classifier.classify(p, args.k, include_candidates=args.include_candidates,
                                  include_mixed=args.include_mixed, max_l=args.max_l)
     if args.format == "json":
-        # each descriptor's dict is built as it is written; there are h >= 1
-        # unobstructed ones at every k
+        # each descriptor's dict is built as it is written
         _write_json(out, args, report.to_dict(descriptors=iter), report.warnings)
     else:
         out.write(_classify_table(report))
@@ -184,18 +159,21 @@ def _cmd_sweep(args, out):
     _check_max_l(args.max_l)
     if args.out == "":
         raise ParameterError("--out must name a file, got an empty path")
+    # both formats write nothing before the first row is built, so an error
+    # in building it exits with no output
     rows = _sweep_rows(p, args.k_min, args.k_max, args.include_candidates, args.max_l)
-    # the first row is built before anything is written, so that an error in
-    # building it exits with no output
-    rows = chain([next(rows)], rows)
     if args.out:
-        tmp = args.out + ".tmp"
+        # the temp file bears this process's id and is created here, so a
+        # file already at its name is neither written nor removed
+        tmp = f"{args.out}.{os.getpid()}.tmp"
+        made = False
         try:
-            with open(tmp, "w", encoding="utf-8") as fh:
+            with open(tmp, "x", encoding="utf-8") as fh:
+                made = True
                 _write_sweep(args, rows, fh)
             os.replace(tmp, args.out)
         except BaseException as exc:
-            if os.path.isfile(tmp):
+            if made:
                 os.remove(tmp)
             if isinstance(exc, OSError):
                 raise ParameterError(f"cannot write {args.out}: {exc.strerror}") from exc

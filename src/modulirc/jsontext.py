@@ -17,28 +17,46 @@ def _str(s):
     return json.dumps(s)
 
 
-def dumps(obj, ind="\n"):
-    """The text `json.dumps(obj, indent=2)` gives, each newline followed by
-    `ind[1:]`.  Handles dicts with str keys, lists, tuples, str, int, bool
-    and None; raises TypeError on anything else."""
+def _put(obj, ind, out, fh):
+    """Append to `out` the text `json.dumps(obj, indent=2)` gives, each
+    newline followed by `ind[1:]`; an iterator is a list, after each of whose
+    items `out` is written to `fh` and cleared."""
     if obj.__class__ is int:
-        return int.__repr__(obj)
-    if isinstance(obj, str):
-        return _str(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    ind += "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        pairs = [_str(key) + ": " + dumps(value, ind) for key, value in obj.items()]
-        return "{" + ind + ("," + ind).join(pairs) + ind[:-2] + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        return "[" + ind + ("," + ind).join([dumps(value, ind) for value in obj]) + ind[:-2] + "]"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, str):
+        out.append(_str(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, dict):
+        ind += "  "
+        sep, comma = "{" + ind, "," + ind
+        for key, value in obj.items():
+            out.append(sep + _str(key) + ": ")
+            _put(value, ind, out, fh)
+            sep = comma
+        out.append("{}" if sep[0] == "{" else ind[:-2] + "}")
+    else:
+        streams = hasattr(obj, "__next__")
+        if not streams and not isinstance(obj, (list, tuple)):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        ind += "  "
+        sep, comma = "[" + ind, "," + ind
+        for value in obj:
+            out.append(sep)
+            _put(value, ind, out, fh)
+            if streams:
+                fh.write("".join(out))
+                out.clear()
+            sep = comma
+        out.append("[]" if sep[0] == "[" else ind[:-2] + "]")
+
+
+def dump(obj, fh):
+    """Write to `fh` the text `json.dumps(obj, indent=2) + "\\n"` gives, an
+    iterator as the list of its items: one write per item, with the text
+    before it, and one for the rest.  Handles dicts with str keys, lists,
+    tuples, iterators, str, int, bool and None; TypeError on anything else."""
+    out = []
+    _put(obj, "\n", out, fh)
+    out.append("\n")
+    fh.write("".join(out))

@@ -15,8 +15,9 @@ import modulirc
 from modulirc import derive_params, oracle
 from modulirc.classifier import ComponentDescriptor
 from modulirc.cli import SCHEMA_VERSION, _segre_rows, _sweep_rows, _write_sweep, main
-from modulirc.jsontext import dumps
+from modulirc.jsontext import dump
 from modulirc.oracle import VerificationReport
+from modulirc.params import ParameterError
 from modulirc.segre import stratum_codimension
 
 
@@ -31,13 +32,33 @@ def _run_json(argv):
     return code, json.loads(text)
 
 
+def _dump(obj):
+    fh = io.StringIO()
+    dump(obj, fh)
+    return fh.getvalue()
+
+
+class _Writes(io.StringIO):
+    """A file that keeps each write's text."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
 class TestJson:
-    """`jsontext.dumps` against the json module it stands in for."""
+    """`jsontext.dump` against the json module it stands in for."""
 
     def test_every_code_point(self):
-        for c in map(chr, range(0x110000)):
-            assert dumps(c) == json.dumps(c)
+        chars = list(map(chr, range(0x110000)))
+        assert _dump(chars) == json.dumps(chars, indent=2) + "\n"
 
+    # the object's indentation: at the top, or at depth 2, as the value in a
+    # one-key dict inside a list
     @pytest.mark.parametrize("ind", ["\n", "\n    "])
     @pytest.mark.parametrize("obj", [
         "", "plain text", 'say "no"', "back\\slash", "tab\there", "nul\0", "del\x7f",
@@ -47,13 +68,55 @@ class TestJson:
         (1, (2, 3), ["a", ("b",)]), [None, True, False, 0, -1, "s"],
         {"rows": [{"k": 1, "flags": ""}, {"k": 2, "flags": "incomplete"}], "esc\n": 'q"'}])
     def test_equals_json_dumps(self, obj, ind):
-        assert dumps(obj, ind) == json.dumps(obj, indent=2).replace("\n", ind)
+        nested = obj if ind == "\n" else [{"x": obj}]
+        text = _dump(nested)
+        assert text == json.dumps(nested, indent=2) + "\n"
+        assert json.dumps(obj, indent=2).replace("\n", ind) in text
 
     @pytest.mark.parametrize("obj", [1.0, [0.5], {"x": np.int64(3)}, np.int64(3), {1: 2}, {2, 3},
                                      type("IntSubclass", (int,), {})(3)])
     def test_other_types_raise(self, obj):
         with pytest.raises(TypeError):
-            dumps(obj)
+            _dump(obj)
+
+    @pytest.mark.parametrize("make", [
+        lambda items: items,
+        lambda items: {"params": {"g": 2}, "k": 9, "descriptors": items, "warnings": ["w"]},
+        lambda items: {"a": {"b": {"c": items, "d": 1}}},
+        lambda items: [0, items, {}],
+        lambda items: ({"rows": iter([item, item])} for item in items),
+    ], ids=["alone", "among keys", "depth 3", "in a list", "in an item"])
+    @pytest.mark.parametrize("items", [[], [{"k": 1, "flags": ""}],
+                                       [{"k": k, "flags": "incomplete"} for k in range(5)]],
+                             ids=["no items", "1 item", "5 items"])
+    def test_iterators_equal_json_dumps_of_lists(self, make, items):
+        # an iterator is encoded as the list of its items, at any depth
+        def listed(obj):
+            if isinstance(obj, dict):
+                return {key: listed(value) for key, value in obj.items()}
+            if isinstance(obj, (list, tuple)) or hasattr(obj, "__next__"):
+                return [listed(value) for value in obj]
+            return obj
+
+        expected = json.dumps(listed(make(iter(items))), indent=2) + "\n"
+        assert _dump(make(iter(items))) == expected
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_one_write_per_item(self, n):
+        # each item goes out, with the text before it, before the next is
+        # pulled, and the rest of the document goes in one write
+        fh = _Writes()
+        items = [{"k": k, "name": f"item {k}"} for k in range(n)]
+
+        def pulled():
+            for k, item in enumerate(items):
+                assert fh.getvalue().count('"name": ') == k
+                yield item
+
+        data = {"head": [1, 2], "items": pulled(), "tail": None}
+        dump(data, fh)
+        assert len(fh.writes) == n + 1
+        assert fh.getvalue() == json.dumps({**data, "items": items}, indent=2) + "\n"
 
 
 class TestClassify:
@@ -196,7 +259,29 @@ class TestSweep:
         assert code == 0
         assert text == ""  # written to the file, not stdout
         assert target.read_text().startswith("k,unobstructedExt")
-        assert not (tmp_path / "sweep.csv.tmp").exists()
+        assert not list(tmp_path.glob("*.tmp"))
+
+    _OUT_ARGV = ["sweep", "--g", "2", "--r", "4", "--d", "2", "--k-min", "1", "--k-max", "3"]
+
+    def test_out_keeps_another_temp_file(self, tmp_path):
+        # `<out>.tmp` is not the temp file's name, so a file of that name stays
+        notes = tmp_path / "s.csv.tmp"
+        notes.write_text("my notes\n")
+        assert _run(self._OUT_ARGV + ["--out", str(tmp_path / "s.csv")]) == (0, "")
+        assert notes.read_text() == "my notes\n"
+        assert (tmp_path / "s.csv").read_text() == _run(self._OUT_ARGV)[1]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "s.csv.tmp"]
+
+    def test_out_keeps_a_file_at_its_temp_name(self, tmp_path, capsys):
+        # the temp file is made, never opened: a file already at its name
+        # fails the call and is left as it was
+        taken = tmp_path / f"s.csv.{os.getpid()}.tmp"
+        taken.write_text("someone else's\n")
+        out = str(tmp_path / "s.csv")
+        assert _run(self._OUT_ARGV + ["--out", out]) == (1, "")
+        assert capsys.readouterr().err == f"modulirc: error: cannot write {out}: File exists\n"
+        assert taken.read_text() == "someone else's\n"
+        assert [p.name for p in tmp_path.iterdir()] == [taken.name]
 
     @pytest.mark.parametrize("target, reason", [
         ("missing/sweep.csv", "No such file or directory"),
@@ -228,6 +313,19 @@ class TestSweep:
         assert _run(argv) == (1, "")
         out = tmp_path / "sweep.out"
         assert _run(argv + ["--out", str(out)]) == (1, "")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_first_row_failing_writes_nothing(self, tmp_path, monkeypatch, capsys, fmt):
+        # neither format writes before the first row is built
+        def failing(*args):
+            raise ParameterError("no rows")
+
+        monkeypatch.setattr(modulirc.segre, "sieve_obstructed_expected", failing)
+        argv = self._OUT_ARGV + ["--format", fmt]
+        assert _run(argv) == (1, "")
+        assert _run(argv + ["--out", str(tmp_path / "sweep.out")]) == (1, "")
+        assert capsys.readouterr().err == "modulirc: error: no rows\n" * 2
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
