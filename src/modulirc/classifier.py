@@ -39,8 +39,6 @@ class Status(Enum):
     CANDIDATE = "CANDIDATE"
 
 
-_KIND_ORDER = {k: i for i, k in enumerate(Kind)}
-
 _UNOBSTRUCTED = (Kind.UNOBSTRUCTED_EXT, Kind.UNOBSTRUCTED_TORSION)
 
 # (generic image, status) of each kind; `status` makes one exception
@@ -79,9 +77,7 @@ class ComponentDescriptor(Record):
             kind = Kind.OBSTRUCTED_EXPECTED
         else:
             kind = Kind.OBSTRUCTED_CANDIDATE
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "dimension", dim)
-        object.__setattr__(self, "expected_dim", exp)
+        self.__dict__.update(kind=kind, dimension=dim, expected_dim=exp)
 
     @property
     def obstructed(self):
@@ -113,18 +109,6 @@ class ComponentDescriptor(Record):
             "genericImage": self.generic_image.value,
             "status": self.status.value,
         }
-
-
-def _datum_sort_key(datum):
-    if isinstance(datum, TorsionDatum):
-        return (0, (datum.t, datum.a))
-    if isinstance(datum, ExtensionChain):
-        return (datum.length, datum.steps + datum.twists)
-    return (1, (datum.r1, datum.d1, datum.t))
-
-
-def _sort_key(desc):
-    return (_KIND_ORDER[desc.kind],) + _datum_sort_key(desc.datum)
 
 
 class ThmBRow(Record):
@@ -168,24 +152,22 @@ class _Spent(Exception):
 
 def enumerate_unobstructed(p, k):
     """The h unobstructed components of degree k (one per Diophantine
-    solution); all have exactly the expected dimension."""
+    solution), all of exactly the expected dimension: the two-step families
+    by ascending r1, then the torsion family, if there is one."""
     _check_k(k)
-    out = []
-    for r1, d1 in solve_dioph(p, k):
-        if r1 > 0:
-            datum = two_step_chain(p, r1, d1, 1)
-        else:
-            # x = 0 solves d_bar*0 - r_bar*y = k, so r_bar | k and t = k/r_bar
-            datum = TorsionDatum(params=p, t=k // p.r_bar, a=1)
-        out.append(ComponentDescriptor(datum=datum, k=k))
-    out.sort(key=_sort_key)
+    solutions = solve_dioph(p, k)  # by ascending x
+    out = [ComponentDescriptor(datum=two_step_chain(p, r1, d1, 1), k=k)
+           for r1, d1 in solutions if r1 > 0]
+    if solutions[0][0] == 0:
+        # x = 0 solves d_bar*0 - r_bar*y = k, so r_bar | k and t = k/r_bar
+        out.append(ComponentDescriptor(datum=TorsionDatum(params=p, t=k // p.r_bar, a=1), k=k))
     return out
 
 
 def enumerate_obstructed_expected(p, k):
     """Obstructed components of exactly the expected dimension, and the
     per-r1 cross-check of the two readings of the divisibility criterion
-    (`segre._thm_b_tests`)."""
+    (`segre._thm_b_tests`), both by ascending r1."""
     _check_k(k)
     out, rows = [], []
     for r1, divisor, step, low in _thm_b_tests(p):
@@ -199,7 +181,6 @@ def enumerate_obstructed_expected(p, k):
             out.append(desc)
         rows.append(ThmBRow(r1=r1, divisor=divisor, divides_k=k % divisor == 0,
                             constructive=constructive))
-    # no sort needed: ascending r1 is already _sort_key order
     return out, rows
 
 
@@ -333,13 +314,14 @@ def enumerate_candidates(p, k, max_l=3, include_mixed=False):
     """Exhaustively enumerate the obstructed families of degree k that can be
     components, those of at least the expected dimension: two-step data with
     twist >= 2 and chains of length 3..max_l; and, optionally, the mixed
-    families, which all fall below it.  The result names the reasons the
-    search may be incomplete: the work budget running out, or max_l below the
-    longest chain."""
+    families, which all fall below it.  The chains come first, by (length,
+    steps, twists), then the mixed families by (r1, d1, t).  The result names
+    the reasons the search may be incomplete: the work budget running out, or
+    max_l below the longest chain."""
     _check_k(k)
     _check_max_l(max_l)
     hk = p.h * k
-    out, work = [], 0
+    chains, mixed, work = [], [], 0
 
     def charge(units):
         nonlocal work
@@ -361,25 +343,28 @@ def enumerate_candidates(p, k, max_l=3, include_mixed=False):
             for r1, d1 in solve_dioph(p, k // a):
                 if r1 >= 1 and hk // a < segre_bound(p, r1):
                     charge(DESCRIPTOR_COST)
-                    out.append(ComponentDescriptor(datum=two_step_chain(p, r1, d1, a), k=k))
+                    chains.append(ComponentDescriptor(datum=two_step_chain(p, r1, d1, a), k=k))
 
         # chains of length >= 3 with certificate <= 0, charged by the walk
         for l in range(3, min(max_l, longest_l) + 1):
             for steps, twists in _deg_vectors(p, l, hk, charge):
                 chain = ExtensionChain(params=p, steps=steps, twists=twists)
-                out.append(ComponentDescriptor(datum=chain, k=k))
+                chains.append(ComponentDescriptor(datum=chain, k=k))
 
         if include_mixed:
             # a mixed family of degree k is a solution (r1, y) at k, r1 >= 1, with
-            # d1 = y + t; its slopes increase exactly when (r + r1)*t < hk
+            # d1 = y + t; its slopes increase exactly when (r + r1)*t < hk.  The
+            # solutions come by ascending r1, so the families by (r1, d1, t)
             for r1, y in solve_dioph(p, k):
                 for t in range(1, -(-hk // (p.r + r1)) if r1 >= 1 else 1):
                     charge(DESCRIPTOR_COST)
                     datum = MixedDatum(params=p, r1=r1, d1=y + t, t=t)
-                    out.append(ComponentDescriptor(datum=datum, k=k))
+                    mixed.append(ComponentDescriptor(datum=datum, k=k))
 
-    out.sort(key=_sort_key)
-    return CandidateSearch(descriptors=tuple(out), max_l=max_l, longest_l=longest_l, work=work)
+    # the divisor loop finds two-step chains by twist, and the walk by length
+    chains.sort(key=lambda desc: (desc.datum.length, desc.datum.steps, desc.datum.twists))
+    return CandidateSearch(descriptors=(*chains, *mixed), max_l=max_l, longest_l=longest_l,
+                           work=work)
 
 
 class ClassificationReport(Record):
@@ -446,7 +431,7 @@ def classify(p, k, include_candidates=False, include_mixed=False, max_l=3):
     if include_candidates:
         search = enumerate_candidates(p, k, max_l=max_l, include_mixed=include_mixed)
         descriptors += search.descriptors
-    # already in _sort_key order: each enumerator sorts its own list, and
-    # their kinds occupy disjoint, increasing ranges of _KIND_ORDER
+    # each enumerator lists its descriptors in output order, and their kinds
+    # come in the order Kind declares them, so the lists are only joined
     return ClassificationReport(params=p, k=k, descriptors=descriptors,
                                 thm_b=rows, candidate_search=search)

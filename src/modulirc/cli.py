@@ -164,8 +164,9 @@ def _cmd_sweep(args, out):
     rows = _sweep_rows(p, args.k_min, args.k_max, args.include_candidates, args.max_l)
     if args.out:
         # the temp file bears this process's id and is created here, so a
-        # file already at its name is neither written nor removed
-        tmp = f"{args.out}.{os.getpid()}.tmp"
+        # file already at its name is neither written nor removed; its name
+        # does not grow with the output's, which may be as long as a name can be
+        tmp = os.path.join(os.path.dirname(args.out), f".modulirc-{os.getpid()}.tmp")
         made = False
         try:
             with open(tmp, "x", encoding="utf-8") as fh:

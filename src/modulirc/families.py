@@ -16,14 +16,13 @@ of rounding.
 from .params import ConsistencyError, ModuliParams, ParameterError, Record
 
 
-def _set_derived(datum, hk, dimension):
+def _set_derived(datum, hk, dimension, **fields):
     """Store k = hk/h and the family's dimension, derived values that are not
-    fields (as ModuliParams stores h)."""
+    fields (as ModuliParams stores h), with any `fields` in normal form."""
     h = datum.params.h
     if hk % h != 0:
         raise ConsistencyError(f"h does not divide the degree sum of {type(datum).__name__}")
-    object.__setattr__(datum, "degree", hk // h)
-    object.__setattr__(datum, "dimension", dimension)
+    datum.__dict__.update(fields, degree=hk // h, dimension=dimension)
 
 
 class ExtensionChain(Record):
@@ -36,7 +35,7 @@ class ExtensionChain(Record):
     twists: tuple  # (a_1, ..., a_{l-1}), each >= 1
 
     def __post_init__(self):
-        # one pass over the steps stores them as ints and gathers what the
+        # one pass over the steps makes them ints and gathers what the
         # checks below need; the checks raise in the order they are listed
         steps, r_sum, d_sum, r_min, slope = [], 0, 0, 1, None
         for a, b in self.steps:
@@ -50,8 +49,6 @@ class ExtensionChain(Record):
                 r_min = r_hi
             r_lo, d_lo = r_hi, d_hi
         steps, twists, p = tuple(steps), tuple(map(int, self.twists)), self.params
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "twists", twists)
         if len(steps) < 2:
             raise ParameterError("chain needs at least two steps")
         if len(twists) != len(steps) - 1:
@@ -79,7 +76,7 @@ class ExtensionChain(Record):
                 hk += t * w
                 lin += t * (w + 1)
                 quad += ri * rj * (w - 1)
-        _set_derived(self, hk, p.dim_m + lin + quad * (p.g - 1))
+        _set_derived(self, hk, p.dim_m + lin + quad * (p.g - 1), steps=steps, twists=twists)
 
     @property
     def length(self):

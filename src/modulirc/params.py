@@ -33,7 +33,8 @@ class Record:
     annotations are its fields, in order, and a class attribute named like a
     field is its default.  Instances compare, hash and print by their field
     values; `__post_init__` validates them after construction and may also
-    store values derived from them, which are not fields."""
+    store values derived from them, which are not fields, in the instance
+    dict as `__init__` stores the fields: with one `self.__dict__.update`."""
 
     def __init_subclass__(cls):
         cls._fields = tuple(cls.__annotations__)
@@ -91,11 +92,8 @@ class ModuliParams(Record):
     def __post_init__(self):
         r, d = self.r, self.d
         h = gcd(r, d)  # math.gcd(r, 0) == r, matching the convention we need
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "r_bar", r // h)
-        object.__setattr__(self, "d_bar", d // h)
-        object.__setattr__(self, "dim_m", (r * r - 1) * (self.g - 1))
-        object.__setattr__(self, "fano_index", 2 * h)
+        self.__dict__.update(h=h, r_bar=r // h, d_bar=d // h,
+                             dim_m=(r * r - 1) * (self.g - 1), fano_index=2 * h)
 
 
 def derive_params(g, r, d):

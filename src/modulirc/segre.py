@@ -63,9 +63,9 @@ class SegreStratum(Record):
 
     def __post_init__(self):
         bound = segre_bound(self.params, self.r_prime)
-        object.__setattr__(self, "codim", max(bound - self.s, 0))
-        # inclusion-chain neighbor s + r, or -1 once the stratum is dense
-        object.__setattr__(self, "next_s", self.s + self.params.r if self.s < bound else -1)
+        # next_s: the inclusion-chain neighbor s + r, or -1 once the stratum is dense
+        self.__dict__.update(codim=max(bound - self.s, 0),
+                             next_s=self.s + self.params.r if self.s < bound else -1)
 
 
 def generic_segre(p, r_prime):

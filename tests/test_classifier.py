@@ -89,6 +89,33 @@ class TestObstructedExpected:
         assert rows[0].divides_k and not rows[0].constructive
         assert not rows[0].agree
 
+    def test_divisibility_readings_disagree_as_documented(self):
+        # README's third documented discrepancy: the literal reading
+        # r1*(r-r1)*(g-1) | k against the constructive test, over its grid
+        rows, literal_only, constructive_only = 0, [], []
+        for g in range(2, 6):
+            for r in range(2, 9):
+                for d in range(r):
+                    p = derive_params(g, r, d)
+                    for k in range(1, 200):
+                        for row in enumerate_obstructed_expected(p, k)[1]:
+                            rows += 1
+                            point = (k, g, r, d, row.r1)
+                            if row.divides_k and not row.constructive:
+                                literal_only.append(point)
+                            elif row.constructive and not row.divides_k:
+                                constructive_only.append(point)
+        assert (rows, len(literal_only), len(constructive_only)) == (133728, 8356, 2022)
+        # as (k, g, r, d, r1): at (2, 2, 0) the divisor 1 divides every k,
+        # but 2 does not divide r1*d - divisor = -1; at (2, 4, 0) the divisor
+        # 4 does not divide k = 2, but h = 4, so the test builds the twist-2
+        # family (2, -1), (2, 1)
+        assert min(literal_only) == (1, 2, 2, 0, 1)
+        assert min(constructive_only) == (2, 2, 4, 0, 2)
+        expected, _ = enumerate_obstructed_expected(derive_params(2, 4, 0), 2)
+        assert [_datum(desc) for desc in expected] == [
+            {"type": "chain", "steps": [[2, -1], [2, 1]], "twists": [2]}]
+
 
 class TestCandidates:
     def test_rank_two_proved_component(self):

@@ -264,18 +264,28 @@ class TestSweep:
     _OUT_ARGV = ["sweep", "--g", "2", "--r", "4", "--d", "2", "--k-min", "1", "--k-max", "3"]
 
     def test_out_keeps_another_temp_file(self, tmp_path):
-        # `<out>.tmp` is not the temp file's name, so a file of that name stays
-        notes = tmp_path / "s.csv.tmp"
-        notes.write_text("my notes\n")
+        # neither `<out>.tmp` nor `<out>.<pid>.tmp` is the temp file's name,
+        # so files of those names stay
+        kept = [f"s.csv.{os.getpid()}.tmp", "s.csv.tmp"]
+        for name in kept:
+            (tmp_path / name).write_text("my notes\n")
         assert _run(self._OUT_ARGV + ["--out", str(tmp_path / "s.csv")]) == (0, "")
-        assert notes.read_text() == "my notes\n"
+        assert all((tmp_path / name).read_text() == "my notes\n" for name in kept)
         assert (tmp_path / "s.csv").read_text() == _run(self._OUT_ARGV)[1]
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "s.csv.tmp"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", *kept]
+
+    def test_out_name_near_the_name_limit(self, tmp_path):
+        # the temp name does not grow with the output's, so an output whose
+        # name is 3 bytes short of the limit is written like any other
+        name = "a" * (os.pathconf(tmp_path, "PC_NAME_MAX") - 7) + ".csv"
+        assert _run(self._OUT_ARGV + ["--out", str(tmp_path / name)]) == (0, "")
+        assert (tmp_path / name).read_bytes() == _run(self._OUT_ARGV)[1].encode()
+        assert [p.name for p in tmp_path.iterdir()] == [name]
 
     def test_out_keeps_a_file_at_its_temp_name(self, tmp_path, capsys):
         # the temp file is made, never opened: a file already at its name
         # fails the call and is left as it was
-        taken = tmp_path / f"s.csv.{os.getpid()}.tmp"
+        taken = tmp_path / f".modulirc-{os.getpid()}.tmp"
         taken.write_text("someone else's\n")
         out = str(tmp_path / "s.csv")
         assert _run(self._OUT_ARGV + ["--out", out]) == (1, "")
