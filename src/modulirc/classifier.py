@@ -11,7 +11,7 @@ budget), and the mixed families, each labeled with its proof status.
 from contextlib import suppress
 from enum import Enum
 from itertools import accumulate
-from math import comb, isqrt
+from math import comb, gcd, isqrt
 
 from .params import (MAX_K, ConsistencyError, ModuliParams, ParameterError, Record,
                      _check_max_l, expected_dimension, solve_dioph)
@@ -197,7 +197,20 @@ def _deg_vectors(p, l, hk, charge):
     spare degree hk minus the a_i*c_i placed, and the last twist is the one
     value that uses up the spare: the walk is complete by construction.
 
-    It prunes with the split form of the certificate.  With
+    It prunes by the slopes left.  After entry j, of rank r_j and degree
+    d_j = D_j - D_{j-1}, there are left = l - j entries, of rank
+    r - R_j and degree d - D_j in all, each of larger slope.  So each adds
+    r_j*d_i - d_j*r_i >= 1, a multiple of gcd(r_j, d_j), and when
+    r - R_j = left each has rank 1 and a larger degree than the one before,
+    so these terms rise by r_j each.  Their sum r_j*(d - D_j) - d_j*(r - R_j)
+    is then at least gcd(r_j, d_j)*left + r_j*left*(left-1)/2, the last term
+    only when r - R_j = left.  With the gcd taken as 1 this bounds the top of
+    the window of D_j (at left = 1 it is the closing entry's slope); the
+    full test skips a value after the certificate's test below.  Neither
+    drops a chain, and the bound cuts the values the window visits first,
+    so the walk charges no more than the certificate alone would.
+
+    It also prunes with the split form of the certificate.  With
     e_j = c_j - (g-1)*R_j*(r - R_j), the prefix's excess over the Segre
     bound, and e3 the third elementary symmetric polynomial of the ranks,
     r*cert = sum_j (r*a_j - r_j - r_{j+1})*e_j + (g-1)*e3, and the family has
@@ -245,27 +258,31 @@ def _deg_vectors(p, l, hk, charge):
             results.append((steps + ((r - prefix_r, d - prefix_d),), twists))
             return
         last = j == l - 2  # the last split: its twist uses up the spare
-        # each entry after this one keeps rank >= 1
-        for rank in range(1, r - prefix_r - (l - 2 - j)):
+        left = l - 1 - j  # the entries after this one, each of rank >= 1
+        for rank in range(1, r - prefix_r - (left - 1)):
             charge(1)
             next_r = prefix_r + rank
+            rest_r = r - next_r
             # floor <= c_j <= spare minus the floors still to place
             lo = -((spare - rests[j] - next_r * d) // r)
             hi = (next_r * d - floors[j]) // r
+            # the entries after this one have larger slopes, which needs at
+            # least `need` of rank*(d - next_d) - (next_d - prefix_d)*rest_r
+            need = left + (rank * left * (left - 1) // 2 if rest_r == left else 0)
+            hi = min(hi, (d * rank + prefix_d * rest_r - need) // (rank + rest_r))
             if steps:  # the slope must strictly increase
                 prev_r, prev_d = steps[-1]
                 lo = max(lo, prefix_d + prev_d * rank // prev_r + 1)
             base = placed - rank * pending
             next_e2, next_e3 = e2 + prefix_r * rank, e3 + e2 * rank
-            segre = gm * next_r * (r - next_r)
+            segre = gm * next_r * rest_r
             known = base + gm * next_e3
             # the next entry's rank is at most high_r, and at the last split
             # it is high_r, closing rank and degree
-            high_r = r - next_r - (l - 2 - j)
-            if last:  # the closing entry has the larger slope, and e3 is known
-                hi = min(hi, (d * rank + prefix_d * high_r - 1) // (rank + high_r))
+            high_r = rest_r - (left - 1)
+            if last:  # e3 is known
                 known += gm * next_e2 * high_r
-            chord = gm * (r - 1) * (r - next_r)  # c_j times the chord's G_m/c_m
+            chord = gm * (r - 1) * rest_r  # c_j times the chord's G_m/c_m
             for next_d in range(hi, lo - 1, -1):  # c_j ascending
                 charge(1)
                 c = next_r * d - next_d * r  # >= floors[j] by the window
@@ -276,11 +293,15 @@ def _deg_vectors(p, l, hk, charge):
                 slope = e + c * steep
                 if e >= 0 and fixed + r * slope > 0:
                     break  # and so is every larger c_j
+                ds = next_d - prefix_d
+                if not last and (rank * (d - next_d) - ds * rest_r
+                                 < gcd(rank, ds) * left + need - left):
+                    continue  # the entries after this one cannot have larger slopes
                 top = (spare - rests[j]) // c
                 if last and spare % c:
                     continue  # no twist uses up the spare
                 low = top if last else 1
-                step = steps + ((rank, next_d - prefix_d),)
+                step = steps + ((rank, ds),)
                 for a in range(low, top + 1) if slope >= 0 else range(top, low - 1, -1):
                     if fixed + r * a * slope > 0:
                         break  # and so is every later twist
@@ -372,7 +393,7 @@ class ClassificationReport(Record):
     k: int
     descriptors: list
     thm_b: list
-    candidate_search: CandidateSearch | None = None
+    candidate_search: CandidateSearch | None
 
     @property
     def totals(self):

@@ -9,11 +9,12 @@ Four shapes of family data appear:
 
 Each datum computes its degree k and the dimension of its family once, at
 construction, and says whether its generic splitting type is balanced.  All
-values are plain integers; any non-integrality raises ConsistencyError instead
-of rounding.
+values are plain integers: a field that is not an integer raises
+ParameterError, and a derived value that would not be one ConsistencyError,
+instead of rounding.
 """
 
-from .params import ConsistencyError, ModuliParams, ParameterError, Record
+from .params import ConsistencyError, ModuliParams, ParameterError, Record, _integer
 
 
 def _set_derived(datum, hk, dimension, **fields):
@@ -39,7 +40,7 @@ class ExtensionChain(Record):
         # checks below need; the checks raise in the order they are listed
         steps, r_sum, d_sum, r_min, slope = [], 0, 0, 1, None
         for a, b in self.steps:
-            r_hi, d_hi = int(a), int(b)
+            r_hi, d_hi = _integer(a, "steps"), _integer(b, "steps")
             if steps and slope is None and d_lo * r_hi >= d_hi * r_lo:
                 slope = f"slopes must strictly increase: {d_lo}/{r_lo} !< {d_hi}/{r_hi}"
             steps.append((r_hi, d_hi))
@@ -48,7 +49,8 @@ class ExtensionChain(Record):
             if r_hi < r_min:
                 r_min = r_hi
             r_lo, d_lo = r_hi, d_hi
-        steps, twists, p = tuple(steps), tuple(map(int, self.twists)), self.params
+        steps, p = tuple(steps), self.params
+        twists = tuple(_integer(a, "twists") for a in self.twists)
         if len(steps) < 2:
             raise ParameterError("chain needs at least two steps")
         if len(twists) != len(steps) - 1:
@@ -99,18 +101,19 @@ class TorsionDatum(Record):
 
     params: ModuliParams
     t: int
-    a: int = 1
+    a: int
 
     def __post_init__(self):
-        if self.t < 1:
-            raise ParameterError(f"divisor degree must be >= 1, got {self.t}")
-        if self.a < 1:
-            raise ParameterError(f"twist must be >= 1, got {self.a}")
+        t, a = _integer(self.t, "t"), _integer(self.a, "a")
+        if t < 1:
+            raise ParameterError(f"divisor degree must be >= 1, got {t}")
+        if a < 1:
+            raise ParameterError(f"twist must be >= 1, got {a}")
         # hk = a*r*t (k = a * r_bar * t), and dim M + hk + r*t: the expected
         # dimension at a = 1, strictly below it at a >= 2
         p = self.params
-        hk = self.a * p.r * self.t
-        _set_derived(self, hk, p.dim_m + hk + p.r * self.t)
+        hk = a * p.r * t
+        _set_derived(self, hk, p.dim_m + hk + p.r * t, t=t, a=a)
 
     @property
     def balanced(self):
@@ -130,16 +133,17 @@ class MixedDatum(Record):
 
     def __post_init__(self):
         p = self.params
-        if not 1 <= self.r1 <= p.r - 1:
-            raise ParameterError(f"r1 must lie in [1, r-1], got {self.r1}")
-        if self.t < 1:
-            raise ParameterError(f"divisor degree must be >= 1, got {self.t}")
-        if self.d1 * (p.r - self.r1) >= (p.d - self.d1 - self.t) * self.r1:
+        r1, d1, t = (_integer(self.__dict__[f], f) for f in ("r1", "d1", "t"))
+        if not 1 <= r1 <= p.r - 1:
+            raise ParameterError(f"r1 must lie in [1, r-1], got {r1}")
+        if t < 1:
+            raise ParameterError(f"divisor degree must be >= 1, got {t}")
+        if d1 * (p.r - r1) >= (p.d - d1 - t) * r1:
             raise ParameterError("sub slope must be strictly below quotient slope")
         # hk = r1*d - r*d1 + r*t and dim M + 2hk - 2*r1*t, always strictly
         # below the expected dimension
-        hk = self.r1 * p.d - p.r * self.d1 + p.r * self.t
-        _set_derived(self, hk, p.dim_m + 2 * hk - 2 * self.r1 * self.t)
+        hk = r1 * p.d - p.r * d1 + p.r * t
+        _set_derived(self, hk, p.dim_m + 2 * hk - 2 * r1 * t, r1=r1, d1=d1, t=t)
 
     balanced = False  # a mixed family is always obstructed
 

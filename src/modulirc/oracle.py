@@ -37,7 +37,7 @@ class VerificationReport(Record):
     trials: int
     failures: int
     counterexamples: list
-    notes: str = ""
+    notes: str
 
     @property
     def passed(self):

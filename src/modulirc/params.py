@@ -5,6 +5,7 @@ the package are done by cross-multiplication, never by division.
 """
 
 from math import gcd
+from operator import index
 
 
 # inputs beyond these keep every intermediate formula inside signed 64 bits
@@ -27,35 +28,30 @@ class ConsistencyError(RuntimeError):
     """
 
 
+def _integer(value, name):  # an int, or ParameterError where int() would round
+    try:
+        return index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+
+
 class Record:
     """Base of the immutable value types, in place of frozen dataclasses,
     whose import costs more than most CLI calls compute.  A subclass's
-    annotations are its fields, in order, and a class attribute named like a
-    field is its default.  Instances compare, hash and print by their field
-    values; `__post_init__` validates them after construction and may also
-    store values derived from them, which are not fields, in the instance
-    dict as `__init__` stores the fields: with one `self.__dict__.update`."""
+    annotations are its fields, in order, each given by keyword, none
+    defaulted; instances compare, hash and print by them.  `__post_init__`
+    checks them and may store derived values, not fields, in the instance
+    dict with one `self.__dict__.update`, as `__init__` stores the fields."""
 
     def __init_subclass__(cls):
         cls._fields = tuple(cls.__annotations__)
         cls._keys = frozenset(cls._fields)
-        cls._defaults = {f: vars(cls)[f] for f in cls._fields if f in vars(cls)}
 
-    def __init__(self, *args, **kwargs):
-        if args or kwargs.keys() != self._keys:  # fast path: every field by keyword
-            kwargs = self._bind(args, kwargs)
-        self.__dict__.update(kwargs)
+    def __init__(self, **fields):
+        if fields.keys() != self._keys:
+            raise TypeError(f"{type(self).__name__}() takes {self._fields} by keyword, each once")
+        self.__dict__.update(fields)
         self.__post_init__()
-
-    def _bind(self, args, kwargs):
-        values = dict(zip(self._fields, args))
-        bad = values.keys() & kwargs or kwargs.keys() - self._keys
-        values = {**self._defaults, **values, **kwargs}
-        if bad or len(args) > len(self._fields) or len(values) < len(self._fields):
-            raise TypeError(f"{type(self).__name__}() takes the fields {self._fields}, each "
-                            f"once unless it has a default; got {len(args)} positional "
-                            f"and {sorted(kwargs)}")
-        return values
 
     def __post_init__(self):
         """Check the fields; a subclass with constraints overrides this."""
@@ -90,17 +86,15 @@ class ModuliParams(Record):
     d: int
 
     def __post_init__(self):
-        r, d = self.r, self.d
+        g, r, d = (_integer(self.__dict__[f], f) for f in self._fields)
         h = gcd(r, d)  # math.gcd(r, 0) == r, matching the convention we need
-        self.__dict__.update(h=h, r_bar=r // h, d_bar=d // h,
-                             dim_m=(r * r - 1) * (self.g - 1), fano_index=2 * h)
+        self.__dict__.update(g=g, r=r, d=d, h=h, r_bar=r // h, d_bar=d // h,
+                             dim_m=(r * r - 1) * (g - 1), fano_index=2 * h)
 
 
 def derive_params(g, r, d):
-    """Compute all derived invariants from (g, r, d).
-
-    Requires 2 <= g <= MAX_GENUS, 2 <= r <= MAX_RANK and |d| <= MAX_DEGREE.
-    """
+    """Compute all derived invariants from the integers (g, r, d), with
+    2 <= g <= MAX_GENUS, 2 <= r <= MAX_RANK and |d| <= MAX_DEGREE."""
     if not 2 <= g <= MAX_GENUS:
         raise ParameterError(f"g must lie in [2, {MAX_GENUS}]")
     if not 2 <= r <= MAX_RANK:

@@ -1,9 +1,10 @@
 """The pruned chain walk against the enumerators it replaced.
 
-`_full_deg_vectors`, `_compositions`, `_box_deg_vectors`, `_twist_vectors`,
-`_linear_two_step` and `_linear_mixed` are the former enumerators, kept as
-reference oracles: the full walk, which lists every chain of a length and
-degree whatever its dimension, the rank compositions, the box search that
+`_full_deg_vectors`, `_certificate_deg_vectors`, `_compositions`,
+`_box_deg_vectors`, `_twist_vectors`, `_linear_two_step` and `_linear_mixed`
+are the former enumerators, kept as reference oracles: the full walk, which
+lists every chain of a length and degree whatever its dimension, the walk
+pruned by the certificate alone, the rank compositions, the box search that
 walks every degree entry over -deg_bound..deg_bound and prunes with the
 chain's least possible degree, the twist vectors of each degree vector's
 coefficients, the two-step search that tries every twist 2..hk at every r1,
@@ -66,6 +67,80 @@ def _full_deg_vectors(p, l, hk, charge):
 
     with suppress(_Spent):
         rec((), (), 0, 0, hk)
+    return results
+
+
+def _certificate_deg_vectors(p, l, hk, charge):
+    """The pruned walk before it pruned by the slopes left: the same chains,
+    pruned by the certificate alone, charging what it charged."""
+    r, d, gm = p.r, p.d, p.g - 1
+    charge(l)
+    # floors[j]: least value of the coefficient chosen with the (j+1)-th
+    # entry; rests[j]: least sum of the a_m*c_m chosen after it
+    floors = [(j + 1) * (l - 1 - j) for j in range(l)]
+    rests = list(accumulate(floors[:0:-1], initial=0))[::-1]
+    # steeps[j]: steep over the splits after the (j+1)-th by their floors,
+    # G_m taking the R nearest r/2 among those feasible at split m
+    by_floor = []
+    for m in range(l - 1):
+        big = min(max(r // 2, m + 1), r - l + m + 1)
+        by_floor.append(max(0, -(-gm * big * (r - big) // floors[m]) - 1))
+    steeps = [max(by_floor[j + 1:], default=0) for j in range(l - 1)]
+    results = []
+
+    def rec(steps, twists, prefix_r, prefix_d, spare, placed, pending, e2, e3):
+        # placed: the terms of r*cert placed, but for -r_{j+1}*pending of the
+        # split before this entry; e2, e3: symmetric sums of the ranks placed
+        j = len(steps)
+        if j == l - 1:  # the closing entry takes the rank and degree left
+            charge(DESCRIPTOR_COST)  # the descriptor this chain becomes
+            results.append((steps + ((r - prefix_r, d - prefix_d),), twists))
+            return
+        last = j == l - 2  # the last split: its twist uses up the spare
+        # each entry after this one keeps rank >= 1
+        for rank in range(1, r - prefix_r - (l - 2 - j)):
+            charge(1)
+            next_r = prefix_r + rank
+            # floor <= c_j <= spare minus the floors still to place
+            lo = -((spare - rests[j] - next_r * d) // r)
+            hi = (next_r * d - floors[j]) // r
+            if steps:  # the slope must strictly increase
+                prev_r, prev_d = steps[-1]
+                lo = max(lo, prefix_d + prev_d * rank // prev_r + 1)
+            base = placed - rank * pending
+            next_e2, next_e3 = e2 + prefix_r * rank, e3 + e2 * rank
+            segre = gm * next_r * (r - next_r)
+            known = base + gm * next_e3
+            # the next entry's rank is at most high_r, and at the last split
+            # it is high_r, closing rank and degree
+            high_r = r - next_r - (l - 2 - j)
+            if last:  # the closing entry has the larger slope, and e3 is known
+                hi = min(hi, (d * rank + prefix_d * high_r - 1) // (rank + high_r))
+                known += gm * next_e2 * high_r
+            chord = gm * (r - 1) * (r - next_r)  # c_j times the chord's G_m/c_m
+            for next_d in range(hi, lo - 1, -1):  # c_j ascending
+                charge(1)
+                c = next_r * d - next_d * r  # >= floors[j] by the window
+                e = c - segre
+                steep = min(steeps[j], max(0, -(-chord // c) - 1))
+                # the bound at twist a is fixed + r*a*slope (r*cert at the last split)
+                fixed = known - (rank + (high_r if e >= 0 or last else 1)) * e - r * spare * steep
+                slope = e + c * steep
+                if e >= 0 and fixed + r * slope > 0:
+                    break  # and so is every larger c_j
+                top = (spare - rests[j]) // c
+                if last and spare % c:
+                    continue  # no twist uses up the spare
+                low = top if last else 1
+                step = steps + ((rank, next_d - prefix_d),)
+                for a in range(low, top + 1) if slope >= 0 else range(top, low - 1, -1):
+                    if fixed + r * a * slope > 0:
+                        break  # and so is every later twist
+                    rec(step, twists + (a,), next_r, next_d, spare - a * c,
+                        base + (r * a - rank) * e, e, next_e2, next_e3)
+
+    with suppress(_Spent):
+        rec((), (), 0, 0, hk, 0, 0, 0, 0)
     return results
 
 
@@ -306,11 +381,21 @@ def _charged(walk, p, l, hk):
     return sorted(walk(p, l, hk, charge)), spent
 
 
+def _check_slopes_left(p, l, hk):
+    # pruning by the slopes left drops no chain and charges no more
+    before, before_work = _charged(_certificate_deg_vectors, p, l, hk)
+    pruned, work = _charged(_deg_vectors, p, l, hk)
+    assert pruned == before, (p, l, hk)
+    assert work <= before_work, (p, l, hk)
+    return pruned, work, before_work
+
+
 def _check_pruned_walk(p, l, hk):
     # the pruned walk lists exactly the full walk's chains whose family has
     # at least the expected dimension, and charges no more than the full walk
+    # or the walk pruned by the certificate alone
     full, full_work = _charged(_full_deg_vectors, p, l, hk)
-    pruned, work = _charged(_deg_vectors, p, l, hk)
+    pruned, work, _ = _check_slopes_left(p, l, hk)
     want = []
     for steps, twists in full:
         chain = ExtensionChain(params=p, steps=steps, twists=twists)
@@ -334,6 +419,20 @@ def test_pruned_walk_lists_the_components_of_the_full_walk():
                         listed += kept
                         dropped += chains - kept
     assert listed and dropped
+
+
+def test_slopes_left_against_the_certificate_walk_on_large_inputs():
+    # inputs too large for the full walk: the same chains, and the units of
+    # both walks (at l = 3 the closing entry's bound was already in place)
+    units = {}
+    for g, r, d, k, l in ((2, 6, 0, 100, 4), (2, 6, 0, 100, 5), (2, 8, 0, 30, 5),
+                          (2, 8, 0, 30, 6), (2, 5, -5, 8, 3), (2, 5, -5, 8, 4)):
+        p = derive_params(g, r, d)
+        _, work, before_work = _check_slopes_left(p, l, p.h * k)
+        units[g, r, d, k, l] = before_work, work
+    assert units == {(2, 6, 0, 100, 4): (108_364, 17_377), (2, 6, 0, 100, 5): (356_062, 2_172),
+                     (2, 8, 0, 30, 5): (136_203, 13_266), (2, 8, 0, 30, 6): (72_899, 1_815),
+                     (2, 5, -5, 8, 3): (1_085, 1_085), (2, 5, -5, 8, 4): (215, 48)}
 
 
 @settings(max_examples=150, deadline=None)
@@ -373,9 +472,9 @@ def test_search_lists_only_families_that_can_be_components():
 # search cut by the budget lists, so a refactor of the walk keeps them unit
 # for unit; (2, 12, 0, 40, 5) spends the budget.
 _PINNED_SEARCHES = {
-    (2, 6, 0, 100, 6): (505_214, 748, "3289d6057d20ac24"),
-    (2, 12, 0, 40, 5): (1_000_009, 16_500, "1b53de476afe3e8a"),
-    (2, 5, -5, 8, 4): (1_400, 21, "0d4769f5974ee632"),
+    (2, 6, 0, 100, 6): (60_337, 748, "3289d6057d20ac24"),
+    (2, 12, 0, 40, 5): (1_000_009, 17_646, "aadf286d6903d13c"),
+    (2, 5, -5, 8, 4): (1_233, 21, "0d4769f5974ee632"),
     (2, 4, 0, 200, 4): (1_298, 0, "4f53cda18c2baa0c"),
 }
 
@@ -387,6 +486,26 @@ def test_search_charges_are_pinned(inputs):
     data = json.dumps([desc.datum.to_dict() for desc in search.descriptors])
     digest = hashlib.sha256(data.encode()).hexdigest()[:16]
     assert (search.work, len(search.descriptors), digest) == _PINNED_SEARCHES[inputs]
+
+
+# (g, r, d, k, max_l) -> units charged, and the reasons the search names.
+# Pruned by the certificate alone, both searches spent the budget; they list
+# the same candidates as then (the digests of _PINNED_SEARCHES' format).
+_COMPLETED_SEARCHES = {
+    (3, 4, 1, 10**4, 4): (790_486, 1_389, "66b20fd6583bafe8", []),
+    (3, 1000, 1, 1000, 5): (6_721, 15, "da13943b7bdda036", [
+        "candidate-search-incomplete: max_l=5 below longest feasible chain length 18"]),
+}
+
+
+@pytest.mark.parametrize("inputs", list(_COMPLETED_SEARCHES))
+def test_slopes_left_complete_searches_that_spent_the_budget(inputs):
+    g, r, d, k, max_l = inputs
+    search = enumerate_candidates(derive_params(g, r, d), k, max_l=max_l)
+    data = json.dumps([desc.datum.to_dict() for desc in search.descriptors])
+    digest = hashlib.sha256(data.encode()).hexdigest()[:16]
+    got = (search.work, len(search.descriptors), digest, search.reasons)
+    assert got == _COMPLETED_SEARCHES[inputs]
 
 
 def test_expected_dimension_chain_outside_the_paper_count():

@@ -412,7 +412,7 @@ class TestVerify:
     def test_one_failure_fails_the_run(self, suite, name, monkeypatch):
         def failing(**kwargs):
             return VerificationReport(suite="x", trials=1, failures=1,
-                                      counterexamples=[(0,)])
+                                      counterexamples=[(0,)], notes="")
 
         monkeypatch.setattr(oracle, name, failing)
         code, data = _run_json(["verify", "--suite", suite, "--trials", "30"])

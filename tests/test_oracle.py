@@ -157,7 +157,7 @@ def test_report_pass_follows_failures():
     assert report.to_dict() == verify_degree_telescoping(trials=10, seed=0).to_dict()
     assert report.to_dict()["pass"] is True
     failed = VerificationReport(suite=report.suite, trials=report.trials, failures=3,
-                                counterexamples=[])
+                                counterexamples=[], notes=report.notes)
     assert failed.to_dict()["pass"] is False
 
 

@@ -1,11 +1,13 @@
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from modulirc import (
     ExtensionChain,
     MixedDatum,
+    ModuliParams,
     ParameterError,
     TorsionDatum,
     classify,
@@ -79,9 +81,9 @@ def test_expected_dimension_gap_is_even_positive(g, r, d, k):
     assert gap > 0 and gap % 2 == 0
 
 
-# the value types derive from Record; a frozen dataclass with the same fields
-# and defaults is the oracle for construction, equality, hash, repr and
-# immutability
+# the value types derive from Record; a frozen keyword-only dataclass with the
+# same fields, none defaulted, is the oracle for construction, equality, hash,
+# repr and immutability
 
 def _samples():
     """Two unequal instances of each value type, from the package itself."""
@@ -91,7 +93,7 @@ def _samples():
         (p, q),
         (ExtensionChain(params=p, steps=((1, -1), (1, 0), (1, 2)), twists=(1, 2)),
          ExtensionChain(params=p, steps=((1, -1), (1, 0), (1, 2)), twists=(2, 1))),
-        (TorsionDatum(params=p, t=1), TorsionDatum(params=p, t=2, a=3)),
+        (TorsionDatum(params=p, t=1, a=1), TorsionDatum(params=p, t=2, a=3)),
         (MixedDatum(params=p, r1=1, d1=-2, t=1), MixedDatum(params=p, r1=1, d1=-3, t=2)),
         (stratum_codimension(p, 1, 1), stratum_codimension(p, 1, 4)),
         (min_connecting_degree(p), min_connecting_degree(q)),
@@ -99,7 +101,7 @@ def _samples():
         tuple(report.thm_b),
         (report.candidate_search, enumerate_candidates(p, 9, max_l=2)),
         (report, other),
-        (VerificationReport(suite="a", trials=2, failures=1, counterexamples=[[1]]),
+        (VerificationReport(suite="a", trials=2, failures=1, counterexamples=[[1]], notes=""),
          VerificationReport(suite="a", trials=2, failures=0, counterexamples=[],
                             notes="n")),
     ]
@@ -111,20 +113,14 @@ VALUE_TYPES = ("ModuliParams", "ExtensionChain", "TorsionDatum", "MixedDatum",
                "CandidateSearch", "ClassificationReport", "VerificationReport")
 
 
-def _defaults(cls):
-    return {f: vars(cls)[f] for f in cls.__annotations__ if f in vars(cls)}
-
-
 def _twin(cls):
-    fields = [(f, t, dataclasses.field(default=_defaults(cls)[f]))
-              if f in _defaults(cls) else (f, t) for f, t in cls.__annotations__.items()]
-    return dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
+    fields = list(cls.__annotations__.items())
+    return dataclasses.make_dataclass(cls.__name__, fields, frozen=True, kw_only=True)
 
 
 def _sibling(cls):
-    """Another Record type with the same fields and defaults."""
-    return type(cls.__name__, (Record,),
-                {"__annotations__": dict(cls.__annotations__), **_defaults(cls)})
+    """Another Record type with the same fields."""
+    return type(cls.__name__, (Record,), {"__annotations__": dict(cls.__annotations__)})
 
 
 def _outcome(fn):
@@ -146,13 +142,11 @@ def test_record_agrees_with_frozen_dataclass(name):
     assert cls.__name__ == twin.__name__ and cls is not twin
     fields = list(cls.__annotations__)
     a, b = ({f: getattr(x, f) for f in fields} for x in (first, second))
-    required = {f: a[f] for f in fields if f not in _defaults(cls)}
     another = next(pair[0] for key, pair in samples.items() if key != name)
     cases = {
         "keyword": lambda c: c(**a),
         "positional": lambda c: c(*a.values()),
         "mixed": lambda c: c(a[fields[0]], **{f: a[f] for f in fields[1:]}),
-        "defaults": lambda c: c(**required),
         "missing": lambda c: c(**{f: a[f] for f in fields[1:]}),
         "unknown": lambda c: c(**a, bogus=1),
         "duplicated": lambda c: c(a[fields[0]], **a),
@@ -177,14 +171,42 @@ def test_record_agrees_with_frozen_dataclass(name):
 
 def test_record_runs_post_init_at_call_time(monkeypatch):
     p = derive_params(2, 3, 1)
-    for args, kwargs in (((p, ((1, 1), (1, 0), (1, 0)), (1, 1)), {}),
-                         ((), {"params": p, "steps": ((1, -1), (2, 2)), "twists": ()})):
+    for steps, twists in ((((1, 1), (1, 0), (1, 0)), (1, 1)), (((1, -1), (2, 2)), ())):
         with pytest.raises(ParameterError):
-            ExtensionChain(*args, **kwargs)
+            ExtensionChain(params=p, steps=steps, twists=twists)
     calls = []
     check = ExtensionChain.__post_init__
     monkeypatch.setattr(ExtensionChain, "__post_init__",
                         lambda self: calls.append(check(self)))
     ExtensionChain(params=p, steps=[[1, -1], [2, 2]], twists=[1])
-    ExtensionChain(p, ((1, -1), (2, 2)), (1,))
+    ExtensionChain(params=p, steps=((1, -1), (2, 2)), twists=(1,))
     assert len(calls) == 2
+
+
+def test_integer_fields_reject_non_integers():
+    # a float is not rounded, nor a string parsed: the error names the field
+    p = derive_params(2, 3, 1)
+    cases = {
+        "steps": lambda: ExtensionChain(params=p, steps=((1.9, -1), (2, 2)), twists=(1.5,)),
+        "twists": lambda: ExtensionChain(params=p, steps=((1, -1), (2, 2)), twists=(1.5,)),
+        "d1": lambda: MixedDatum(params=p, r1=1, d1=-2.0, t=1),
+        "t": lambda: TorsionDatum(params=p, t=2.0, a=1),
+        "a": lambda: TorsionDatum(params=p, t=2, a="1"),
+        "g": lambda: derive_params(2.0, 3, 1),
+        "d": lambda: ModuliParams(g=2, r=3, d=1.0),
+    }
+    for name, build in cases.items():
+        with pytest.raises(ParameterError, match=f"^{name} must be an integer, got "):
+            build()
+    # any integer type is taken, and stored as a plain int
+    one = np.int64(1)
+    values = [ModuliParams(g=np.int64(2), r=3, d=one),
+              ExtensionChain(params=p, steps=((one, -1), (2, np.int32(2))), twists=(one,)),
+              TorsionDatum(params=p, t=one, a=True),
+              MixedDatum(params=p, r1=one, d1=np.int16(-2), t=one)]
+    assert values == [p, ExtensionChain(params=p, steps=((1, -1), (2, 2)), twists=(1,)),
+                      TorsionDatum(params=p, t=1, a=1), MixedDatum(params=p, r1=1, d1=-2, t=1)]
+    params, chain, torsion, mixed = values
+    plain = [params.g, params.d, *(x for step in chain.steps for x in step), *chain.twists,
+             torsion.t, torsion.a, mixed.r1, mixed.d1, mixed.t]
+    assert {type(x) for x in plain} == {int}
