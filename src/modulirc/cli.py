@@ -6,17 +6,19 @@ internal invariant violation.  JSON and CSV are the stable contract surfaces;
 the table format is human-oriented only.
 """
 
-import argparse
 import atexit
 import os
 import sys
 from itertools import chain
+from types import SimpleNamespace
 
 # a command imports the layers it runs when it runs, so a call compiles no
 # module it does not run: a count-only sweep loads segre alone, classify and
 # candidate sweeps classifier, only verify loads numpy, and only JSON output
-# loads jsontext, which needs no json module; the package's exports also read
-# as attributes of this module
+# loads jsontext, which needs no json module; a well-formed argv is parsed
+# from the option table, and only help and usage errors load argparse (with
+# gettext and locale, about 7 ms of a fresh call); the package's exports also
+# read as attributes of this module
 from . import __getattr__  # noqa: F401
 from .params import (MAX_GENUS, MAX_K, ConsistencyError, ParameterError, _check_max_l,
                      _check_seed, derive_params, expected_dimension)
@@ -43,17 +45,11 @@ MAX_STRATA = 10**6
 MAX_SWEEP_WORK = 10**7
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
 def _write_json(fh, args, results, warnings):
     """Write the JSON envelope of `args.command`, the text that
     `json.dumps(envelope, indent=2) + "\n"` would give.  Its `inputs` echo
-    every parsed option but the output's format and file, in the order the
-    subparser declares them, camelCased.  An iterator among `results` is
+    every parsed option but the output's format and file, in the order
+    `_COMMANDS` declares them, camelCased.  An iterator among `results` is
     written as a list, each item as it comes, one in memory at a time."""
     from .jsontext import dump
     # "max_l".title() is "Max_L"; a regex would cost a compile on every call
@@ -294,60 +290,109 @@ def _cmd_connect(args, out):
     return EXIT_OK
 
 
-def _add_gr_d(sp):
-    sp.add_argument("--g", type=int, required=True, help="curve genus (>= 2)")
-    sp.add_argument("--r", type=int, required=True, help="bundle rank (>= 2)")
-    sp.add_argument("--d", type=int, required=True, help="determinant degree")
+# the flags of (g, r, d), which every command but verify takes
+_GRD = (("--g", int, None, True, "curve genus (>= 2)"),
+        ("--r", int, None, True, "bundle rank (>= 2)"),
+        ("--d", int, None, True, "determinant degree"))
+
+# command -> (function, help, options in declaration order); an option is
+# (flag, type, default, required, help), its dest the flag without "--" and
+# with "_" for "-", its type int, str, bool for a store_true flag, or a tuple
+# of the values it may take
+_COMMANDS = {
+    "classify": (_cmd_classify, "list components at one degree", _GRD + (
+        ("--k", int, None, True, "curve degree (>= 1)"),
+        ("--max-l", int, 3, False, None),
+        ("--include-candidates", bool, False, False, None),
+        ("--include-mixed", bool, False, False, None),
+        ("--format", ("json", "table"), "table", False, None))),
+    "sweep": (_cmd_sweep, "component counts over a degree range", _GRD + (
+        ("--k-min", int, None, True, None),
+        ("--k-max", int, None, True, None),
+        ("--max-l", int, 3, False, None),
+        ("--include-candidates", bool, False, False, None),
+        ("--out", str, None, False, None),
+        ("--format", ("csv", "json"), "csv", False, None))),
+    "verify": (_cmd_verify, "run the brute-force oracle suites", (
+        ("--suite", ("all", "identities", "claim", "telescoping", "dimensions", "counts"),
+         "all", False, None),
+        ("--trials", int, 10000, False, None),
+        ("--seed", int, 0, False, None),
+        ("--max-l", int, 4, False, None),
+        ("--rank-bound", int, 3, False, None),
+        ("--deg-bound", int, 6, False, None),
+        ("--g-bound", int, 4, False, None),
+        ("--twist-bound", int, 3, False, None))),
+    "segre": (_cmd_segre, "Segre stratification table", _GRD + (
+        ("--r-prime", int, None, False, None),)),
+    "connect": (_cmd_connect, "minimal two-point connecting degree", _GRD),
+}
 
 
 def build_parser():
+    """The argparse parser of `_COMMANDS`: it writes every usage line, help
+    text and error message, and is the reference `_parse` is tested against."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(prog="modulirc",
                      description="Rational-curve component calculator for "
                                  "moduli of bundles with fixed determinant")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("classify", help="list components at one degree")
-    _add_gr_d(sp)
-    sp.add_argument("--k", type=int, required=True, help="curve degree (>= 1)")
-    sp.add_argument("--max-l", type=int, default=3, dest="max_l")
-    sp.add_argument("--include-candidates", action="store_true")
-    sp.add_argument("--include-mixed", action="store_true")
-    sp.add_argument("--format", choices=["json", "table"], default="table")
-    sp.set_defaults(func=_cmd_classify)
-
-    sp = sub.add_parser("sweep", help="component counts over a degree range")
-    _add_gr_d(sp)
-    sp.add_argument("--k-min", type=int, required=True, dest="k_min")
-    sp.add_argument("--k-max", type=int, required=True, dest="k_max")
-    sp.add_argument("--max-l", type=int, default=3, dest="max_l")
-    sp.add_argument("--include-candidates", action="store_true")
-    sp.add_argument("--out", type=str, default=None)
-    sp.add_argument("--format", choices=["csv", "json"], default="csv")
-    sp.set_defaults(func=_cmd_sweep)
-
-    sp = sub.add_parser("verify", help="run the brute-force oracle suites")
-    sp.add_argument("--suite", default="all",
-                    choices=["all", "identities", "claim", "telescoping",
-                             "dimensions", "counts"])
-    sp.add_argument("--trials", type=int, default=10000)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--max-l", type=int, default=4, dest="max_l")
-    sp.add_argument("--rank-bound", type=int, default=3, dest="rank_bound")
-    sp.add_argument("--deg-bound", type=int, default=6, dest="deg_bound")
-    sp.add_argument("--g-bound", type=int, default=4, dest="g_bound")
-    sp.add_argument("--twist-bound", type=int, default=3, dest="twist_bound")
-    sp.set_defaults(func=_cmd_verify)
-
-    sp = sub.add_parser("segre", help="Segre stratification table")
-    _add_gr_d(sp)
-    sp.add_argument("--r-prime", type=int, default=None, dest="r_prime")
-    sp.set_defaults(func=_cmd_segre)
-
-    sp = sub.add_parser("connect", help="minimal two-point connecting degree")
-    _add_gr_d(sp)
-    sp.set_defaults(func=_cmd_connect)
-
+    for command, (func, summary, options) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=summary)
+        for flag, kind, default, required, text in options:
+            if kind is bool:
+                sp.add_argument(flag, action="store_true", help=text)
+            elif isinstance(kind, tuple):
+                sp.add_argument(flag, choices=kind, default=default, help=text)
+            else:
+                sp.add_argument(flag, type=kind, default=default, required=required, help=text)
+        sp.set_defaults(func=func)
     return parser
+
+
+def _parse(argv):
+    """The namespace `build_parser().parse_args(argv)` gives, with its keys in
+    the same order, when argv is a command and its options as exact
+    `--flag value` tokens and store_true flags, with every value of the right
+    type and every required flag given; None for any other argv, which then
+    goes to argparse for its help or its error."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, options = _COMMANDS[argv[0]]
+    spec = {flag: (flag[2:].replace("-", "_"), kind, default, required)
+            for flag, kind, default, required, _ in options}
+    values = {"command": argv[0]}
+    values.update((dest, default) for dest, _, default, _ in spec.values())
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token not in spec:
+            return None
+        dest, kind, _, _ = spec[token]
+        if kind is bool:
+            values[dest] = True
+            continue
+        value = next(tokens, "-")  # a flag with no token left has no value
+        # argparse takes the token after a flag as its value unless it reads
+        # as an option: one that starts with "-" and is not a negative number
+        if value[:1] == "-" and not value[1:].isdecimal():
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif kind is not str and value not in kind:
+            return None
+        values[dest] = value
+    if any(required and values[dest] is None for dest, _, _, required in spec.values()):
+        return None
+    return SimpleNamespace(**values, func=func)
 
 
 def _drop_buffered(out):
@@ -366,8 +411,8 @@ def _drop_buffered(out):
 
 
 def main(argv=None, out=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse(argv) or build_parser().parse_args(argv)
     out = out if out is not None else sys.stdout
     try:
         return args.func(args, out)

@@ -95,6 +95,7 @@ class ModuliParams(Record):
 def derive_params(g, r, d):
     """Compute all derived invariants from the integers (g, r, d), with
     2 <= g <= MAX_GENUS, 2 <= r <= MAX_RANK and |d| <= MAX_DEGREE."""
+    g, r, d = _integer(g, "g"), _integer(r, "r"), _integer(d, "d")
     if not 2 <= g <= MAX_GENUS:
         raise ParameterError(f"g must lie in [2, {MAX_GENUS}]")
     if not 2 <= r <= MAX_RANK:

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import importlib
 import io
@@ -7,12 +8,14 @@ import os
 import pathlib
 import subprocess
 import sys
+from itertools import chain
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import modulirc
-from modulirc import derive_params, oracle
+from modulirc import cli, derive_params, oracle
 from modulirc.classifier import ComponentDescriptor
 from modulirc.cli import SCHEMA_VERSION, _segre_rows, _sweep_rows, _write_sweep, main
 from modulirc.jsontext import dump
@@ -587,14 +590,18 @@ def _python(args, env=os.environ):
 
 def _loaded_by(argv):
     """The modules that `import modulirc.cli` and one call of main(argv)
-    leave loaded in a fresh process."""
+    leave loaded in a fresh process, also where argparse exits for help or
+    an error."""
     script = ("import io, sys\n"
               "from modulirc.cli import main\n"
-              "main(sys.argv[1:], out=io.StringIO())\n"
+              "try:\n"
+              "    main(sys.argv[1:], out=io.StringIO())\n"
+              "except SystemExit:\n"
+              "    pass\n"
               "print(*sys.modules)\n")
     done = _python(["-c", script, *argv])
     assert done.returncode == 0
-    return set(done.stdout.decode().split())
+    return set(done.stdout.decode().splitlines()[-1].split())
 
 
 def _layers(modules):
@@ -663,10 +670,16 @@ _LOADS = {"classify_json_candidates": "classifier families jsontext params segre
 def test_commands_start_without_heavy_imports(name):
     # each call is a fresh process: dataclasses (which imports inspect) and
     # numpy would cost more than these commands compute, and so would
-    # compiling a module the command does not run
+    # compiling a module the command does not run; a well-formed argv is
+    # parsed without argparse, which loads gettext, whose lookups load locale
     loaded = _loaded_by(_golden_case(name)["argv"])
-    assert not {"dataclasses", "inspect", "numpy"} & loaded
+    assert not {"dataclasses", "inspect", "numpy", "argparse", "gettext", "locale"} & loaded
     assert _layers(loaded) == {"cli", *_LOADS[name].split()}
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["classify", "--g", "2"]])
+def test_help_and_usage_errors_load_argparse(argv):
+    assert "argparse" in _loaded_by(argv)
 
 
 @pytest.mark.parametrize("name", _STARTUP_CASES + (
@@ -778,3 +791,137 @@ def test_numpy_loads_without_blas_thread_pool(module, preset):
     assert value == (preset or "1").encode()
     if preset is None:
         assert threads == b"1"
+
+
+# argparse is the reference for cli._parse: on every argv that _parse takes,
+# the two give the same namespace, keys in the same order, and main leaves
+# every other argv to argparse
+_DIGITS = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")  # Arabic-Indic
+_INT_VALUES = st.one_of(st.integers(-10**6, 10**6).map(str),
+                        st.integers(-99, 99).map(lambda n: str(n).translate(_DIGITS)),
+                        st.sampled_from(["+7", " 7", "7 ", "1_0", "007", "-0"]))
+# tokens that start with "-" but are not "-" and decimal digits; int() takes "-1_0"
+_DASHED = ["--", "-h", "--help", "-", "-x", "--bogus", "-1.5", "-5x", "-1e3", "-1_0", "--g-",
+           "-g", "--G"]
+_NOISE = st.sampled_from(_DASHED + ["x", "", "1.5", "xml", *sorted(cli._COMMANDS)])
+
+
+def _value(kind):
+    if kind is int:
+        return _INT_VALUES
+    if kind is str:
+        return st.sampled_from(["out.csv", "", "a b", "-5"])
+    return st.sampled_from(kind)
+
+
+def _bad_value(kind):
+    """Values that `_parse` rejects after a flag of this type."""
+    if kind is int:
+        return st.sampled_from(["-1_0", "-7_7", "--g", "-h", "x", "", "1.5", "٣.٣"])
+    if kind is str:
+        return st.sampled_from(["-x", "--", "-h", "-", "--out"])
+    return st.sampled_from(["xml", "JSON", "", " all", "-h"])
+
+
+@st.composite
+def _argv(draw):
+    """An argv of one command, and whether it is well formed: each required
+    flag once or twice (the last one wins), each other flag up to twice, in
+    any order.  At most one kind of flaw is then drawn: a required flag left
+    out, a bad value, or tokens dropped, replaced or added, among them
+    abbreviations and `--flag=value` forms."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    options = cli._COMMANDS[command][2]
+    flaw = draw(st.sampled_from(["none", "missing", "value", "tokens"]))
+    missing = draw(st.sampled_from(options))[0] if flaw == "missing" else None
+    groups = []
+    for flag, kind, _, required, _ in options:
+        for _ in range(0 if flag == missing else draw(st.integers(int(required), 2))):
+            groups.append([flag] if kind is bool else [flag, draw(_value(kind))])
+    valued = [group for group in groups if len(group) == 2]
+    if flaw == "value" and valued:
+        group = draw(st.sampled_from(valued))
+        kind = next(kind for flag, kind, _, _, _ in options if flag == group[0])
+        group[1] = draw(_bad_value(kind))
+    argv = [command, *chain.from_iterable(draw(st.permutations(groups)))]
+    for _ in range(draw(st.integers(1, 3)) if flaw == "tokens" else 0):
+        at = draw(st.integers(0, len(argv)))
+        flag, kind, _, _, _ = draw(st.sampled_from(options))
+        tokens = draw(st.one_of(
+            _NOISE.map(lambda t: [t]), _value(int).map(lambda t: [t]), st.just([flag]),
+            st.integers(3, max(3, len(flag) - 1)).map(lambda n: [flag[:n]]),
+            _value(str if kind is bool else kind).map(lambda v: [f"{flag}={v}"])))
+        how = draw(st.sampled_from(["add", "drop", "replace"]))
+        if how != "add" and at < len(argv):
+            del argv[at]
+        if how != "drop":
+            argv[at:at] = tokens
+    return argv, flaw == "none"
+
+
+def _argparse(argv):
+    """What build_parser().parse_args(argv) returns, as a list of items, or
+    its exit code when it exits; with what it writes to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = list(vars(cli.build_parser().parse_args(argv)).items())
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_argv())
+def test_parse_agrees_with_argparse(case):
+    argv, well_formed = case
+    got = cli._parse(argv)
+    assert got is not None or not well_formed
+    if got is not None:
+        want, _, _ = _argparse(argv)
+        assert want == list(vars(got).items())
+
+
+# argv that argparse exits on, for help or with an error
+_REJECTED = [[], ["--help"], ["-h"], ["bogus"], ["--", "connect"],
+             *([command, "--help"] for command in sorted(cli._COMMANDS)),
+             ["classify", "--g", "2"],
+             ["connect", "--g", "2", "--r", "3"],
+             ["classify", "--g", "2", "--r", "3", "--d", "1", "--k", "2", "--format", "xml"],
+             ["verify", "--suite", "nope"],
+             ["classify", "--g", "2", "--r", "3", "--d", "1", "--k", "x"],
+             ["connect", "--g", "2", "--r", "3", "--d", "1.5"],
+             ["connect", "--g", "2", "--r", "3", "--d"],
+             ["connect", "--g", "2", "--r", "3", "--d", "--g", "2"],
+             ["sweep", "--g", "2", "--r", "4", "--d", "0", "--k-min", "1", "--k-max", "2",
+              "--out", "-x"],
+             ["connect", "--g", "2", "--r", "3", "--d", "1", "--bogus"],
+             ["connect", "--g", "2", "--r", "3", "--d", "1", "extra"],
+             ["connect", "--g", "2", "--r", "3", "--d", "1", "--"],
+             ["sweep", "--g", "2", "--r", "4", "--d", "0", "--k", "1"],
+             ["classify", "--g", "2", "--r", "3", "--d", "1", "--k", "2", "--include-c", "x"]]
+
+
+@pytest.mark.parametrize("argv", _REJECTED, ids=" ".join)
+def test_rejected_argv_exit_as_argparse_does(argv):
+    want, want_out, want_err = _argparse(argv)
+    assert isinstance(want, int)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            main(argv, out=io.StringIO())
+    assert (exc.value.code, out.getvalue(), err.getvalue()) == (want, want_out, want_err)
+
+
+_GIVEN = ["--g", "2", "--r", "3", "--d", "1"]
+
+
+@pytest.mark.parametrize("argv,spelled", [
+    (["connect", "--g=2", "--r", "3", "--d", "1"], ["connect", *_GIVEN]),
+    (["connect", "--r", "3", "--d", "1", "--g", "9", "--g", "2"], ["connect", *_GIVEN]),
+    (["connect", "--g", "2", "--r", "3", "--d", "-٣"], ["connect", *_GIVEN[:5], "-3"]),
+    (["classify", *_GIVEN, "--k", "2", "--include-c", "--form", "json"],
+     ["classify", *_GIVEN, "--k", "2", "--include-candidates", "--format", "json"])])
+def test_argv_argparse_accepts_run_as_spelled_out(argv, spelled):
+    # the first and last go to argparse, which runs them as it did before
+    assert _run(argv) == _run(spelled)

@@ -41,6 +41,14 @@ def test_derive_params_rejects_bad_domain():
             derive_params(g, r, d)
 
 
+@pytest.mark.parametrize("name,args", [("g", ("2", 3, 1)), ("r", (2, "3", 1)),
+                                       ("d", (2, 3, "1")), ("g", (None, 3, 1))])
+def test_derive_params_checks_integers_before_ranges(name, args):
+    # a range check on a string or None would raise a bare TypeError
+    with pytest.raises(ParameterError, match=f"^{name} must be an integer, got "):
+        derive_params(*args)
+
+
 def test_expected_dimension_examples():
     p = derive_params(2, 2, 1)
     assert expected_dimension(p, 1) == 5
